@@ -48,20 +48,20 @@ class RunConfig:
 def parse_p_grid(spec) -> list[float]:
     """Power grid: explicit list "1e2,1e3,1e4" or "start:stop:points-per-decade"."""
     if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
-    s = str(spec).strip()
-    if ":" in s:
-        parts = s.split(":")
+        vals = [float(x) for x in spec]
+    elif ":" in str(spec):
+        parts = str(spec).strip().split(":")
         if len(parts) != 3:
             raise ValueError("grid range must be start:stop:points_per_decade")
         start, stop, ppd = float(parts[0]), float(parts[1]), int(parts[2])
-        if start <= 0 or stop < start or ppd < 1:
-            raise ValueError("grid range must satisfy 0 < start <= stop, ppd >= 1")
+        if not 0 < start <= stop < math.inf or ppd < 1:
+            raise ValueError("grid range must satisfy 0 < start <= stop < inf, ppd >= 1")
         n = int(round(math.log10(stop / start) * ppd)) + 1
-        return [start * 10.0 ** (k / ppd) for k in range(n)]
-    vals = [float(tok) for tok in s.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("empty power grid")
+        vals = [start * 10.0 ** (k / ppd) for k in range(n)]
+    else:
+        vals = [float(tok) for tok in str(spec).split(",") if tok.strip()]
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise ValueError(f"power grid must be nonempty, positive and finite: {spec!r}")
     return vals
 
 
@@ -184,10 +184,13 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if missing:
         parser.error(f"missing required option(s) for {command}: "
                      + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-    if "p" in params:
-        params["p"] = parse_p_grid(params["p"])
-    if command == "dmin":
-        params["q"] = parse_int_list(params["q"])
+    try:
+        if "p" in params:
+            params["p"] = parse_p_grid(params["p"])
+        if command == "dmin":
+            params["q"] = parse_int_list(params["q"])
+    except ValueError as exc:
+        parser.error(str(exc))
     if params.get("out") is None and command != "report":
         out_dir = os.environ.get("BLINDJAM_OUT", ".")
         params["out"] = os.path.join(out_dir, f"{command}.csv")

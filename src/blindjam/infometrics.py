@@ -2,12 +2,13 @@
 
 Every receiver observation in this library is a finite equal-variance
 Gaussian mixture: discrete symbols through a linear channel plus Gaussian
-noise. Differential entropies of such mixtures have no closed form, so two
-estimators are provided: Monte Carlo with a numerically stable windowed
-log-density, and adaptive quadrature with breakpoints at the component
-means. Mutual information with the message symbols follows as
-h(Y) - h(Y | messages), where the conditional term is translation
-invariant in the conditioning value and is therefore computed once.
+noise. At every mixture size its log-density at a query sums only the
+components within WINDOW_SIGMAS noise deviations. Entropies have no closed
+form, so two estimators are provided: Monte Carlo on that log-density, and
+adaptive quadrature with breakpoints at the component means. Mutual
+information with the message symbols follows as h(Y) - h(Y | messages),
+where the conditional term is translation invariant in the conditioning
+value and is therefore computed once.
 
 All values are in bits.
 """
@@ -47,7 +48,7 @@ LOG2E = math.log2(math.e)
 # components beyond this many noise deviations from a sample contribute
 # less than exp(-98) of the density and are dropped from the log-sum
 WINDOW_SIGMAS = 14.0
-FULL_EVAL_MAX_COMPONENTS = 2048
+CHUNK_TERMS = 1 << 18  # window terms per chunk of queries: 2 MiB per float64 array
 GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 
 
@@ -61,9 +62,9 @@ class MixtureSpec:
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float).ravel()
-        if means.size == 0:
-            raise ValueError("mixture needs at least one component")
-        if self.sigma <= 0:
+        if means.size == 0 or not np.all(np.isfinite(means)):
+            raise ValueError("mixture needs at least one component, all means finite")
+        if not self.sigma > 0:  # NaN fails too
             raise ValueError("sigma must be positive")
         if self.weights is None:
             weights = np.full(means.size, 1.0 / means.size)
@@ -74,11 +75,14 @@ class MixtureSpec:
             if np.any(weights < 0):
                 raise ValueError("weights must be nonnegative")
             total = float(np.sum(weights))
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError("weights must sum to 1")
             weights = weights / total
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
+        keep = weights > 0  # sorted once per mixture, without massless components
+        order = np.argsort(means[keep], kind="stable")
+        object.__setattr__(self, "_sorted", (means[keep][order], np.log(weights[keep][order])))
 
     def __len__(self) -> int:
         return self.means.size
@@ -107,80 +111,76 @@ def gaussian_entropy(sigma: float) -> float:
     return GAUSSIAN_ENTROPY_BITS + math.log2(sigma)
 
 
-def _sorted_mixture(spec: MixtureSpec):
-    order = np.argsort(spec.means, kind="stable")
-    means = spec.means[order]
-    with np.errstate(divide="ignore"):
-        logw = np.log(spec.weights[order])
-    return means, logw
-
-
-def _logpdf_gather(y, means, logw, sigma, lo, hi):
-    """Row-wise log density using component windows [lo_i, hi_i)."""
-    n = y.shape[0]
-    out = np.empty(n)
-    width = hi - lo
-    w_max = int(np.max(width))
+def _logpdf_sorted(y, means, logw, sigma):
+    """Log density at y of the mixture with sorted means and log-weights."""
+    half = WINDOW_SIGMAS * sigma
+    lo = np.searchsorted(means, y - half, side="left")
+    hi = np.searchsorted(means, y + half, side="right")
+    empty = hi <= lo
+    if np.any(empty):
+        # query far from every mean: fall back to the single nearest component
+        ye = y[empty]
+        right = np.minimum(np.searchsorted(means, ye), len(means) - 1)
+        left = np.maximum(right - 1, 0)
+        nearer = np.where(ye - means[left] <= means[right] - ye, left, right)
+        lo[empty], hi[empty] = nearer, nearer + 1
     norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
-    chunk = max(1, int(4_000_000 // max(w_max, 1)))
-    offsets = np.arange(w_max)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        idx = lo[sl, None] + offsets[None, :]
-        valid = idx < hi[sl, None]
-        idx = np.minimum(idx, means.shape[0] - 1)
-        z = logw[idx] - 0.5 * ((y[sl, None] - means[idx]) / sigma) ** 2
-        z[~valid] = -np.inf
-        zmax = np.max(z, axis=1)
-        out[sl] = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1)) - norm
+    width = hi - lo
+    ends = np.cumsum(width)
+    out = np.empty(y.shape[0])
+    a = 0
+    while a < y.shape[0]:
+        # whole rows holding about CHUNK_TERMS window terms, at least one row
+        done = ends[a] - width[a]
+        b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_TERMS, side="right")))
+        w = width[a:b]
+        starts = ends[a:b] - w - done
+        # ragged gather: component index lo_i, lo_i + 1, .., hi_i - 1 per row
+        idx = np.ones(int(ends[b - 1] - done), dtype=np.int64)
+        idx[0] = lo[a]
+        idx[starts[1:]] = lo[a + 1:b] - hi[a:b - 1] + 1
+        np.cumsum(idx, out=idx)
+        z = np.repeat(y[a:b], w)
+        z -= means[idx]
+        z /= sigma
+        np.square(z, out=z)
+        z *= -0.5
+        z += logw[idx]
+        zmax = np.maximum.reduceat(z, starts)
+        z -= np.repeat(zmax, w)
+        np.exp(z, out=z)
+        out[a:b] = zmax + np.log(np.add.reduceat(z, starts)) - norm
+        a = b
     return out
 
 
 def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     """Natural-log density of the mixture at y, numerically stable.
 
-    For large mixtures only the components within WINDOW_SIGMAS noise
-    deviations of each query enter the log-sum; the discarded tail is below
-    exp(-WINDOW_SIGMAS^2/2) relative and invisible at double precision.
+    Only the components within WINDOW_SIGMAS noise deviations of a query enter
+    its log-sum: the dropped tail is below exp(-WINDOW_SIGMAS^2/2) relative. A
+    query farther than that from every mean takes its nearest component alone.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    means, logw = _sorted_mixture(spec)
-    m = means.shape[0]
-    if m <= FULL_EVAL_MAX_COMPONENTS:
-        lo = np.zeros(y.shape[0], dtype=np.int64)
-        hi = np.full(y.shape[0], m, dtype=np.int64)
-        return _logpdf_gather(y, means, logw, spec.sigma, lo, hi)
-    half = WINDOW_SIGMAS * spec.sigma
-    lo = np.searchsorted(means, y - half, side="left")
-    hi = np.searchsorted(means, y + half, side="right")
-    empty = hi <= lo
-    if np.any(empty):
-        # query far from every mean: fall back to the single nearest component
-        pos = np.clip(np.searchsorted(means, y[empty]), 1, m - 1)
-        left = pos - 1
-        nearer = np.where(np.abs(y[empty] - means[left]) <= np.abs(means[pos] - y[empty]),
-                          left, pos)
-        lo[empty] = nearer
-        hi[empty] = nearer + 1
-    return _logpdf_gather(y, means, logw, spec.sigma, lo, hi)
+    return _logpdf_sorted(y, *spec._sorted, spec.sigma)
 
 
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed) -> tuple[float, float]:
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "entropy")
-    means, logw = _sorted_mixture(spec)
+    means, logw = spec._sorted
     cum = np.cumsum(np.exp(logw))
     cum[-1] = 1.0
     comp = np.searchsorted(cum, rng.random(n_samples), side="right")
     comp = np.minimum(comp, means.shape[0] - 1)
     y = means[comp] + spec.sigma * rng.normal(size=n_samples)
-    bits = -mixture_logpdf(y, spec) * LOG2E
+    bits = -mixture_logpdf(y, spec) * LOG2E  # by its public name: perfbench wraps it
     value = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return value, stderr
 
 
 def _entropy_quadrature(spec: MixtureSpec, tol: float) -> tuple[float, float]:
-    means = np.sort(spec.means)
+    means, logw = spec._sorted
     sigma = spec.sigma
     lo = means[0] - 10.0 * sigma
     hi = means[-1] + 10.0 * sigma
@@ -193,7 +193,7 @@ def _entropy_quadrature(spec: MixtureSpec, tol: float) -> tuple[float, float]:
         pts = np.append(pts, hi)
 
     def integrand(y):
-        lp = mixture_logpdf(np.array([y]), spec)[0]
+        lp = _logpdf_sorted(np.array([y]), means, logw, sigma)[0]
         return -math.exp(lp) * lp * LOG2E
 
     per_piece = max(tol / max(len(pts) - 1, 1), 1e-13)

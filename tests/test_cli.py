@@ -26,6 +26,15 @@ def test_parse_p_grid_forms():
         parse_p_grid("")
 
 
+@pytest.mark.parametrize("grid", ["1e2,1e3,inf", "1e2,nan", "0,1e2", "1e2,-1e3",
+                                  "1e2:inf:2", "0:1e3:2", "1e2:1e3:x"])
+def test_bad_power_grid_exits_2(grid, capsys):
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["sweep", "--m", "1", "--p", grid])
+    assert ei.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parse_int_list():
     assert parse_int_list("2,4,8") == [2, 4, 8]
     assert parse_int_list([2, 4]) == [2, 4]

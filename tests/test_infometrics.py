@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from blindjam.channel import ChannelRealization, default_budget, sample_channel
 from blindjam.infometrics import (
+    CHUNK_TERMS,
     GAUSSIAN_ENTROPY_BITS,
     MC_COMPONENT_CAP,
     QUAD_COMPONENT_CAP,
@@ -49,6 +50,12 @@ def test_mixture_spec_validation():
         MixtureSpec(means=np.array([0.0, 1.0]), weights=np.array([0.8, 0.1]))
     with pytest.raises(ValueError):
         MixtureSpec(means=np.array([0.0, 1.0]), weights=np.array([1.1, -0.1]))
+    # non-finite inputs: the windowed log-sum would skip a NaN component silently
+    for bad in (dict(means=np.array([0.0, np.nan])), dict(means=np.array([np.inf])),
+                dict(means=np.array([0.0]), sigma=np.nan),
+                dict(means=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))):
+        with pytest.raises(ValueError):
+            MixtureSpec(**bad)
     spec = MixtureSpec(means=np.array([0.0, 1.0]))
     assert np.allclose(spec.weights, [0.5, 0.5])
 
@@ -72,7 +79,7 @@ def test_logpdf_matches_manual_logsumexp():
 
 
 def test_windowed_path_matches_full_evaluation():
-    # above the full-evaluation size the pruned log-sum must agree anyway
+    # thousands of components: the windowed log-sum must equal the sum over all
     rng = np.random.default_rng(1)
     means = np.sort(rng.uniform(-50, 50, size=3000))
     spec = MixtureSpec(means=means, sigma=0.5)
@@ -93,6 +100,73 @@ def test_far_query_falls_back_to_nearest_component():
     want = (-0.5 * ((500.0 - means[-1]) / 0.01) ** 2
             - math.log(3000) - math.log(0.01) - 0.5 * math.log(2 * math.pi))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _brute_logpdf(y, means, w, sigma):
+    z = np.log(w)[None, :] - 0.5 * ((y[:, None] - means[None, :]) / sigma) ** 2
+    zmax = z.max(axis=1)
+    return (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+            - math.log(sigma) - 0.5 * math.log(2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["uniform", "random", "pmf", "single"]))
+def test_windowed_logpdf_equals_brute_force(seed, weighting):
+    rng = np.random.default_rng(seed)
+    sigma = float(rng.uniform(0.05, 3.0))
+    if weighting == "pmf":
+        # the legitimate receiver's shape: a message set plus a weighted jamming sum
+        vals, pmf = symbol_sum_pmf(int(rng.integers(1, 4)), int(rng.integers(0, 5)))
+        msg = np.arange(-2, 3, dtype=float)
+        means, w = _product_mixture(rng.uniform(0.5, 3.0, size=2) * [1.0, sigma],
+                                    [msg, vals], [None, pmf])
+    else:
+        k = 1 if weighting == "single" else int(rng.integers(2, 400))
+        means = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=k)
+        w = rng.uniform(0.01, 1.0, size=k) if weighting == "random" else np.ones(k)
+        w = w / w.sum()
+    # queries in the mixture's bulk: within a few deviations of some component
+    y = means[rng.integers(0, means.size, size=300)] + rng.uniform(-5, 5, size=300) * sigma
+    got = mixture_logpdf(y, MixtureSpec(means=means, weights=w, sigma=sigma))
+    assert np.max(np.abs(got - _brute_logpdf(y, means, w, sigma))) < 1e-12
+
+
+def test_chunk_boundaries_match_brute_force():
+    rng = np.random.default_rng(6)
+    # ~0.4 chunk of terms per row: rows straddle the chunk edges
+    means = np.linspace(-1.0, 1.0, int(0.4 * CHUNK_TERMS))
+    y = rng.uniform(-1.0, 1.0, size=7)
+    got = mixture_logpdf(y, MixtureSpec(means=means, sigma=1.0))
+    want = _brute_logpdf(y, means, np.full(means.size, 1.0 / means.size), 1.0)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # a window wider than the whole chunk budget, between two narrow rows
+    means = np.concatenate([np.linspace(-1.0, 1.0, CHUNK_TERMS + 1000), [40.0, 80.0]])
+    w = np.full(means.size, 1.0 / means.size)
+    y = np.array([40.5, 0.3, 79.0])
+    got = mixture_logpdf(y, MixtureSpec(means=means, weights=w, sigma=1.0))
+    assert np.max(np.abs(got - _brute_logpdf(y, means, w, 1.0))) < 1e-12
+
+
+def test_zero_weight_components_are_dropped():
+    # a window holding only zero-weight components must not give NaN
+    for n in (1, 3000):
+        means = np.append(np.linspace(-1.0, 1.0, n), 100.0)
+        w = np.append(np.full(n, 1.0 / n), 0.0)
+        got = mixture_logpdf(np.array([100.0, 0.5]), MixtureSpec(means=means, weights=w))
+        # the query at 100 is far from all mass: its nearest massive component alone
+        far = math.log(w[n - 1]) + stats.norm.logpdf(100.0, means[n - 1])
+        near = _brute_logpdf(np.array([0.5]), means[:n], w[:n], 1.0)[0]
+        assert np.allclose(got, [far, near], rtol=1e-12)
+    spec = MixtureSpec(means=np.array([0.0, 100.0]), weights=np.array([1.0, 0.0]))
+    h = mixture_entropy(spec, method="quadrature").value
+    assert h == pytest.approx(gaussian_entropy(1.0), abs=1e-6)
+
+
+def test_far_query_single_component_closed_form():
+    spec = MixtureSpec(means=np.array([2.5]), sigma=0.4)
+    y = np.array([2.5 + 500 * 0.4, 2.5 - 500 * 0.4])
+    want = -0.5 * 500.0 ** 2 - math.log(0.4) - 0.5 * math.log(2 * math.pi)
+    assert np.allclose(mixture_logpdf(y, spec), want, rtol=1e-15)
 
 
 def test_entropy_permutation_and_translation_invariance():
