@@ -24,6 +24,7 @@ from .constellation import (
     min_distance,
     nearest_point,
     pam_points,
+    sum_lattice_min_distance,
 )
 from .experiments import (
     ComparisonReport,

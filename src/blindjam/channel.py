@@ -28,10 +28,10 @@ __all__ = [
 class ChannelRealization:
     """One drawn channel: gains to both receivers plus noise levels.
 
-    All gains are required to be nonzero; draws come from continuous
-    distributions so degenerate (rationally dependent) gain combinations
-    are detected downstream via constellation collision checks rather
-    than prevented here.
+    All gains are required to be finite and nonzero, and the noise levels
+    finite and nonnegative; draws come from continuous distributions so
+    degenerate (rationally dependent) gain combinations are detected
+    downstream via constellation collision checks rather than prevented here.
     """
 
     m: int
@@ -50,10 +50,12 @@ class ChannelRealization:
             raise ValueError("m must be >= 1 (the no-helper channel has a closed form)")
         if h.shape != (self.m + 1,) or g.shape != (self.m + 1,):
             raise ValueError(f"gain vectors must have length m+1 = {self.m + 1}")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
+            raise ValueError("all channel gains must be finite")
         if np.any(h == 0.0) or np.any(g == 0.0):
             raise ValueError("all channel gains must be nonzero")
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        if not (0.0 <= self.sigma1 < np.inf and 0.0 <= self.sigma2 < np.inf):
+            raise ValueError("noise standard deviations must be finite and nonnegative")
 
     def to_json(self) -> str:
         return json.dumps(

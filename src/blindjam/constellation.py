@@ -3,11 +3,14 @@
 The legitimate receiver of the jamming schemes observes a one-dimensional
 constellation: every noiseless observation is a sum of scaled PAM symbols.
 Because the realized points live on the real line, sorting them once gives
-the exact minimum distance from adjacent differences and O(log N) nearest
-point decoding, with no need for sphere decoders at desk scale.
+O(log N) nearest point decoding, with no need for sphere decoders at desk
+scale. The exact minimum distance needs no lattice at all: it is the smallest
+nonzero combination over the difference box, with the widest axis solved in
+closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "enumerate_sum_lattice",
     "build_receiver_lattice",
     "min_distance",
+    "sum_lattice_min_distance",
     "nearest_index",
     "nearest_point",
     "loglog_slope",
@@ -192,6 +196,49 @@ def min_distance(lat: ReceiverLattice) -> float:
     return float(np.min(np.diff(lat.points)))
 
 
+def sum_lattice_min_distance(coeffs, radii, a: float = 1.0,
+                             cap: int = DEFAULT_POINT_CAP) -> float:
+    """Exact minimum distance of ``enumerate_sum_lattice(coeffs, radii, a)``
+    without building it.
+
+    Two distinct labels differ by a nonzero integer d with |d_i| <= 2 r_i, so
+    d_min = a * min |coeffs . d| over that difference box. Every axis but the
+    widest is enumerated by outer sums (its size, prod 4 r_i + 1, is held to
+    ``cap``); on the widest one |x + c d| is convex in d, so the nearest
+    integer to -x / c, clipped to the box, is the exact minimizer.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    radii = [int(r) for r in radii]
+    if coeffs.shape[0] != len(radii):
+        raise ValueError("one radius per coefficient required")
+    if a <= 0:
+        raise ValueError("spacing a must be positive")
+    if max(radii, default=0) < 1:
+        raise ValueError("minimum distance needs at least 2 points")
+    wide = int(np.argmax(radii))
+    head = [i for i in range(len(radii)) if i != wide]
+    total = math.prod(4 * radii[i] + 1 for i in head)
+    if total > cap:
+        raise LatticeSizeError(
+            f"difference box would hold {total} terms, above the cap of {cap}; "
+            "reduce q or the number of streams"
+        )
+    x = np.zeros(1)
+    for i in head:
+        x = (x[:, None] + coeffs[i] * np.arange(-2 * radii[i], 2 * radii[i] + 1)).ravel()
+    c, r = coeffs[wide], 2 * radii[wide]
+    if c == 0.0:
+        best = 0.0
+    else:
+        x += c * np.clip(np.rint(-x / c), -r, r)
+        # the head d' = 0 sits at the centre; its d_L must be nonzero: +-1
+        x[x.shape[0] // 2] = c
+        best = a * float(np.min(np.abs(x)))
+    if best < COLLISION_REL_TOL * a:
+        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
+    return best
+
+
 def nearest_index(points: np.ndarray, y) -> np.ndarray:
     """Index of the closest point for each query, ties toward the smaller point."""
     y = np.asarray(y, dtype=float)
@@ -265,9 +312,11 @@ def fit_dmin_exponent(
     """Empirical scaling exponent of the receiver minimum distance in Q.
 
     For each draw of generic gains (spacing fixed at a=1), the minimum
-    distance is computed exactly on every q in the grid and a least-squares
-    slope of log d_min against log q is fitted.  Draws whose lattice collides
-    at any q are redrawn; the count of redraws is reported.
+    distance of the receiver lattice (coefficients h1*alphas and 1, radii q
+    and (M+1)q) is computed exactly on every q in the grid by
+    ``sum_lattice_min_distance``, without enumerating the lattice, and a
+    least-squares slope of log d_min against log q is fitted.  Draws whose
+    lattice collides at any q are redrawn; the count of redraws is reported.
     """
     q_grid = tuple(int(q) for q in q_grid)
     if len(q_grid) < 3:
@@ -285,15 +334,11 @@ def fit_dmin_exponent(
             rng = substream(seed, "dmin", draw_id, attempt)
             h1 = rng.uniform(*magnitude_range) * (rng.integers(0, 2) * 2 - 1)
             alphas = rng.uniform(*alpha_range, size=m) * (rng.integers(0, 2, size=m) * 2 - 1)
-            dmins = []
-            collided = False
-            for q in q_grid:
-                lat = build_receiver_lattice(h1, alphas, a=1.0, q=q, cap=cap)
-                if lat.collision:
-                    collided = True
-                    break
-                dmins.append(min_distance(lat))
-            if collided:
+            coeffs = np.concatenate([h1 * alphas, [1.0]])
+            try:
+                dmins = [sum_lattice_min_distance(coeffs, [q] * m + [(m + 1) * q], cap=cap)
+                         for q in q_grid]
+            except DegenerateLatticeError:
                 redraws += 1
                 continue
             slopes[draw_id] = loglog_slope(q_grid, dmins)

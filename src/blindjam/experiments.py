@@ -241,6 +241,8 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
         raise ValueError("power grid must be strictly increasing")
     if kind == "GaussianJam":
         raise ValueError("reliability sweeps need a lattice scheme kind")
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
     channels = [
         sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
         for d in range(n_draws)

@@ -116,14 +116,10 @@ def _logpdf_sorted(y, means, logw, sigma):
     half = WINDOW_SIGMAS * sigma
     lo = np.searchsorted(means, y - half, side="left")
     hi = np.searchsorted(means, y + half, side="right")
+    # a query farther than the window from every mean sums all components:
+    # nearness alone would pick a light component over a heavy one behind it
     empty = hi <= lo
-    if np.any(empty):
-        # query far from every mean: fall back to the single nearest component
-        ye = y[empty]
-        right = np.minimum(np.searchsorted(means, ye), len(means) - 1)
-        left = np.maximum(right - 1, 0)
-        nearer = np.where(ye - means[left] <= means[right] - ye, left, right)
-        lo[empty], hi[empty] = nearer, nearer + 1
+    lo[empty], hi[empty] = 0, len(means)
     norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
     width = hi - lo
     ends = np.cumsum(width)
@@ -158,8 +154,9 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     """Natural-log density of the mixture at y, numerically stable.
 
     Only the components within WINDOW_SIGMAS noise deviations of a query enter
-    its log-sum: the dropped tail is below exp(-WINDOW_SIGMAS^2/2) relative. A
-    query farther than that from every mean takes its nearest component alone.
+    its log-sum. Each dropped term is below exp(-WINDOW_SIGMAS^2/2) = exp(-98)
+    times w_k / (sqrt(2 pi) sigma), its own value at its mean. A query farther
+    than that from every mean sums all components.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return _logpdf_sorted(y, *spec._sorted, spec.sigma)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,18 @@ def test_realization_rejects_negative_noise():
     with pytest.raises(ValueError):
         ChannelRealization(m=1, h=np.array([1.0, 1.0]), g=np.array([1.0, 2.0]),
                            sigma1=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["h", "g", "sigma1", "sigma2"])
+def test_realization_rejects_non_finite_values(field, bad):
+    kw = dict(m=1, h=np.array([1.0, 1.5]), g=np.array([0.7, 2.0]), sigma1=1.0, sigma2=1.0)
+    if field in ("h", "g"):
+        kw[field] = np.array([bad, 1.0])
+    else:
+        kw[field] = bad
+    with pytest.raises(ValueError):
+        ChannelRealization(**kw)
 
 
 def test_json_round_trip(ch2):

@@ -142,6 +142,15 @@ def test_ser_noiseless_is_zero(tmp_path):
     assert all(line.split(",")[6] == "0.0" for line in rows)
 
 
+def test_ser_zero_draws_is_an_error(tmp_path, capsys):
+    out = tmp_path / "ser.csv"
+    rc = entrypoint(["ser", "--kind", "Blind", "--m", "1", "--p", "1e2,1e3",
+                     "--draws", "0", "--out", str(out)])
+    assert rc != 0
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_emits_row_per_kind(tmp_path, capsys):
     out = tmp_path / "compare.csv"
     rc = entrypoint(["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2",

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from blindjam.constellation import (
     nearest_index,
     nearest_point,
     pam_points,
+    sum_lattice_min_distance,
 )
+from blindjam.streams import substream
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,3 +182,81 @@ def test_collision_tolerance_scales_with_spacing():
         lat = ReceiverLattice.from_points(
             np.array([0.0, eps * a, 1.0 * a]), a=a, collision_tol=COLLISION_REL_TOL * a)
         assert lat.collision
+
+
+def _fraction_min_distance(coeffs, radii, a):
+    # exact: every nonzero d in the difference box prod [-2 r_i, 2 r_i]
+    exact = [Fraction(c) for c in coeffs]
+    best = min(abs(sum(c * t for c, t in zip(exact, d)))
+               for d in itertools.product(*(range(-2 * r, 2 * r + 1) for r in radii))
+               if any(d))
+    return float(Fraction(a) * best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_sum_lattice_min_distance_matches_exact_and_enumerated(seed, m):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.1, 3.0, size=m + 1) * rng.choice([-1, 1], size=m + 1)
+    radii = [int(r) for r in rng.integers(0, 3 if m < 3 else 2, size=m + 1)]
+    radii[int(rng.integers(0, m + 1))] = int(rng.integers(1, 4))
+    a = float(rng.uniform(0.05, 2.0))
+    want = _fraction_min_distance(coeffs, radii, a)
+    if want < COLLISION_REL_TOL * a:
+        return
+    got = sum_lattice_min_distance(coeffs, radii, a=a)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(min_distance(enumerate_sum_lattice(coeffs, radii, a=a)),
+                                rel=1e-7)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 1.0], [0.5, 1.0], [0.0, 1.0]])
+def test_sum_lattice_min_distance_flags_dependent_coeffs(coeffs):
+    assert enumerate_sum_lattice(coeffs, [1, 1]).collision
+    with pytest.raises(DegenerateLatticeError):
+        sum_lattice_min_distance(coeffs, [1, 1])
+
+
+def test_sum_lattice_min_distance_cap_and_validation():
+    # the head box is every axis but the widest: 801 terms here
+    assert sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300], cap=801) > 0
+    with pytest.raises(LatticeSizeError):
+        sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300], cap=800)
+    with pytest.raises(ValueError):
+        sum_lattice_min_distance([1.0, 2.0], [0, 0])
+    with pytest.raises(ValueError):
+        sum_lattice_min_distance([1.0], [1, 1])
+    assert sum_lattice_min_distance([-0.3], [4], a=2.0) == pytest.approx(0.6)
+
+
+def _enumerated_dmin_study(m, q_grid, n_draws, seed):
+    # fit_dmin_exponent's draws and redraw rule, on full enumeration and sorting
+    dmins, redraws = [], 0
+    for draw_id in range(n_draws):
+        for attempt in itertools.count():
+            rng = substream(seed, "dmin", draw_id, attempt)
+            h1 = rng.uniform(0.5, 2.0) * (rng.integers(0, 2) * 2 - 1)
+            alphas = rng.uniform(0.5, 1.5, size=m) * (rng.integers(0, 2, size=m) * 2 - 1)
+            lats = [build_receiver_lattice(h1, alphas, a=1.0, q=q) for q in q_grid]
+            if any(lat.collision for lat in lats):
+                redraws += 1
+                continue
+            dmins.extend((draw_id, q, min_distance(lat)) for q, lat in zip(q_grid, lats))
+            break
+    return dmins, redraws
+
+
+@pytest.mark.parametrize("m, q_grid, n_draws", [(1, [2, 4, 8, 16], 20), (2, [2, 4, 8], 3)])
+def test_fit_dmin_exponent_matches_enumeration(m, q_grid, n_draws):
+    study = fit_dmin_exponent(m, q_grid, n_draws, 11)
+    want, redraws = _enumerated_dmin_study(m, q_grid, n_draws, 11)
+    assert study.redraws == redraws
+    assert [(r.draw_id, r.q) for r in study.rows] == [(d, q) for d, q, _ in want]
+    assert [r.dmin for r in study.rows] == pytest.approx([x for _, _, x in want], rel=1e-7)
+
+
+def test_fit_dmin_exponent_forced_collisions_raise():
+    # unit gains make every draw rationally dependent
+    with pytest.raises(RuntimeError):
+        fit_dmin_exponent(1, [2, 4, 8], 1, 0, magnitude_range=(1, 1),
+                          alpha_range=(1, 1), max_redraws=5)

@@ -153,13 +153,21 @@ def test_zero_weight_components_are_dropped():
         means = np.append(np.linspace(-1.0, 1.0, n), 100.0)
         w = np.append(np.full(n, 1.0 / n), 0.0)
         got = mixture_logpdf(np.array([100.0, 0.5]), MixtureSpec(means=means, weights=w))
-        # the query at 100 is far from all mass: its nearest massive component alone
-        far = math.log(w[n - 1]) + stats.norm.logpdf(100.0, means[n - 1])
-        near = _brute_logpdf(np.array([0.5]), means[:n], w[:n], 1.0)[0]
-        assert np.allclose(got, [far, near], rtol=1e-12)
+        # the query at 100 is far from all mass: every massive component enters
+        want = _brute_logpdf(np.array([100.0, 0.5]), means[:n], w[:n], 1.0)
+        assert np.allclose(got, want, rtol=1e-12)
     spec = MixtureSpec(means=np.array([0.0, 100.0]), weights=np.array([1.0, 0.0]))
     h = mixture_entropy(spec, method="quadrature").value
     assert h == pytest.approx(gaussian_entropy(1.0), abs=1e-6)
+
+
+def test_far_query_weighs_every_component():
+    # the nearer mean is light: the heavy one 15.1 sigma away carries the density
+    means, w = np.array([0.0, 30.0]), np.array([1e-6, 1.0 - 1e-6])
+    y = np.array([14.9])
+    got = mixture_logpdf(y, MixtureSpec(means=means, weights=w))[0]
+    assert got == pytest.approx(_brute_logpdf(y, means, w, 1.0)[0], rel=1e-14)
+    assert got == pytest.approx(-114.92, abs=5e-3)
 
 
 def test_far_query_single_component_closed_form():
