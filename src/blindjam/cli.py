@@ -32,6 +32,7 @@ from .experiments import (
     write_ser_csv,
     write_sweep_csv,
 )
+from .schemes import KINDS
 
 __all__ = ["RunConfig", "parse_p_grid", "parse_int_list", "build_parser",
            "entrypoint", "main"]
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add(sp, "--draws", type=int, help="independent channel draws")
         _add(sp, "--out", help="output CSV path")
         if with_kind:
-            _add(sp, "--kind", choices=("Blind", "CsiAligned", "GaussianJam"))
+            _add(sp, "--kind", choices=KINDS)
         if with_workers:
             _add(sp, "--workers", type=int, help="worker threads (results identical for any count)")
 
@@ -308,6 +309,10 @@ def entrypoint(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = resolve_config(args, parser)
     try:
+        out = cfg.params.get("out")  # checked before the run, not after it
+        out_dir = out and os.path.dirname(os.path.abspath(out))
+        if out_dir and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            raise OSError(f"output directory {out_dir} does not exist or is not writable")
         return _DISPATCH[cfg.command](cfg.params)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,9 @@ from .constellation import DEFAULT_POINT_CAP
 from .infometrics import MC_COMPONENT_CAP, rate_lower_bound
 from .receiver import ErrorEstimate, estimate_ser
 from .schemes import (
+    KINDS,
     SchemeConfig,
+    jam_streams,
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
@@ -121,23 +123,14 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def _eve_components(kind: str, m: int, q: int) -> int:
-    n_jam = 0 if kind == "GaussianJam" else (m + 1 if kind == "Blind" else m)
-    return (2 * q + 1) ** (m + n_jam)
-
-
-def _legit_lattice_points(kind: str, m: int, q: int) -> int:
-    if kind == "GaussianJam":
-        return 0
-    radius = (m + 1) * q if kind == "Blind" else m * q
-    return (2 * q + 1) ** m * (2 * radius + 1)
-
-
 def _feasible_grid(kind: str, m: int, delta: float, p_grid, cap: int) -> list[float]:
+    n_jam = len(jam_streams(kind, m))
     kept = []
     for p in p_grid:
         q, _ = schedule_q(p, delta, m)
-        if _eve_components(kind, m, q) > MC_COMPONENT_CAP or _legit_lattice_points(kind, m, q) > cap:
+        eve_components = (2 * q + 1) ** (m + n_jam)
+        legit_points = (2 * q + 1) ** m * (2 * n_jam * q + 1) if n_jam else 0
+        if eve_components > MC_COMPONENT_CAP or legit_points > cap:
             warnings.warn(
                 f"truncating power grid at p={p:g}: q={q} exceeds the component caps",
                 RuntimeWarning,
@@ -145,6 +138,52 @@ def _feasible_grid(kind: str, m: int, delta: float, p_grid, cap: int) -> list[fl
             break
         kept.append(p)
     return kept
+
+
+def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
+    p_grid = [float(p) for p in p_grid]
+    if len(p_grid) < min_points:
+        raise ValueError(f"power grid needs at least {min_points} point(s)")
+    if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
+        raise ValueError("power grid must be strictly increasing")
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
+    return p_grid
+
+
+def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
+               workers: int, magnitude_range, sigma1: float | None, cell) -> list:
+    """``cell(cfg, ch, budget, d, i)`` for every (draw d, grid index i), in that
+    order, serially or on a thread pool.
+
+    Channel draws depend only on (seed, draw index), never on the kind, so
+    sweeps of different kinds at the same seed see identical channels.
+    ``sigma1`` overrides the legitimate receiver's noise level when given.
+    """
+    channels = [
+        sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
+        for d in range(n_draws)
+    ]
+    if sigma1 is not None:
+        channels = [
+            ChannelRealization(m=ch.m, h=ch.h, g=ch.g, sigma1=sigma1,
+                               sigma2=ch.sigma2, seed=ch.seed)
+            for ch in channels
+        ]
+
+    def run(d_i):
+        d, i = d_i
+        ch = channels[d]
+        budget = default_budget(ch, p_grid[i])
+        cfg = _make_config(kind, m, p_grid[i], delta, ch, budget.c_bar,
+                           child_seed(seed, "alphas", d))
+        return cell(cfg, ch, budget, d, i)
+
+    cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
+    if workers <= 1:
+        return [run(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, cells))
 
 
 def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, *,
@@ -157,41 +196,24 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
                 magnitude_range: tuple[float, float] = (0.5, 2.0)) -> list[SweepRow]:
     """Evaluate one scheme kind over (power grid) x (channel draws).
 
-    Channel draws depend only on (seed, draw index), never on the kind, so
-    sweeps of different kinds at the same seed see identical channels.
+    The reliability columns stay empty when ``include_ser`` is off or the
+    kind has no lattice jamming.
     """
-    p_grid = [float(p) for p in p_grid]
-    if len(p_grid) < 3:
-        raise ValueError("power grid needs at least 3 points")
-    if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
-        raise ValueError("power grid must be strictly increasing")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    p_grid = _feasible_grid(kind, m, delta, p_grid, cap)
+    p_grid = _feasible_grid(kind, m, delta, _checked_grid(p_grid, n_draws, 3), cap)
     if len(p_grid) < 3:
         raise ValueError("fewer than 3 feasible grid points after cap truncation")
+    with_ser = include_ser and bool(jam_streams(kind, m))
 
-    channels = [
-        sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
-        for d in range(n_draws)
-    ]
-
-    def run_cell(cell):
-        d, i = cell
-        p = p_grid[i]
-        ch = channels[d]
-        budget = default_budget(ch, p)
-        cfg = _make_config(kind, m, p, delta, ch, budget.c_bar,
-                           child_seed(seed, "alphas", d))
+    def cell(cfg, ch, budget, d, i):
         rb = rate_lower_bound(cfg, ch, budget, method="mc", n_samples=mi_samples,
                               seed=child_seed(seed, "cell", kind, d, i, "mi"))
         row = dict(
-            kind=kind, m=m, delta=delta, draw_id=d, p=p, q=cfg.q, a=cfg.a,
+            kind=kind, m=m, delta=delta, draw_id=d, p=cfg.p, q=cfg.q, a=cfg.a,
             gamma=cfg.gamma,
             i_vy1=rb.i_v_y1.value, i_vy1_se=rb.i_v_y1.stderr,
             i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr, bound=rb.bound,
         )
-        if include_ser and kind != "GaussianJam":
+        if with_ser:
             est = estimate_ser(cfg, ch, ser_trials,
                                child_seed(seed, "cell", kind, d, i, "ser"),
                                min_errors=min_errors, cap=cap)
@@ -199,13 +221,8 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
                        ser_stderr=est.stderr)
         return SweepRow(**row)
 
-    cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
-    if workers <= 1:
-        rows = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    return rows
+    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers,
+                      magnitude_range, None, cell)
 
 
 @dataclass(frozen=True)
@@ -234,44 +251,18 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
     ``sigma1`` overrides the legitimate receiver's noise level when given
     (0 is allowed and checks the noiseless decoder).
     """
-    p_grid = [float(p) for p in p_grid]
-    if not p_grid:
-        raise ValueError("power grid is empty")
-    if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
-        raise ValueError("power grid must be strictly increasing")
-    if kind == "GaussianJam":
+    p_grid = _checked_grid(p_grid, n_draws, 1)
+    if not jam_streams(kind, m):
         raise ValueError("reliability sweeps need a lattice scheme kind")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    channels = [
-        sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
-        for d in range(n_draws)
-    ]
-    if sigma1 is not None:
-        channels = [
-            ChannelRealization(m=ch.m, h=ch.h, g=ch.g, sigma1=sigma1,
-                               sigma2=ch.sigma2, seed=ch.seed)
-            for ch in channels
-        ]
 
-    def run_cell(cell):
-        d, i = cell
-        p = p_grid[i]
-        ch = channels[d]
-        budget = default_budget(ch, p)
-        cfg = _make_config(kind, m, p, delta, ch, budget.c_bar,
-                           child_seed(seed, "alphas", d))
-        est = estimate_ser(cfg, ch, trials,
-                           child_seed(seed, "cell", kind, d, i, "ser"),
+    def cell(cfg, ch, budget, d, i):
+        est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
                            min_errors=min_errors, cap=cap)
-        return SerRow(p=p, m=m, delta=delta, draw_id=d, trials=est.trials,
+        return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
                       errors=est.errors, rate=est.rate, stderr=est.stderr)
 
-    cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
-    if workers <= 1:
-        return [run_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
+    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers,
+                      magnitude_range, sigma1, cell)
 
 
 @dataclass(frozen=True)
@@ -325,17 +316,16 @@ def _fit_column(rows, column: str, exclude_lowest: int) -> DofFit:
     keep = [row for row in rows if row.p in set(ps)]
     if len(set(row.p for row in keep)) < 3:
         raise ValueError("degenerate grid: fewer than 3 distinct powers")
-    x = np.array([0.5 * math.log2(row.p) for row in keep])
-    y = np.array([getattr(row, column) for row in keep])
-    pooled = ols(x, y)
+
+    def fit(sub) -> OlsFit:
+        return ols([0.5 * math.log2(row.p) for row in sub], [getattr(row, column) for row in sub])
+
     per_draw = []
     for d in sorted({row.draw_id for row in keep}):
         sub = [row for row in keep if row.draw_id == d]
         if len(sub) >= 2:
-            xd = np.array([0.5 * math.log2(row.p) for row in sub])
-            yd = np.array([getattr(row, column) for row in sub])
-            per_draw.append((d, ols(xd, yd).slope))
-    return DofFit(pooled=pooled, per_draw=tuple(per_draw), column=column,
+            per_draw.append((d, fit(sub).slope))
+    return DofFit(pooled=fit(keep), per_draw=tuple(per_draw), column=column,
                   excluded_lowest=exclude_lowest)
 
 
@@ -368,7 +358,7 @@ class ComparisonReport:
 
 
 def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
-                    kinds=("Blind", "CsiAligned", "GaussianJam"),
+                    kinds=KINDS,
                     mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
                     exclude_lowest: int = 0,
                     workers: int = 1) -> ComparisonReport:
@@ -384,12 +374,16 @@ def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
     return ComparisonReport(kinds=tuple(kinds), fits=fits, rows=tuple(all_rows))
 
 
-def write_sweep_csv(rows, path) -> None:
+def _write_rows(rows, columns, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in SWEEP_COLUMNS])
+            writer.writerow([_fmt(getattr(row, col)) for col in columns])
+
+
+def write_sweep_csv(rows, path) -> None:
+    _write_rows(rows, SWEEP_COLUMNS, path)
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
@@ -416,19 +410,8 @@ SER_COLUMNS = ["p", "m", "delta", "draw_id", "trials", "errors", "rate", "stderr
 
 
 def write_ser_csv(rows, path) -> None:
-    """SER rows to CSV; accepts SerRow or SweepRow (rows without SER skipped)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SER_COLUMNS)
-        for row in rows:
-            if row.trials is None:
-                continue
-            rate = row.rate if hasattr(row, "rate") else row.ser
-            stderr = row.stderr if hasattr(row, "stderr") else row.ser_stderr
-            writer.writerow([
-                _fmt(row.p), _fmt(row.m), _fmt(row.delta), _fmt(row.draw_id),
-                _fmt(row.trials), _fmt(row.errors), _fmt(rate), _fmt(stderr),
-            ])
+    """``SerRow``s to CSV, one line per row."""
+    _write_rows(rows, SER_COLUMNS, path)
 
 
 COMPARE_COLUMNS = ["kind", "slope", "slope_stderr", "n_rows"]

@@ -22,7 +22,7 @@ from scipy import integrate
 
 from .channel import ChannelRealization, PowerBudget
 from .constellation import pam_points
-from .schemes import SchemeConfig
+from .schemes import SchemeConfig, jam_streams
 from .streams import child_seed, substream
 
 __all__ = [
@@ -365,33 +365,28 @@ def _observation_model(cfg: SchemeConfig, ch: ChannelRealization, receiver: str)
     """coeffs, symbol sets, weights, designated indices, sigma for one receiver."""
     gains = ch.h if receiver == "legit" else ch.g
     sigma = ch.sigma1 if receiver == "legit" else ch.sigma2
-    alphas = np.asarray(cfg.alphas)
-    msg_set = pam_points(cfg.a, cfg.q)
-    m = cfg.m
     if cfg.kind == "GaussianJam":
         # helpers are Gaussian: fold their power into the noise, exactly
-        sigma_eff = math.sqrt(sigma ** 2 + cfg.p * float(np.sum(gains[1:] ** 2)))
-        coeffs = gains[0] * alphas
-        sets = [msg_set] * m
-        return coeffs, sets, [None] * m, list(range(m)), sigma_eff
-    if cfg.kind == "Blind":
-        n_jam = m + 1
-        jam_ratios = gains / ch.h  # legit: all ones; eve: g_j/h_j
-    else:
-        n_jam = m
-        jam_ratios = gains[1:] / ch.h[1:]
-    msg_coeffs = gains[0] * alphas
-    if receiver == "legit":
+        sigma = math.sqrt(sigma ** 2 + cfg.p * float(np.sum(gains[1:] ** 2)))
+    m = cfg.m
+    jam = jam_streams(cfg.kind, m)
+    msg_set = pam_points(cfg.a, cfg.q)
+    coeffs = gains[0] * np.asarray(cfg.alphas)
+    sets = [msg_set] * m
+    weights = [None] * m
+    if receiver == "legit" and jam:
         # every jamming stream lands on the same coefficient, so the whole
         # sum enters as one weighted set
-        vals, pmf = symbol_sum_pmf(n_jam, cfg.q)
-        coeffs = np.concatenate([msg_coeffs, [1.0]])
-        sets = [msg_set] * m + [cfg.a * vals]
-        weights = [None] * m + [pmf]
+        vals, pmf = symbol_sum_pmf(len(jam), cfg.q)
+        coeffs = np.append(coeffs, 1.0)
+        sets.append(cfg.a * vals)
+        weights.append(pmf)
     else:
-        coeffs = np.concatenate([msg_coeffs, jam_ratios])
-        sets = [msg_set] * (m + n_jam)
-        weights = [None] * (m + n_jam)
+        # eavesdropper: jamming stream j enters with coefficient g_j / h_j
+        # (GaussianJam has none, at either receiver)
+        coeffs = np.concatenate([coeffs, gains[jam] / ch.h[jam]])
+        sets += [msg_set] * len(jam)
+        weights += [None] * len(jam)
     return coeffs, sets, weights, list(range(m)), sigma
 
 

@@ -23,7 +23,7 @@ from .constellation import (
     enumerate_sum_lattice,
     nearest_index,
 )
-from .schemes import SchemeConfig, encode, sample_symbols
+from .schemes import SchemeConfig, encode, jam_streams, sample_symbols
 from .streams import substream
 
 __all__ = [
@@ -68,105 +68,109 @@ class ErrorEstimate:
                    per_stream=per_stream)
 
 
-def _jam_radius(cfg: SchemeConfig) -> int:
-    # Blind superposes m+1 aligned jamming streams at the legitimate
-    # receiver, the aligned baseline only the m helpers
-    if cfg.kind == "Blind":
-        return (cfg.m + 1) * cfg.q
-    if cfg.kind == "CsiAligned":
-        return cfg.m * cfg.q
-    raise ValueError("GaussianJam has no lattice at the legitimate receiver")
+def _lattice_jam(cfg: SchemeConfig, ch: ChannelRealization) -> range:
+    if ch.m != cfg.m:
+        raise ValueError("channel and scheme disagree on helper count")
+    jam = jam_streams(cfg.kind, cfg.m)
+    if not jam:
+        raise ValueError(f"{cfg.kind} has no lattice jamming streams")
+    return jam
 
 
 def legit_lattice(cfg: SchemeConfig, ch: ChannelRealization,
                   cap: int = DEFAULT_POINT_CAP) -> ReceiverLattice:
-    """Effective constellation at the legitimate receiver for this scheme."""
-    if ch.m != cfg.m:
-        raise ValueError("channel and scheme disagree on helper count")
-    return build_receiver_lattice(ch.h[0], cfg.alphas, a=cfg.a, q=cfg.q,
-                                  cap=cap, jam_radius=_jam_radius(cfg))
+    """Effective constellation at the legitimate receiver for this scheme.
+
+    All jamming streams land on one coefficient there: their sum is one
+    coordinate, of radius (number of jamming streams) * q.
+    """
+    return build_receiver_lattice(ch.h[0], cfg.alphas, a=cfg.a, q=cfg.q, cap=cap,
+                                  jam_radius=len(_lattice_jam(cfg, ch)) * cfg.q)
+
+
+def _nearest_labels(lat: ReceiverLattice, y) -> np.ndarray:
+    if lat.collision:
+        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
+    return lat.labels[nearest_index(lat.points, np.asarray(y, dtype=float))]
 
 
 def decode_legit(y1: float, lat: ReceiverLattice) -> tuple[int, ...]:
     """Message estimate: v-part of the nearest lattice label (jam coordinate dropped)."""
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
-    idx = nearest_index(lat.points, float(y1))
-    return tuple(int(t) for t in lat.labels[idx][:-1])
+    return tuple(int(t) for t in decode_legit_batch(float(y1), lat))
 
 
 def decode_legit_batch(y1: np.ndarray, lat: ReceiverLattice) -> np.ndarray:
     """Vectorized decode_legit; returns an (n, m) integer array."""
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
-    idx = nearest_index(lat.points, np.asarray(y1, dtype=float))
-    return lat.labels[idx][:, :-1]
+    return _nearest_labels(lat, y1)[..., :-1]
+
+
+def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
+                  label: str, min_errors: int | None, chunk: int, mismatch):
+    """(block errors, trials, per-symbol error counts) of a chunked run.
+
+    Trials are consumed in fixed-size chunks with one RNG substream per chunk
+    index. ``mismatch(rng, v, u, x)`` flags the wrongly decoded symbols of a
+    chunk, drawing its receiver noise from rng after the symbols. The run
+    stops at the first chunk boundary where the cumulative error count
+    reaches ``min_errors`` (or after ``n_trials``). Because the stop rule
+    looks only at a prefix of a fixed stream order, results are reproducible
+    no matter how callers schedule the work.
+    """
+    if n_trials <= 0:
+        raise ValueError("n_trials must be positive")
+    trials = 0
+    errors = 0
+    symbol_errors = 0
+    block_idx = 0
+    while trials < n_trials:
+        n = min(chunk, n_trials - trials)
+        rng = substream(seed, label, block_idx)
+        v, u = sample_symbols(cfg, rng, n=n)
+        wrong = mismatch(rng, v, u, encode(cfg, ch.h, v, u).x)
+        errors += int(np.sum(np.any(wrong, axis=1)))
+        symbol_errors = symbol_errors + np.sum(wrong, axis=0)
+        trials += n
+        block_idx += 1
+        if min_errors is not None and errors >= min_errors:
+            break
+    return errors, trials, symbol_errors
+
+
+def _noisy(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    return y + rng.normal(0.0, sigma, size=y.shape[0]) if sigma > 0 else y
 
 
 def estimate_ser(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
                  min_errors: int | None = 100, chunk: int = DEFAULT_CHUNK,
                  cap: int = DEFAULT_POINT_CAP) -> ErrorEstimate:
-    """Block symbol-error rate of the legitimate receiver.
-
-    A block counts as an error when any message symbol is decoded wrongly.
-    Trials are consumed in fixed-size chunks with one RNG substream per
-    chunk index, and the run stops at the first chunk boundary where the
-    cumulative error count reaches ``min_errors`` (or after ``n_trials``).
-    Because the stop rule looks only at a prefix of a fixed stream order,
-    results are reproducible no matter how callers schedule the work.
-    """
-    if cfg.kind not in ("Blind", "CsiAligned"):
-        raise ValueError("symbol-error estimation needs a lattice scheme kind")
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
+    """Block symbol-error rate of the legitimate receiver, counted by
+    ``_count_errors``: a block is wrong when any message symbol is."""
     lat = legit_lattice(cfg, ch, cap=cap)
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
-    trials = 0
-    errors = 0
-    stream_errors = np.zeros(cfg.m, dtype=np.int64)
-    block_idx = 0
-    while trials < n_trials:
-        n = min(chunk, n_trials - trials)
-        rng = substream(seed, "ser", block_idx)
-        v, u = sample_symbols(cfg, rng, n=n)
-        blk = encode(cfg, ch.h, v, u)
-        y = legit_output(ch, blk.x)
-        if ch.sigma1 > 0:
-            y = y + rng.normal(0.0, ch.sigma1, size=n)
-        vhat = decode_legit_batch(y, lat)
-        wrong = vhat != v
-        errors += int(np.sum(np.any(wrong, axis=1)))
-        stream_errors += np.sum(wrong, axis=0)
-        trials += n
-        block_idx += 1
-        if min_errors is not None and errors >= min_errors:
-            break
-    return ErrorEstimate.from_counts(errors, trials,
-                                     per_stream=stream_errors / trials)
 
+    def mismatch(rng, v, u, x):
+        return decode_legit_batch(_noisy(legit_output(ch, x), ch.sigma1, rng), lat) != v
 
-def _eve_jam_coeffs(cfg: SchemeConfig, ch: ChannelRealization) -> np.ndarray:
-    # coefficient of each lattice jamming stream at the eavesdropper
-    if cfg.kind == "Blind":
-        return ch.g / ch.h
-    if cfg.kind == "CsiAligned":
-        return ch.g[1:] / ch.h[1:]
-    raise ValueError("GaussianJam has no lattice jamming streams")
+    errors, trials, stream_errors = _count_errors(cfg, ch, n_trials, seed, "ser",
+                                                  min_errors, chunk, mismatch)
+    return ErrorEstimate.from_counts(errors, trials, per_stream=stream_errors / trials)
 
 
 def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization,
                   cap: int = DEFAULT_POINT_CAP) -> ReceiverLattice:
-    """Constellation of the jamming sum alone as seen by the eavesdropper."""
-    if ch.m != cfg.m:
-        raise ValueError("channel and scheme disagree on helper count")
-    coeffs = _eve_jam_coeffs(cfg, ch)
-    return enumerate_sum_lattice(coeffs, [cfg.q] * coeffs.shape[0], a=cfg.a, cap=cap)
+    """Constellation of the jamming sum alone as seen by the eavesdropper.
+
+    Jamming stream j enters with coefficient g_j / h_j; labels are the
+    jamming symbols of ``jam_streams``, in that order.
+    """
+    jam = _lattice_jam(cfg, ch)
+    return enumerate_sum_lattice(ch.g[jam] / ch.h[jam], [cfg.q] * len(jam), a=cfg.a, cap=cap)
 
 
-def _eve_message_offset(cfg: SchemeConfig, ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    alphas = np.asarray(cfg.alphas)
-    return cfg.a * (np.asarray(v) @ (ch.g[0] * alphas))
+def _eve_decode_batch(y2, v, cfg: SchemeConfig, ch: ChannelRealization,
+                      lat: ReceiverLattice) -> np.ndarray:
+    # subtract the known message contribution, decode the jamming residual
+    offset = cfg.a * (np.asarray(v) @ (ch.g[0] * np.asarray(cfg.alphas)))
+    return _nearest_labels(lat, np.asarray(y2, dtype=float) - offset)
 
 
 def eve_decode_u_given_v(y2: float, v, cfg: SchemeConfig, ch: ChannelRealization,
@@ -178,11 +182,7 @@ def eve_decode_u_given_v(y2: float, v, cfg: SchemeConfig, ch: ChannelRealization
     """
     if lat is None:
         lat = eve_u_lattice(cfg, ch)
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gain ratios: jamming labels collide")
-    resid = float(y2) - float(_eve_message_offset(cfg, ch, np.asarray(v)))
-    idx = nearest_index(lat.points, resid)
-    return tuple(int(t) for t in lat.labels[idx])
+    return tuple(int(t) for t in _eve_decode_batch(float(y2), v, cfg, ch, lat))
 
 
 def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
@@ -195,30 +195,14 @@ def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: in
     values deliberately mismatch the residual (sanity check that the
     decoder actually uses the conditioning).
     """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
     lat = eve_u_lattice(cfg, ch, cap=cap)
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gain ratios: jamming labels collide")
-    u_cols = slice(0, cfg.m + 1) if cfg.kind == "Blind" else slice(1, cfg.m + 1)
-    trials = 0
-    errors = 0
-    block_idx = 0
-    while trials < n_trials:
-        n = min(chunk, n_trials - trials)
-        rng = substream(seed, "eveu", block_idx)
-        v, u = sample_symbols(cfg, rng, n=n)
-        blk = encode(cfg, ch.h, v, u)
-        y = eve_output(ch, blk.x)
-        if ch.sigma2 > 0:
-            y = y + rng.normal(0.0, ch.sigma2, size=n)
+    jam = jam_streams(cfg.kind, cfg.m)
+
+    def mismatch(rng, v, u, x):
+        y = _noisy(eve_output(ch, x), ch.sigma2, rng)
         v_cond = v if v_offset == 0 else np.clip(v + v_offset, -cfg.q, cfg.q)
-        resid = y - _eve_message_offset(cfg, ch, v_cond)
-        idx = nearest_index(lat.points, resid)
-        uhat = lat.labels[idx]
-        errors += int(np.sum(np.any(uhat != u[:, u_cols], axis=1)))
-        trials += n
-        block_idx += 1
-        if min_errors is not None and errors >= min_errors:
-            break
+        return _eve_decode_batch(y, v_cond, cfg, ch, lat) != u[:, jam]
+
+    errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu",
+                                      min_errors, chunk, mismatch)
     return ErrorEstimate.from_counts(errors, trials)

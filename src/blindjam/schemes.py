@@ -12,6 +12,10 @@ Three scheme kinds share one config shape:
 * ``GaussianJam``: helpers transmit i.i.d. Gaussian noise at full power,
   the classical unstructured baseline.
 
+The kinds differ in which transmitters send a lattice jamming symbol;
+``jam_streams`` is the one place that says which, and the encoder, the
+receivers, the information measures and the sweeps all derive from it.
+
 The power schedule is shared: q grows like a fractional power of p, the
 spacing aims the constellation at the power budget, and gamma is set to the
 largest value that keeps every transmitter inside the budget.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -35,6 +39,7 @@ __all__ = [
     "make_blind_scheme",
     "make_csi_scheme",
     "make_gaussian_jam_scheme",
+    "jam_streams",
     "encode",
     "sample_symbols",
     "analytic_power",
@@ -43,6 +48,21 @@ __all__ = [
 ]
 
 KINDS = ("Blind", "CsiAligned", "GaussianJam")
+
+
+def jam_streams(kind: str, m: int) -> range:
+    """Indices of the transmitters that send a lattice jamming symbol.
+
+    Blind: all m+1, the transmitter's own stream included. CsiAligned: the m
+    helpers. GaussianJam: none (its helpers send Gaussian noise).
+    """
+    if kind == "Blind":
+        return range(m + 1)
+    if kind == "CsiAligned":
+        return range(1, m + 1)
+    if kind == "GaussianJam":
+        return range(0)
+    raise ValueError(f"unknown scheme kind {kind!r}")
 
 
 def schedule_q(p: float, delta: float, m: int) -> tuple[int, bool]:
@@ -147,10 +167,13 @@ def _draw_alphas(m: int, seed: int) -> tuple[float, ...]:
     return tuple(float(x) for x in mags * signs)
 
 
-def _schedule(p: float, delta: float, m: int, gamma: float) -> tuple[int, float, bool]:
+def _config(kind: str, m: int, p: float, delta: float, h, alphas, c_bar: float) -> SchemeConfig:
+    # the shared power schedule: largest admissible gamma, q from p, a = gamma sqrt(p) / q
+    gamma = admissible_gamma(h, alphas)
     q, trivial = schedule_q(p, delta, m)
-    a = gamma * math.sqrt(p) / q
-    return q, a, trivial
+    return SchemeConfig(kind=kind, m=m, p=p, delta=delta, gamma=gamma, q=q,
+                        a=gamma * math.sqrt(p) / q, alphas=alphas, c_bar=c_bar,
+                        trivial_q=trivial)
 
 
 def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
@@ -166,13 +189,7 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
         raise ValueError("h must have length m+1")
     if c_bar <= 0:
         raise ValueError("c_bar must be positive")
-    alphas = _draw_alphas(m, seed)
-    gamma = admissible_gamma(h, alphas)
-    q, a, trivial = _schedule(p, delta, m, gamma)
-    return SchemeConfig(
-        kind="Blind", m=m, p=p, delta=delta, gamma=gamma, q=q, a=a,
-        alphas=alphas, c_bar=c_bar, trivial_q=trivial,
-    )
+    return _config("Blind", m, p, delta, h, _draw_alphas(m, seed), c_bar)
 
 
 def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
@@ -181,11 +198,7 @@ def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, se
 
     Also blind: never reads the eavesdropper gains.
     """
-    base = make_blind_scheme(m, p, delta, h, c_bar, seed)
-    return SchemeConfig(
-        kind="GaussianJam", m=base.m, p=base.p, delta=base.delta, gamma=base.gamma,
-        q=base.q, a=base.a, alphas=base.alphas, c_bar=base.c_bar, trivial_q=base.trivial_q,
-    )
+    return replace(make_blind_scheme(m, p, delta, h, c_bar, seed), kind="GaussianJam")
 
 
 def make_csi_scheme(m: int, p: float, delta: float, h, g, seed: int = 0,
@@ -205,22 +218,17 @@ def make_csi_scheme(m: int, p: float, delta: float, h, g, seed: int = 0,
     if np.any(g == 0) or np.any(h == 0):
         raise ValueError("all gains must be nonzero")
     alphas = tuple(float(x) for x in g[1:] / (g[0] * h[1:]))
-    gamma = admissible_gamma(h, alphas)
-    q, a, trivial = _schedule(p, delta, m, gamma)
     if c_bar is None:
         c_bar = 2.0 * float(np.sum(g ** 2))
-    return SchemeConfig(
-        kind="CsiAligned", m=m, p=p, delta=delta, gamma=gamma, q=q, a=a,
-        alphas=alphas, c_bar=c_bar, trivial_q=trivial,
-    )
+    return _config("CsiAligned", m, p, delta, h, alphas, c_bar)
 
 
 def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -> TransmitBlock:
     """Map symbols to channel inputs. Batch-capable: v (..., m), u (..., m+1).
 
-    Blind: x_1 = a u_1 / h_1 + sum_k alpha_k a v_k, x_j = a u_j / h_j.
-    CsiAligned: x_1 carries messages only, helpers as above (u_1 ignored).
-    GaussianJam: x_1 carries messages only, helpers draw N(0, p) from rng.
+    Each jamming transmitter j (see ``jam_streams``) sends a u_j / h_j, and
+    x_1 adds the messages sum_k alpha_k a v_k; u_j of the other transmitters
+    is ignored. GaussianJam helpers draw N(0, p) from rng instead.
 
     The eavesdropper gains are not an argument: for the blind kinds the
     output cannot depend on them.
@@ -239,19 +247,13 @@ def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -
     if np.any(np.abs(v) > cfg.q) or np.any(np.abs(u) > cfg.q):
         raise ValueError(f"symbols out of range [-{cfg.q}, {cfg.q}]")
     batch = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
-    alphas = np.asarray(cfg.alphas)
-    msg = cfg.a * (v @ alphas)
-    x = np.empty(batch + (cfg.m + 1,), dtype=float)
-    if cfg.kind == "Blind":
-        x[..., 0] = cfg.a * u[..., 0] / h[0] + msg
-        x[..., 1:] = cfg.a * u[..., 1:] / h[1:]
-    elif cfg.kind == "CsiAligned":
-        x[..., 0] = msg
-        x[..., 1:] = cfg.a * u[..., 1:] / h[1:]
-    else:
+    jam = jam_streams(cfg.kind, cfg.m)
+    x = np.zeros(batch + (cfg.m + 1,), dtype=float)
+    x[..., jam] = cfg.a * u[..., jam] / h[jam]
+    x[..., 0] += cfg.a * (v @ np.asarray(cfg.alphas))
+    if cfg.kind == "GaussianJam":
         if rng is None:
             raise ValueError("GaussianJam encoding draws helper noise; pass rng")
-        x[..., 0] = msg
         x[..., 1:] = rng.normal(0.0, math.sqrt(cfg.p), size=batch + (cfg.m,))
     return TransmitBlock(v=v, u=u, x=x)
 
@@ -282,16 +284,11 @@ def analytic_power(cfg: SchemeConfig, h) -> np.ndarray:
     if h.shape != (cfg.m + 1,):
         raise ValueError("h must have length m+1")
     s2 = cfg.a ** 2 * cfg.q * (cfg.q + 1) / 3.0
-    alphas = np.asarray(cfg.alphas)
-    e = np.empty(cfg.m + 1)
-    if cfg.kind == "Blind":
-        e[0] = s2 * (1.0 / h[0] ** 2 + float(np.sum(alphas ** 2)))
-    else:
-        e[0] = s2 * float(np.sum(alphas ** 2))
-    if cfg.kind == "GaussianJam":
-        e[1:] = cfg.p
-    else:
-        e[1:] = s2 / h[1:] ** 2
+    jam = jam_streams(cfg.kind, cfg.m)
+    e = np.full(cfg.m + 1, float(cfg.p))  # GaussianJam helpers
+    e[jam] = s2 / h[jam] ** 2
+    own = 1.0 / h[0] ** 2 if 0 in jam else 0.0
+    e[0] = s2 * (own + float(np.sum(np.asarray(cfg.alphas) ** 2)))
     return e
 
 

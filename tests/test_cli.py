@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from blindjam import cli
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
 from blindjam.experiments import SweepRow, write_sweep_csv
 from blindjam.schemes import schedule_q
@@ -112,6 +113,50 @@ def test_manifest_replays_byte_identically(tmp_path):
                      "--out", str(out2)])
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+REPLAY_ARGS = {
+    "ser": ["--m", "1", "--p", "1e2,1e3", "--draws", "2", "--delta", "0.25",
+            "--trials", "2000", "--min-errors", "20", "--sigma1", "0.5"],
+    "leakage": ["--kind", "CsiAligned", "--m", "1", "--p", "1e2,1e3,1e4,1e5",
+                "--draws", "2", "--mi-samples", "200", "--exclude-lowest", "1"],
+    "compare": ["--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
+                "--mi-samples", "200", "--workers", "2"],
+    "dmin": ["--m", "2", "--q", "2,4,8", "--draws", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_ARGS))
+def test_manifest_replay_is_byte_identical(command, tmp_path):
+    out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
+    assert entrypoint([command, "--seed", "9", "--out", str(out1)]
+                      + REPLAY_ARGS[command]) == 0
+    manifest1 = tmp_path / "run1.manifest.json"
+    assert entrypoint([command, "--config", str(manifest1), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    if command == "compare":
+        assert ((tmp_path / "run1_rows.csv").read_bytes()
+                == (tmp_path / "run2_rows.csv").read_bytes())
+    first = json.loads(manifest1.read_text())
+    again = json.loads((tmp_path / "run2.manifest.json").read_text())
+    assert again.pop("out") == str(out2) and first.pop("out") == str(out1)
+    assert again == first
+
+
+@pytest.mark.parametrize("command,runner,args", [
+    ("compare", "compare_schemes", ["--m", "1", "--p", "1e2,1e3,1e4"]),
+    ("dmin", "fit_dmin_exponent", ["--m", "1", "--q", "2,4,8"]),
+])
+def test_unwritable_out_dir_exits_1_before_running(command, runner, args, tmp_path,
+                                                   monkeypatch, capsys):
+    def unreachable(*a, **k):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(cli, runner, unreachable)
+    out = tmp_path / "missing" / "x.csv"
+    assert entrypoint([command, "--out", str(out)] + args) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_default_out_respects_env(tmp_path, monkeypatch):

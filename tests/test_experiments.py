@@ -235,9 +235,6 @@ def test_ser_csv_accepts_both_row_types(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(SER_COLUMNS)
     assert len(lines) == 2
-    # sweep rows without reliability data are skipped silently
-    write_ser_csv(_planted_rows(0.5, draws=1), path)
-    assert len(path.read_text().splitlines()) == 1
 
 
 def test_sweep_ser_noiseless_and_validation(tmp_path):

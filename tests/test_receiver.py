@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from blindjam.channel import ChannelRealization, default_budget, sample_channel
 from blindjam.receiver import (
@@ -14,6 +17,7 @@ from blindjam.receiver import (
 )
 from blindjam.schemes import (
     encode,
+    jam_streams,
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
@@ -159,3 +163,24 @@ def test_legit_output_chain_consistency(ch1):
     v, u = sample_symbols(cfg, 4)
     y1 = legit_output(ch1, encode(cfg, ch1.h, v, u).x)
     assert decode_legit(float(y1), lat) == tuple(int(t) for t in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["Blind", "CsiAligned"]), m=st.integers(1, 2),
+       q=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_noiseless_decoders_invert_encode(kind, m, q, seed):
+    drawn = sample_channel(m, seed)
+    ch = ChannelRealization(m=m, h=drawn.h, g=drawn.g, sigma1=0.0, sigma2=0.0)
+    if kind == "Blind":
+        cfg = make_blind_scheme(m, 100.0, 0.1, ch.h, 4.0, seed)
+    else:
+        cfg = make_csi_scheme(m, 100.0, 0.1, ch.h, ch.g)
+    cfg = dataclasses.replace(cfg, q=q)
+    lat, eve_lat = legit_lattice(cfg, ch), eve_u_lattice(cfg, ch)
+    assume(not lat.collision and not eve_lat.collision)
+    v, u = sample_symbols(cfg, seed, n=40)
+    x = encode(cfg, ch.h, v, u).x
+    assert np.array_equal(decode_legit_batch(legit_output(ch, x), lat), v)
+    jam = jam_streams(kind, m)
+    for y2, v_i, u_i in zip(eve_output(ch, x), v, u):
+        assert eve_decode_u_given_v(y2, v_i, cfg, ch, eve_lat) == tuple(int(t) for t in u_i[jam])
