@@ -11,7 +11,6 @@ Output paths default into $BLINDJAM_OUT (or the working directory).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from .experiments import (
     write_compare_csv,
     write_dmin_csv,
     write_manifest,
+    write_rows,
     write_ser_csv,
     write_sweep_csv,
 )
@@ -281,15 +281,10 @@ def cmd_report(params: dict) -> int:
     print(f"leakage slope {leak.pooled.slope:.6f} (stderr {leak.pooled.slope_stderr:.6f})")
     out = params.get("out")
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["column", "slope", "intercept", "slope_stderr", "n",
-                             "excluded_lowest"])
-            for fit in (dof, leak):
-                writer.writerow([fit.column, repr(fit.pooled.slope),
-                                 repr(fit.pooled.intercept),
-                                 repr(fit.pooled.slope_stderr), fit.pooled.n,
-                                 fit.excluded_lowest])
+        write_rows((dict(vars(fit.pooled), column=fit.column,
+                         excluded_lowest=fit.excluded_lowest) for fit in (dof, leak)),
+                   ["column", "slope", "intercept", "slope_stderr", "n", "excluded_lowest"],
+                   out)
         print(f"summary -> {out}")
     return 0
 

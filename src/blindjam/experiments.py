@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
 from .constellation import DEFAULT_POINT_CAP
-from .infometrics import MC_COMPONENT_CAP, rate_lower_bound
+from .infometrics import COMPONENT_CAP, rate_lower_bound
 from .receiver import ErrorEstimate, estimate_ser
 from .schemes import (
     KINDS,
@@ -52,6 +52,7 @@ __all__ = [
     "SER_COLUMNS",
     "COMPARE_COLUMNS",
     "DMIN_COLUMNS",
+    "write_rows",
     "write_sweep_csv",
     "read_sweep_csv",
     "write_ser_csv",
@@ -130,7 +131,7 @@ def _feasible_grid(kind: str, m: int, delta: float, p_grid, cap: int) -> list[fl
         q, _ = schedule_q(p, delta, m)
         eve_components = (2 * q + 1) ** (m + n_jam)
         legit_points = (2 * q + 1) ** m * (2 * n_jam * q + 1) if n_jam else 0
-        if eve_components > MC_COMPONENT_CAP or legit_points > cap:
+        if eve_components > COMPONENT_CAP or legit_points > cap:
             warnings.warn(
                 f"truncating power grid at p={p:g}: q={q} exceeds the component caps",
                 RuntimeWarning,
@@ -374,16 +375,17 @@ def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
     return ComparisonReport(kinds=tuple(kinds), fits=fits, rows=tuple(all_rows))
 
 
-def _write_rows(rows, columns, path) -> None:
+def write_rows(rows, columns, path) -> None:
+    """Mappings to CSV: a header of ``columns``, then one line per mapping."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in columns])
+            writer.writerow([_fmt(row[col]) for col in columns])
 
 
 def write_sweep_csv(rows, path) -> None:
-    _write_rows(rows, SWEEP_COLUMNS, path)
+    write_rows(map(vars, rows), SWEEP_COLUMNS, path)
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
@@ -411,7 +413,7 @@ SER_COLUMNS = ["p", "m", "delta", "draw_id", "trials", "errors", "rate", "stderr
 
 def write_ser_csv(rows, path) -> None:
     """``SerRow``s to CSV, one line per row."""
-    _write_rows(rows, SER_COLUMNS, path)
+    write_rows(map(vars, rows), SER_COLUMNS, path)
 
 
 COMPARE_COLUMNS = ["kind", "slope", "slope_stderr", "n_rows"]
@@ -419,29 +421,15 @@ COMPARE_COLUMNS = ["kind", "slope", "slope_stderr", "n_rows"]
 
 def write_compare_csv(report: ComparisonReport, path) -> None:
     """One row per scheme kind: the fitted rate-bound slope."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARE_COLUMNS)
-        for rec in report.summary():
-            writer.writerow([
-                rec["kind"], _fmt(rec["slope"]), _fmt(rec["slope_stderr"]),
-                _fmt(rec["n_rows"]),
-            ])
+    write_rows(report.summary(), COMPARE_COLUMNS, path)
 
 
 DMIN_COLUMNS = ["draw_id", "m", "q", "dmin", "slope"]
 
 
 def write_dmin_csv(study, path) -> None:
-    slopes = dict(zip(range(len(study.slopes)), study.slopes))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DMIN_COLUMNS)
-        for row in study.rows:
-            writer.writerow([
-                _fmt(row.draw_id), _fmt(study.m), _fmt(row.q), _fmt(row.dmin),
-                _fmt(float(slopes[row.draw_id])),
-            ])
+    write_rows((dict(vars(row), m=study.m, slope=study.slopes[row.draw_id])
+                for row in study.rows), DMIN_COLUMNS, path)
 
 
 def write_manifest(path, config: dict) -> None:

@@ -190,6 +190,16 @@ def test_gaussian_jam_leakage_tracks_legit_rate():
     assert abs(s1 - s2) <= 0.1
 
 
+def test_zero_information_cell_below_minus_three_stderr_keeps_its_row():
+    # draw 2 at p=1e3 estimates I(V;Y2) at -3.3 stderr: noise around a true zero
+    rows = sweep_power("GaussianJam", 1, 0.05, [1e2, 1e3, 1e4, 1e5], 3, 81,
+                       mi_samples=5000, include_ser=False)
+    assert len(rows) == 12
+    row = next(r for r in rows if r.draw_id == 2 and r.p == 1e3)
+    assert row.i_vy2 < -3.0 * row.i_vy2_se
+    assert all(r.bound == max(0.0, r.i_vy1 - r.i_vy2) for r in rows)
+
+
 def test_compare_schemes_shape():
     report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 2, 11, mi_samples=300)
     assert report.kinds == ("Blind", "CsiAligned", "GaussianJam")

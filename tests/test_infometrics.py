@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from blindjam import infometrics
 from blindjam.channel import ChannelRealization, default_budget, sample_channel
 from blindjam.infometrics import (
     CHUNK_TERMS,
+    COMPONENT_CAP,
     GAUSSIAN_ENTROPY_BITS,
-    MC_COMPONENT_CAP,
-    QUAD_COMPONENT_CAP,
     MiEstimate,
     MixtureSpec,
     _observation_model,
@@ -225,11 +228,76 @@ def test_mc_agrees_with_quadrature():
 
 
 def test_entropy_caps_refuse():
-    big = MixtureSpec(means=np.zeros(QUAD_COMPONENT_CAP + 1))
+    big = MixtureSpec(means=np.zeros(COMPONENT_CAP + 1))
     with pytest.raises(ValueError):
         mixture_entropy(big, method="quadrature")
     with pytest.raises(ValueError):
         mixture_entropy(MixtureSpec(means=np.zeros(2)), method="nope")
+
+
+def test_isolated_components_refuse_before_the_grid():
+    # 20,000 windows of 225 points each: 4.5M grid points, 36 MB per array
+    spec = MixtureSpec(means=100.0 * np.arange(20_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="trapezoid grid"):
+            mixture_entropy(spec, method="quadrature")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # 450 points, but grid indices past 2**53 that float64 cannot hold exactly
+    with pytest.raises(ValueError, match="trapezoid grid"):
+        mixture_entropy(MixtureSpec(means=np.array([0.0, 1e19])), method="quadrature")
+
+
+def _entropy_adaptive(spec):
+    # scipy's adaptive quadrature between the component means: the reference
+    # the trapezoid rule replaced, on a brute-force log-density
+    means = np.sort(spec.means[spec.weights > 0])
+    sigma = spec.sigma
+    lo = means[0] - 10.0 * sigma
+    hi = means[-1] + 10.0 * sigma
+    pts = np.concatenate([[lo], means, [hi]])
+    keep = np.concatenate([[True], np.diff(pts) > 1e-6 * sigma])
+    pts = pts[keep]
+    if pts[-1] < hi:
+        pts = np.append(pts, hi)
+
+    def integrand(y):
+        lp = _brute_logpdf(np.array([y]), spec.means, spec.weights, sigma)[0]
+        return -math.exp(lp) * lp / math.log(2.0)
+
+    per_piece = max(1e-12 / max(len(pts) - 1, 1), 1e-13)
+    return sum(integrate.quad(integrand, a, b, epsabs=per_piece, epsrel=1e-10, limit=200)[0]
+               for a, b in zip(pts[:-1], pts[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["uniform", "random", "pmf"]))
+def test_grid_entropy_matches_adaptive_quadrature(seed, weighting):
+    rng = np.random.default_rng(seed)
+    sigma = float(rng.uniform(0.05, 3.0))
+    if weighting == "pmf":
+        vals, w = symbol_sum_pmf(int(rng.integers(1, 4)), int(rng.integers(0, 7)))
+        means = float(rng.uniform(0.2, 3.0)) * vals
+    else:
+        k = int(rng.integers(1, 41))
+        means = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=k)
+        w = rng.uniform(0.01, 1.0, size=k) if weighting == "random" else np.ones(k)
+        w = w / w.sum()
+    spec = MixtureSpec(means=means, weights=w, sigma=sigma)
+    grid = mixture_entropy(spec, method="quadrature")
+    diff = abs(grid.value - _entropy_adaptive(spec))
+    assert diff <= 1e-9
+    assert grid.stderr >= diff - 1e-12
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, blindjam; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_symbol_sum_pmf_oracles():
@@ -314,9 +382,50 @@ def test_component_cap_message_names_q():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        MiEstimate(value=-1.0, stderr=0.0, n_samples=10, method="mc")
+        MiEstimate(value=np.nan, stderr=0.0, n_samples=10, method="mc")
     with pytest.raises(ValueError):
         MiEstimate(value=1.0, stderr=-0.1, n_samples=10, method="mc")
+
+
+def test_negative_differential_entropies_are_values():
+    # below sigma = 0.41 a Gaussian's differential entropy is negative
+    spec = MixtureSpec(means=np.array([0.0, 1.0]), sigma=0.1)
+    for method in ("mc", "quadrature"):
+        h = mixture_entropy(spec, method=method, n_samples=20_000)
+        assert h.value == pytest.approx(1.0 + gaussian_entropy(0.1), abs=0.02)
+        mi = mi_discrete_input([1.0], [np.array([-1.0, 1.0])], 0.2, [0], method=method,
+                               n_samples=20_000)
+        assert mi.value == pytest.approx(1.0, abs=0.02)
+
+
+def test_negative_grid_information_raises(monkeypatch):
+    # the trapezoid rule carries no sampling noise: h(Y) < h(Y|V) is a defect
+    values = iter([(1.0, 0.0), (2.0, 0.0)])
+    monkeypatch.setattr(infometrics, "_entropy_grid", lambda spec: next(values))
+    with pytest.raises(ValueError, match="cannot be negative"):
+        mi_discrete_input([1.0, 1.0], [np.array([-1.0, 1.0])] * 2, 1.0, [0],
+                          method="quadrature")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_grid_mi_between_zero_and_input_entropy(seed, with_pmf):
+    rng = np.random.default_rng(seed)
+    sets = [np.arange(-q, q + 1, dtype=float) for q in rng.integers(0, 4, size=rng.integers(1, 4))]
+    weights = [None] * len(sets)
+    if with_pmf:
+        vals, pmf = symbol_sum_pmf(int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+        sets.append(vals)
+        weights.append(pmf)
+    coeffs = rng.choice([-1.0, 1.0], size=len(sets)) * rng.uniform(0.2, 2.0, size=len(sets))
+    sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+    designated = rng.choice(len(sets), size=int(rng.integers(1, len(sets) + 1)), replace=False)
+    mi = mi_discrete_input(coeffs, sets, sigma, designated, method="quadrature",
+                           weights=weights)
+    h_v = sum(math.log2(sets[i].size) if weights[i] is None
+              else -float(np.sum(weights[i] * np.log2(weights[i]))) for i in designated)
+    slack = 3.0 * mi.stderr + 1e-9
+    assert -slack <= mi.value <= h_v + slack
 
 
 def test_rate_lower_bound_structure(ch1):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,23 @@ def test_analytic_power_within_budget(p, delta, m, seed):
         assert np.all(analytic_power(cfg, ch.h) <= p * (1 + 1e-12))
     cfg = make_csi_scheme(m, p, delta, ch.h, ch.g)
     assert np.all(analytic_power(cfg, ch.h) <= p * (1 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 1e8), st.floats(0.001, 0.499), st.integers(1, 3),
+       st.integers(0, 10**6))
+def test_analytic_power_within_budget_for_any_gains(p, delta, m, seed):
+    # signed gains of magnitude 0.05 to 20, far outside sample_channel's range
+    rng = np.random.default_rng(seed)
+    h, g = rng.choice([-1.0, 1.0], size=(2, m + 1)) * np.exp(
+        rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
+    for cfg in (make_blind_scheme(m, p, delta, h, 1.0, seed),
+                make_gaussian_jam_scheme(m, p, delta, h, 1.0, seed),
+                make_csi_scheme(m, p, delta, h, g)):
+        power = analytic_power(cfg, h)
+        assert np.all(power <= p * (1 + 1e-12))
+        if cfg.kind == "GaussianJam":
+            assert np.all(power[1:] == p)
 
 
 def test_analytic_power_structure(ch1):
