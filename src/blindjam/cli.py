@@ -99,9 +99,30 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 }
 
 
+# each option's value type: its flag parses to it, and a --config value must
+# have it (p and q take a string or a list, and are parsed on their own)
+_TYPES = dict(m=int, seed=int, draws=int, workers=int, mi_samples=int, ser_trials=int,
+              min_errors=int, trials=int, exclude_lowest=int, delta=float, sigma1=float,
+              kind=str, out=str, input=str, config=str, include_ser=bool)
+# options whose null means "unset" or "no limit" to the library
+_NULLABLE = {"min_errors", "sigma1", "out"}
+
+
 def _add(sp, *names, **kw):
     kw.setdefault("default", None)
+    if "action" not in kw:
+        kw["type"] = _TYPES.get(kw.get("dest", names[0].lstrip("-")), str)
     sp.add_argument(*names, **kw)
+
+
+def _fits(key: str, val) -> bool:
+    """Whether a --config value has the type of option ``key``."""
+    want = _TYPES.get(key)
+    if want is None or val is None:
+        return want is None or key in _NULLABLE
+    if isinstance(val, bool):  # JSON true is no number
+        return want is bool
+    return isinstance(val, (int, float) if want is float else want)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,39 +134,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_kind=True, with_workers=True):
         _add(sp, "--config", help="JSON file (e.g. a previous manifest) with parameter defaults")
-        _add(sp, "--m", type=int, help="helper count")
-        _add(sp, "--seed", type=int, help="root RNG seed")
-        _add(sp, "--draws", type=int, help="independent channel draws")
+        _add(sp, "--m", help="helper count")
+        _add(sp, "--seed", help="root RNG seed")
+        _add(sp, "--draws", help="independent channel draws")
         _add(sp, "--out", help="output CSV path")
         if with_kind:
             _add(sp, "--kind", choices=KINDS)
         if with_workers:
-            _add(sp, "--workers", type=int, help="worker threads (results identical for any count)")
+            _add(sp, "--workers", help="worker threads (results identical for any count)")
 
     sp = sub.add_parser("sweep", help="power sweep: SER and rate bound per (draw, p)")
     common(sp)
-    _add(sp, "--delta", type=float)
+    _add(sp, "--delta")
     _add(sp, "--p", help="power grid: list 1e2,1e3,... or start:stop:ppd")
-    _add(sp, "--mi-samples", dest="mi_samples", type=int)
-    _add(sp, "--ser-trials", dest="ser_trials", type=int)
-    _add(sp, "--min-errors", dest="min_errors", type=int)
+    _add(sp, "--mi-samples", dest="mi_samples")
+    _add(sp, "--ser-trials", dest="ser_trials")
+    _add(sp, "--min-errors", dest="min_errors")
     _add(sp, "--no-ser", dest="include_ser", action="store_const", const=False,
          help="skip the reliability estimate")
 
     sp = sub.add_parser("ser", help="reliability-only power sweep")
     common(sp)
-    _add(sp, "--delta", type=float)
+    _add(sp, "--delta")
     _add(sp, "--p", help="power grid")
-    _add(sp, "--trials", type=int)
-    _add(sp, "--min-errors", dest="min_errors", type=int)
-    _add(sp, "--sigma1", type=float, help="override legitimate-side noise level")
+    _add(sp, "--trials")
+    _add(sp, "--min-errors", dest="min_errors")
+    _add(sp, "--sigma1", help="override legitimate-side noise level")
 
     sp = sub.add_parser("leakage", help="power sweep and leakage-slope fit")
     common(sp)
-    _add(sp, "--delta", type=float)
+    _add(sp, "--delta")
     _add(sp, "--p", help="power grid")
-    _add(sp, "--mi-samples", dest="mi_samples", type=int)
-    _add(sp, "--exclude-lowest", dest="exclude_lowest", type=int)
+    _add(sp, "--mi-samples", dest="mi_samples")
+    _add(sp, "--exclude-lowest", dest="exclude_lowest")
 
     sp = sub.add_parser("dmin", help="minimum-distance scaling study")
     common(sp, with_kind=False, with_workers=False)
@@ -153,16 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="rate-bound slopes of all scheme kinds side by side")
     common(sp, with_kind=False)
-    _add(sp, "--delta", type=float)
+    _add(sp, "--delta")
     _add(sp, "--p", help="power grid")
-    _add(sp, "--mi-samples", dest="mi_samples", type=int)
-    _add(sp, "--exclude-lowest", dest="exclude_lowest", type=int)
+    _add(sp, "--mi-samples", dest="mi_samples")
+    _add(sp, "--exclude-lowest", dest="exclude_lowest")
 
     sp = sub.add_parser("report", help="slope summary from an existing sweep CSV")
     _add(sp, "--config", help="JSON file with parameter defaults")
     _add(sp, "--input", help="sweep CSV to analyze")
     _add(sp, "--out", help="summary CSV path (optional)")
-    _add(sp, "--exclude-lowest", dest="exclude_lowest", type=int)
+    _add(sp, "--exclude-lowest", dest="exclude_lowest")
 
     return parser
 
@@ -173,10 +194,21 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     params = dict(_DEFAULTS[command])
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
+            parser.error(f"cannot read --config {config_path}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config {config_path} must hold one JSON object")
         known = set(params) | set(_REQUIRED[command]) | {"out", "sigma1"}
-        params.update({k: v for k, v in loaded.items() if k in known})
+        for key, val in loaded.items():
+            if key not in known:
+                continue
+            if not _fits(key, val):
+                parser.error(f"--config value {key}={val!r} is not of type "
+                             f"{_TYPES[key].__name__}")
+            params[key] = val
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -185,12 +217,16 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if missing:
         parser.error(f"missing required option(s) for {command}: "
                      + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
+    if params.get("workers", 1) < 1:
+        parser.error("--workers must be >= 1")
+    if (params.get("min_errors") or 0) < 0:
+        parser.error("--min-errors must be >= 0")
     try:
         if "p" in params:
             params["p"] = parse_p_grid(params["p"])
         if command == "dmin":
             params["q"] = parse_int_list(params["q"])
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
         parser.error(str(exc))
     if params.get("out") is None and command != "report":
         out_dir = os.environ.get("BLINDJAM_OUT", ".")

@@ -28,6 +28,7 @@ __all__ = [
     "min_distance",
     "sum_lattice_min_distance",
     "nearest_index",
+    "nearest_labels",
     "nearest_point",
     "loglog_slope",
     "fit_dmin_exponent",
@@ -162,15 +163,14 @@ def build_receiver_lattice(
     alphas,
     a: float,
     q: int,
+    jam_radius: int,
     cap: int = DEFAULT_POINT_CAP,
-    jam_radius: int | None = None,
 ) -> ReceiverLattice:
     """Effective constellation seen by the legitimate receiver.
 
     Enumerates ``h1 * sum_k alphas[k] * a * v_k + a * s`` with message symbols
     v_k in [-q, q] and the aligned jamming sum s in [-jam_radius, jam_radius]
-    (default (M+1)q, the width of M+1 superposed symbol streams).  Labels are
-    (v_2, ..., v_{M+1}, s).
+    (n q for n superposed jamming streams).  Labels are (v_2, ..., v_{M+1}, s).
     """
     alphas = np.asarray(alphas, dtype=float)
     m = alphas.shape[0]
@@ -180,8 +180,6 @@ def build_receiver_lattice(
         raise ValueError("q must be >= 1")
     if h1 == 0:
         raise ValueError("h1 must be nonzero")
-    if jam_radius is None:
-        jam_radius = (m + 1) * q
     coeffs = np.concatenate([h1 * alphas, [1.0]])
     radii = [q] * m + [jam_radius]
     return enumerate_sum_lattice(coeffs, radii, a=a, cap=cap)
@@ -254,12 +252,20 @@ def nearest_index(points: np.ndarray, y) -> np.ndarray:
     return idx[0] if scalar else idx
 
 
-def nearest_point(y: float, lat: ReceiverLattice) -> tuple[int, ...]:
-    """Label of the lattice point closest to ``y``."""
+def nearest_labels(lat: ReceiverLattice, y, index=nearest_index) -> np.ndarray:
+    """Labels of the lattice points closest to the queries ``y``.
+
+    ``index`` is the nearest-index step, ``nearest_index`` or a function of
+    the same signature (the decoders pass the name their module resolves).
+    """
     if lat.collision:
         raise DegenerateLatticeError("degenerate gains: distinct labels collide")
-    idx = nearest_index(lat.points, float(y))
-    return tuple(int(t) for t in lat.labels[idx])
+    return lat.labels[index(lat.points, np.asarray(y, dtype=float))]
+
+
+def nearest_point(y: float, lat: ReceiverLattice) -> tuple[int, ...]:
+    """Label of the lattice point closest to ``y``."""
+    return tuple(int(t) for t in nearest_labels(lat, float(y)))
 
 
 def loglog_slope(qs, values) -> float:

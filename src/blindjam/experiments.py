@@ -161,6 +161,8 @@ def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
     sweeps of different kinds at the same seed see identical channels.
     ``sigma1`` overrides the legitimate receiver's noise level when given.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     channels = [
         sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
         for d in range(n_draws)
@@ -181,7 +183,8 @@ def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
         return cell(cfg, ch, budget, d, i)
 
     cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
-    if workers <= 1:
+    workers = min(workers, len(cells))  # a thread per cell at most
+    if workers == 1:
         return [run(c) for c in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, cells))

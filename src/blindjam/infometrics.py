@@ -3,7 +3,9 @@
 Every receiver observation in this library is a finite equal-variance
 Gaussian mixture: discrete symbols through a linear channel plus Gaussian
 noise. At every mixture size its log-density at a query sums only the
-components within WINDOW_SIGMAS noise deviations. Entropies have no closed
+components within WINDOW_SIGMAS noise deviations. A mixture whose weights are
+all equal (every eavesdropper mixture, whose streams are all uniform) keeps
+one log-weight, which leaves its log-sum as a constant. Entropies have no closed
 form, so two estimators are provided on that log-density: Monte Carlo, and
 a trapezoid rule on a uniform grid of step GRID_STEP noise deviations that
 covers every component's window. The trapezoid rule converges exponentially
@@ -58,7 +60,12 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Finite equal-variance Gaussian mixture: means, weights, common sigma."""
+    """Finite equal-variance Gaussian mixture: means, weights, common sigma.
+
+    Components of zero weight are dropped, and the rest sorted by mean once.
+    When the remaining weights are all exactly equal, one log-weight stands
+    for them all and the log-density gathers no weights.
+    """
 
     means: np.ndarray
     weights: np.ndarray | None = None
@@ -68,8 +75,9 @@ class MixtureSpec:
         means = np.asarray(self.means, dtype=float).ravel()
         if means.size == 0 or not np.all(np.isfinite(means)):
             raise ValueError("mixture needs at least one component, all means finite")
-        if not self.sigma > 0:  # NaN fails too
-            raise ValueError("sigma must be positive")
+        # sigma**2 is then a normal double, and so is its reciprocal
+        if not 1e-150 < self.sigma < 1e150:  # NaN fails too
+            raise ValueError("sigma must lie in (1e-150, 1e150)")
         if self.weights is None:
             weights = np.full(means.size, 1.0 / means.size)
         else:
@@ -84,9 +92,16 @@ class MixtureSpec:
             weights = weights / total
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
-        keep = weights > 0  # sorted once per mixture, without massless components
-        order = np.argsort(means[keep], kind="stable")
-        object.__setattr__(self, "_sorted", (means[keep][order], np.log(weights[keep][order])))
+        # sorted once per mixture, without massless components; equal weights
+        # (exactly) keep one log-weight, and their means need no stable order
+        keep = weights > 0
+        mu, w = means[keep], weights[keep]
+        if np.all(w == w[0]):
+            sorted_ = (np.sort(mu), float(np.log(w[0])))
+        else:
+            order = np.argsort(mu, kind="stable")
+            sorted_ = (mu[order], np.log(w[order]))
+        object.__setattr__(self, "_sorted", sorted_)
 
     def __len__(self) -> int:
         return self.means.size
@@ -117,7 +132,10 @@ def gaussian_entropy(sigma: float) -> float:
 
 
 def _logpdf_sorted(y, means, logw, sigma):
-    """Log density at y of the mixture with sorted means and log-weights."""
+    """Log density at y of the mixture with sorted means and log-weights.
+
+    ``logw`` is one log-weight per mean, or a single float shared by all.
+    """
     half = WINDOW_SIGMAS * sigma
     lo = np.searchsorted(means, y - half, side="left")
     hi = np.searchsorted(means, y + half, side="right")
@@ -126,8 +144,14 @@ def _logpdf_sorted(y, means, logw, sigma):
     empty = hi <= lo
     lo[empty], hi[empty] = 0, len(means)
     norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
+    scale = -0.5 / sigma ** 2
+    gather = np.ndim(logw) > 0
+    if not gather:
+        norm -= logw  # an equal weight leaves the log-sum as a constant
     width = hi - lo
     ends = np.cumsum(width)
+    # index offsets 0, 1, .. for the longest chunk, built once per call
+    ramp = np.arange(min(int(ends[-1]), max(CHUNK_TERMS, int(width.max()))))
     out = np.empty(y.shape[0])
     a = 0
     while a < y.shape[0]:
@@ -137,18 +161,22 @@ def _logpdf_sorted(y, means, logw, sigma):
         w = width[a:b]
         starts = ends[a:b] - w - done
         # ragged gather: component index lo_i, lo_i + 1, .., hi_i - 1 per row
-        idx = np.ones(int(ends[b - 1] - done), dtype=np.int64)
-        idx[0] = lo[a]
-        idx[starts[1:]] = lo[a + 1:b] - hi[a:b - 1] + 1
-        np.cumsum(idx, out=idx)
+        idx = np.repeat(lo[a:b] - starts, w)
+        idx += ramp[:idx.shape[0]]
         z = np.repeat(y[a:b], w)
         z -= means[idx]
-        z /= sigma
         np.square(z, out=z)
-        z *= -0.5
-        z += logw[idx]
-        zmax = np.maximum.reduceat(z, starts)
-        z -= np.repeat(zmax, w)
+        z *= scale
+        if gather:
+            z += logw[idx]
+        # exp of a term above -700 is a normal double (underflow starts below
+        # -708), so the log-sum needs the shift by each row's maximum only
+        # when some term lies lower: far queries, or very light components
+        if z.min() < -700.0:
+            zmax = np.maximum.reduceat(z, starts)
+            z -= np.repeat(zmax, w)
+        else:
+            zmax = 0.0
         np.exp(z, out=z)
         out[a:b] = zmax + np.log(np.add.reduceat(z, starts)) - norm
         a = b
@@ -161,7 +189,8 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     Only the components within WINDOW_SIGMAS noise deviations of a query enter
     its log-sum. Each dropped term is below exp(-WINDOW_SIGMAS^2/2) = exp(-98)
     times w_k / (sqrt(2 pi) sigma), its own value at its mean. A query farther
-    than that from every mean sums all components.
+    than that from every mean sums all components. An equal-weight mixture
+    adds its one log-weight to each query's log-sum instead of to every term.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return _logpdf_sorted(y, *spec._sorted, spec.sigma)
@@ -170,7 +199,8 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, float]:
     rng = substream(seed, "entropy")
     means, logw = spec._sorted
-    cum = np.cumsum(np.exp(logw))
+    # the same draws for a shared log-weight as for its per-component copies
+    cum = np.cumsum(np.exp(np.full(means.shape, logw)))
     cum[-1] = 1.0
     comp = np.searchsorted(cum, rng.random(n_samples), side="right")
     comp = np.minimum(comp, means.shape[0] - 1)

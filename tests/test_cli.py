@@ -103,6 +103,40 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 2 * 3  # flag wins over file
 
 
+def _bad_config(tmp_path, text):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep", None),  # no such file
+    ("sweep", "{bad"),
+    ("sweep", "[1, 2]"),
+    ("leakage", json.dumps({"m": "x", "p": "1e2,1e3,1e4"})),
+])
+def test_bad_config_exits_2(command, text, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        entrypoint([command, "--config", _bad_config(tmp_path, text),
+                    "--out", str(tmp_path / "out.csv")])
+    assert ei.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "-5"],
+    ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "0"],
+    ["ser", "--m", "1", "--p", "1e2,1e3,1e4", "--min-errors", "-3"],
+])
+def test_workers_and_min_errors_below_range_exit_2(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(args + ["--out", str(tmp_path / "out.csv")])
+    assert ei.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_manifest_replays_byte_identically(tmp_path):
     out1 = tmp_path / "run1.csv"
     rc = entrypoint(["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2",

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from blindjam import experiments
 from blindjam.constellation import fit_dmin_exponent
 from blindjam.experiments import (
     COMPARE_COLUMNS,
@@ -132,6 +133,36 @@ def test_sweep_power_deterministic_and_worker_invariant(tmp_path):
     write_sweep_csv(rows1, p1)
     write_sweep_csv(rows3, p3)
     assert p1.read_bytes() == p3.read_bytes()
+
+
+def test_thread_pool_clamped_to_cell_count(monkeypatch):
+    seen = []
+
+    class Recorder:  # runs the cells in order, starts no thread
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recorder)
+    kw = dict(trials=500, min_errors=5)
+    want = sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, **kw)
+    assert sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, workers=10**6, **kw) == want
+    assert sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 2, 3, workers=4, **kw)[:3] == want
+    assert seen == [3, 4]
+    # one cell, or one worker, runs serially
+    sweep_ser("Blind", 1, 0.1, [1e2], 1, 3, workers=8, **kw)
+    assert seen == [3, 4]
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_ser("Blind", 1, 0.1, [1e2], 1, 3, workers=workers, **kw)
 
 
 def test_sweep_channels_independent_of_kind():

@@ -33,6 +33,7 @@ from blindjam.schemes import (
     make_csi_scheme,
     make_gaussian_jam_scheme,
 )
+from blindjam.streams import substream
 
 
 def test_gaussian_entropy_closed_form():
@@ -56,6 +57,9 @@ def test_mixture_spec_validation():
     # non-finite inputs: the windowed log-sum would skip a NaN component silently
     for bad in (dict(means=np.array([0.0, np.nan])), dict(means=np.array([np.inf])),
                 dict(means=np.array([0.0]), sigma=np.nan),
+                dict(means=np.array([0.0]), sigma=np.inf),
+                dict(means=np.array([0.0]), sigma=1e-200),
+                dict(means=np.array([0.0]), sigma=1e200),
                 dict(means=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))):
         with pytest.raises(ValueError):
             MixtureSpec(**bad)
@@ -112,8 +116,9 @@ def _brute_logpdf(y, means, w, sigma):
             - math.log(sigma) - 0.5 * math.log(2 * math.pi))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from(["uniform", "random", "pmf", "single"]))
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(
+    ["uniform", "random", "pmf", "single", "none", "product", "ulp", "light", "far"]))
 def test_windowed_logpdf_equals_brute_force(seed, weighting):
     rng = np.random.default_rng(seed)
     sigma = float(rng.uniform(0.05, 3.0))
@@ -123,15 +128,65 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
         msg = np.arange(-2, 3, dtype=float)
         means, w = _product_mixture(rng.uniform(0.5, 3.0, size=2) * [1.0, sigma],
                                     [msg, vals], [None, pmf])
+    elif weighting == "product":
+        # the eavesdropper's shape: every stream a uniform set, equal weights
+        sets = [np.arange(-q, q + 1, dtype=float) for q in rng.integers(0, 4, size=3)]
+        means, w = _product_mixture(rng.uniform(-3.0, 3.0, size=3) * sigma, sets,
+                                    [None] * 3)
     else:
         k = 1 if weighting == "single" else int(rng.integers(2, 400))
         means = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=k)
-        w = rng.uniform(0.01, 1.0, size=k) if weighting == "random" else np.ones(k)
+        w = rng.uniform(0.01, 1.0, size=k) if weighting in ("random", "light") else np.ones(k)
+        if weighting == "light" and k > 1:
+            # a cluster of subnormal weight far beyond the rest: the terms of
+            # its queries underflow unless the log-sum is shifted
+            means[::2] += np.ptp(means) + 1000.0 * sigma
+            w[::2] *= 1e-315
         w = w / w.sum()
-    # queries in the mixture's bulk: within a few deviations of some component
-    y = means[rng.integers(0, means.size, size=300)] + rng.uniform(-5, 5, size=300) * sigma
-    got = mixture_logpdf(y, MixtureSpec(means=means, weights=w, sigma=sigma))
+        if weighting == "ulp":
+            w[int(rng.integers(0, k))] = np.nextafter(w[0], 1.0)
+    spec = MixtureSpec(means=means, weights=None if weighting == "none" else w,
+                       sigma=sigma)
+    w = spec.weights
+    # equal weights share one log-weight; one ulp apart they keep one each
+    if weighting in ("uniform", "single", "none", "product", "far"):
+        assert np.ndim(spec._sorted[1]) == 0
+    if weighting == "ulp":
+        assert np.ndim(spec._sorted[1]) == 1
+    if weighting == "far":
+        # beyond every component's window: each query sums all components
+        off = rng.uniform(15.0, 30.0, size=300) * sigma
+        y = np.where(rng.random(300) < 0.5, means.min() - off, means.max() + off)
+    else:
+        # queries in the mixture's bulk: within a few deviations of some component
+        y = means[rng.integers(0, means.size, size=300)] + rng.uniform(-5, 5, size=300) * sigma
+    got = mixture_logpdf(y, spec)
     assert np.max(np.abs(got - _brute_logpdf(y, means, w, sigma))) < 1e-12
+
+
+def test_mc_draws_match_per_component_weights(monkeypatch):
+    # an equal-weight mixture draws the components the explicit
+    # cumsum(exp(log w)) form over its sorted components picks
+    means, w = _product_mixture([1.0, 0.37, -0.061], [np.arange(-3.0, 4.0)] * 3, [None] * 3)
+    spec = MixtureSpec(means, w, sigma=0.2)
+    assert np.ndim(spec._sorted[1]) == 0
+    seen = []
+
+    def record(y, s):
+        seen.append(np.array(y))
+        return np.zeros(np.shape(y))
+
+    monkeypatch.setattr(infometrics, "mixture_logpdf", record)
+    infometrics._entropy_mc(spec, 5000, seed=11)
+    rng = substream(11, "entropy")
+    order = np.argsort(spec.means, kind="stable")
+    cum = np.cumsum(np.exp(np.log(spec.weights[order])))
+    cum[-1] = 1.0
+    comp = np.searchsorted(cum, rng.random(5000), side="right")
+    comp = np.minimum(comp, means.size - 1)
+    y = spec.means[order][comp] + spec.sigma * rng.normal(size=5000)
+    assert np.unique(means).size == means.size  # equal y means equal components
+    np.testing.assert_array_equal(seen[0], y)
 
 
 def test_chunk_boundaries_match_brute_force():
@@ -284,7 +339,12 @@ def test_grid_entropy_matches_adaptive_quadrature(seed, weighting):
     else:
         k = int(rng.integers(1, 41))
         means = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=k)
-        w = rng.uniform(0.01, 1.0, size=k) if weighting == "random" else np.ones(k)
+        w = rng.uniform(0.01, 1.0, size=k) if weighting in ("random", "light") else np.ones(k)
+        if weighting == "light" and k > 1:
+            # a cluster of subnormal weight far beyond the rest: the terms of
+            # its queries underflow unless the log-sum is shifted
+            means[::2] += np.ptp(means) + 1000.0 * sigma
+            w[::2] *= 1e-315
         w = w / w.sum()
     spec = MixtureSpec(means=means, weights=w, sigma=sigma)
     grid = mixture_entropy(spec, method="quadrature")
