@@ -19,7 +19,6 @@ from .constellation import (
     LatticeSizeError,
     PamConstellation,
     ReceiverLattice,
-    build_receiver_lattice,
     fit_dmin_exponent,
     min_distance,
     nearest_point,

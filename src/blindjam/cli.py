@@ -221,6 +221,8 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error("--workers must be >= 1")
     if (params.get("min_errors") or 0) < 0:
         parser.error("--min-errors must be >= 0")
+    if params.get("exclude_lowest", 0) < 0:
+        parser.error("--exclude-lowest must be >= 0")
     try:
         if "p" in params:
             params["p"] = parse_p_grid(params["p"])

@@ -24,7 +24,6 @@ __all__ = [
     "ReceiverLattice",
     "pam_points",
     "enumerate_sum_lattice",
-    "build_receiver_lattice",
     "min_distance",
     "sum_lattice_min_distance",
     "nearest_index",
@@ -158,33 +157,6 @@ def enumerate_sum_lattice(
     return ReceiverLattice(points=points, labels=labels, collision=collision, a=a)
 
 
-def build_receiver_lattice(
-    h1: float,
-    alphas,
-    a: float,
-    q: int,
-    jam_radius: int,
-    cap: int = DEFAULT_POINT_CAP,
-) -> ReceiverLattice:
-    """Effective constellation seen by the legitimate receiver.
-
-    Enumerates ``h1 * sum_k alphas[k] * a * v_k + a * s`` with message symbols
-    v_k in [-q, q] and the aligned jamming sum s in [-jam_radius, jam_radius]
-    (n q for n superposed jamming streams).  Labels are (v_2, ..., v_{M+1}, s).
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    m = alphas.shape[0]
-    if m < 1:
-        raise ValueError("at least one message stream required (m >= 1)")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if h1 == 0:
-        raise ValueError("h1 must be nonzero")
-    coeffs = np.concatenate([h1 * alphas, [1.0]])
-    radii = [q] * m + [jam_radius]
-    return enumerate_sum_lattice(coeffs, radii, a=a, cap=cap)
-
-
 def min_distance(lat: ReceiverLattice) -> float:
     """Exact minimum distance, from adjacent differences of the sorted points."""
     if lat.collision:
@@ -312,7 +284,6 @@ def fit_dmin_exponent(
     seed: int,
     magnitude_range: tuple[float, float] = (0.5, 2.0),
     alpha_range: tuple[float, float] = (0.5, 1.5),
-    cap: int = DEFAULT_POINT_CAP,
     max_redraws: int = 1000,
 ) -> DminStudy:
     """Empirical scaling exponent of the receiver minimum distance in Q.
@@ -342,7 +313,7 @@ def fit_dmin_exponent(
             alphas = rng.uniform(*alpha_range, size=m) * (rng.integers(0, 2, size=m) * 2 - 1)
             coeffs = np.concatenate([h1 * alphas, [1.0]])
             try:
-                dmins = [sum_lattice_min_distance(coeffs, [q] * m + [(m + 1) * q], cap=cap)
+                dmins = [sum_lattice_min_distance(coeffs, [q] * m + [(m + 1) * q])
                          for q in q_grid]
             except DegenerateLatticeError:
                 redraws += 1

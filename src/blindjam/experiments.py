@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
-from .constellation import DEFAULT_POINT_CAP
 from .infometrics import COMPONENT_CAP, rate_lower_bound
 from .receiver import ErrorEstimate, estimate_ser
 from .schemes import (
@@ -124,16 +123,16 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def _feasible_grid(kind: str, m: int, delta: float, p_grid, cap: int) -> list[float]:
+def _feasible_grid(kind: str, m: int, delta: float, p_grid) -> list[float]:
+    # the eavesdropper mixture is the largest: the legitimate mixture and
+    # lattice hold (2q+1)^m (2 n_jam q + 1) <= (2q+1)^(m + n_jam) points
     n_jam = len(jam_streams(kind, m))
     kept = []
     for p in p_grid:
         q, _ = schedule_q(p, delta, m)
-        eve_components = (2 * q + 1) ** (m + n_jam)
-        legit_points = (2 * q + 1) ** m * (2 * n_jam * q + 1) if n_jam else 0
-        if eve_components > COMPONENT_CAP or legit_points > cap:
+        if (2 * q + 1) ** (m + n_jam) > COMPONENT_CAP:
             warnings.warn(
-                f"truncating power grid at p={p:g}: q={q} exceeds the component caps",
+                f"truncating power grid at p={p:g}: q={q} exceeds the component cap",
                 RuntimeWarning,
             )
             break
@@ -153,7 +152,7 @@ def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
 
 
 def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
-               workers: int, magnitude_range, sigma1: float | None, cell) -> list:
+               workers: int, sigma1: float | None, cell) -> list:
     """``cell(cfg, ch, budget, d, i)`` for every (draw d, grid index i), in that
     order, serially or on a thread pool.
 
@@ -163,10 +162,7 @@ def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    channels = [
-        sample_channel(m, child_seed(seed, "channel", d), magnitude_range)
-        for d in range(n_draws)
-    ]
+    channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(n_draws)]
     if sigma1 is not None:
         channels = [
             ChannelRealization(m=ch.m, h=ch.h, g=ch.g, sigma1=sigma1,
@@ -195,15 +191,13 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
                 ser_trials: int = DEFAULT_SWEEP_SER_TRIALS,
                 min_errors: int | None = 100,
                 include_ser: bool = True,
-                workers: int = 1,
-                cap: int = DEFAULT_POINT_CAP,
-                magnitude_range: tuple[float, float] = (0.5, 2.0)) -> list[SweepRow]:
+                workers: int = 1) -> list[SweepRow]:
     """Evaluate one scheme kind over (power grid) x (channel draws).
 
     The reliability columns stay empty when ``include_ser`` is off or the
     kind has no lattice jamming.
     """
-    p_grid = _feasible_grid(kind, m, delta, _checked_grid(p_grid, n_draws, 3), cap)
+    p_grid = _feasible_grid(kind, m, delta, _checked_grid(p_grid, n_draws, 3))
     if len(p_grid) < 3:
         raise ValueError("fewer than 3 feasible grid points after cap truncation")
     with_ser = include_ser and bool(jam_streams(kind, m))
@@ -220,13 +214,12 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
         if with_ser:
             est = estimate_ser(cfg, ch, ser_trials,
                                child_seed(seed, "cell", kind, d, i, "ser"),
-                               min_errors=min_errors, cap=cap)
+                               min_errors=min_errors)
             row.update(trials=est.trials, errors=est.errors, ser=est.rate,
                        ser_stderr=est.stderr)
         return SweepRow(**row)
 
-    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers,
-                      magnitude_range, None, cell)
+    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers, None, cell)
 
 
 @dataclass(frozen=True)
@@ -247,9 +240,7 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
               trials: int = DEFAULT_SWEEP_SER_TRIALS,
               min_errors: int | None = 100,
               workers: int = 1,
-              cap: int = DEFAULT_POINT_CAP,
-              sigma1: float | None = None,
-              magnitude_range: tuple[float, float] = (0.5, 2.0)) -> list[SerRow]:
+              sigma1: float | None = None) -> list[SerRow]:
     """Reliability-only sweep (no information measures computed).
 
     ``sigma1`` overrides the legitimate receiver's noise level when given
@@ -261,12 +252,11 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
 
     def cell(cfg, ch, budget, d, i):
         est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
-                           min_errors=min_errors, cap=cap)
+                           min_errors=min_errors)
         return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
                       errors=est.errors, rate=est.rate, stderr=est.stderr)
 
-    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers,
-                      magnitude_range, sigma1, cell)
+    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers, sigma1, cell)
 
 
 @dataclass(frozen=True)
@@ -312,6 +302,8 @@ class DofFit:
 def _fit_column(rows, column: str, exclude_lowest: int) -> DofFit:
     if not rows:
         raise ValueError("no rows to fit")
+    if exclude_lowest < 0:
+        raise ValueError("exclude_lowest must be >= 0")
     ps = sorted({row.p for row in rows})
     if exclude_lowest:
         if len(ps) - exclude_lowest < 3:
@@ -392,9 +384,13 @@ def write_sweep_csv(rows, path) -> None:
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
+    """``SweepRow``s from a CSV; ValueError when a sweep column is missing."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [col for col in SWEEP_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} is not a sweep CSV: missing {', '.join(missing)}")
         for rec in reader:
             rows.append(SweepRow(
                 kind=rec["kind"], m=int(rec["m"]), delta=float(rec["delta"]),

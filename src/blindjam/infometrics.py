@@ -1,11 +1,12 @@
 """Information measures for discrete-input scalar Gaussian channels.
 
 Every receiver observation in this library is a finite equal-variance
-Gaussian mixture: discrete symbols through a linear channel plus Gaussian
-noise. At every mixture size its log-density at a query sums only the
-components within WINDOW_SIGMAS noise deviations. A mixture whose weights are
-all equal (every eavesdropper mixture, whose streams are all uniform) keeps
-one log-weight, which leaves its log-sum as a constant. Entropies have no closed
+Gaussian mixture: the sums of ``schemes.observation``, one symbol set per
+coordinate, plus Gaussian noise. Its log-density at a query sums only the
+components within WINDOW_SIGMAS noise deviations, unless a heavier component
+beyond them could outweigh those. A mixture whose weights are all equal
+(every eavesdropper mixture, whose streams are all uniform) keeps one
+log-weight, which leaves its log-sum as a constant. Entropies have no closed
 form, so two estimators are provided on that log-density: Monte Carlo, and
 a trapezoid rule on a uniform grid of step GRID_STEP noise deviations that
 covers every component's window. The trapezoid rule converges exponentially
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, PowerBudget
-from .constellation import pam_points
-from .schemes import SchemeConfig, jam_streams
+from .schemes import SchemeConfig, observation
 from .streams import child_seed, substream
 
 __all__ = [
@@ -139,13 +139,22 @@ def _logpdf_sorted(y, means, logw, sigma):
     half = WINDOW_SIGMAS * sigma
     lo = np.searchsorted(means, y - half, side="left")
     hi = np.searchsorted(means, y + half, side="right")
-    # a query farther than the window from every mean sums all components:
-    # nearness alone would pick a light component over a heavy one behind it
-    empty = hi <= lo
-    lo[empty], hi[empty] = 0, len(means)
+    # a query whose kept terms could come near a dropped one sums all
+    # components: nearness alone would pick a light component over a heavy
+    # one behind it. A term is log w_j - d_j^2 / 2, d_j in deviations; every
+    # dropped one is below log w_max - 98, so a term of a mean beside the
+    # query at least log w_max - 49 is kept and e^49 times each dropped one.
+    # Equal weights keep the rule of the empty window.
+    far = hi <= lo
+    gather = np.ndim(logw) > 0
+    if gather:
+        k = np.searchsorted(means, y)
+        side = [np.maximum(k - 1, 0), np.minimum(k, len(means) - 1)]
+        best = np.maximum(*(logw[j] - 0.5 * ((y - means[j]) / sigma) ** 2 for j in side))
+        far |= best < logw.max() - 0.25 * WINDOW_SIGMAS ** 2
+    lo[far], hi[far] = 0, len(means)
     norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
     scale = -0.5 / sigma ** 2
-    gather = np.ndim(logw) > 0
     if not gather:
         norm -= logw  # an equal weight leaves the log-sum as a constant
     width = hi - lo
@@ -188,9 +197,12 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
 
     Only the components within WINDOW_SIGMAS noise deviations of a query enter
     its log-sum. Each dropped term is below exp(-WINDOW_SIGMAS^2/2) = exp(-98)
-    times w_k / (sqrt(2 pi) sigma), its own value at its mean. A query farther
-    than that from every mean sums all components. An equal-weight mixture
-    adds its one log-weight to each query's log-sum instead of to every term.
+    times w_k / (sqrt(2 pi) sigma), its own value at its mean. A query sums
+    all components when a dropped term could come near a kept one: with
+    equal weights, when its window is empty; otherwise when neither mean
+    beside it has ln w_j - d_j^2 / 2 >= ln w_max - 49 (d_j its distance in
+    deviations), a kept term e^49 times each dropped one. An equal-weight
+    mixture adds its one log-weight to each query's log-sum.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return _logpdf_sorted(y, *spec._sorted, spec.sigma)
@@ -391,33 +403,22 @@ class RateBound:
         return math.hypot(self.i_v_y1.stderr, self.i_v_y2.stderr)
 
 
-def _observation_model(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
-    """coeffs, symbol sets, weights, designated indices, sigma for one receiver."""
-    gains = ch.h if receiver == "legit" else ch.g
-    sigma = ch.sigma1 if receiver == "legit" else ch.sigma2
-    if cfg.kind == "GaussianJam":
-        # helpers are Gaussian: fold their power into the noise, exactly
-        sigma = math.sqrt(sigma ** 2 + cfg.p * float(np.sum(gains[1:] ** 2)))
-    m = cfg.m
-    jam = jam_streams(cfg.kind, m)
-    msg_set = pam_points(cfg.a, cfg.q)
-    coeffs = gains[0] * np.asarray(cfg.alphas)
-    sets = [msg_set] * m
-    weights = [None] * m
-    if receiver == "legit" and jam:
-        # every jamming stream lands on the same coefficient, so the whole
-        # sum enters as one weighted set
-        vals, pmf = symbol_sum_pmf(len(jam), cfg.q)
-        coeffs = np.append(coeffs, 1.0)
+def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, method: str,
+                 n_samples: int, seed: int):
+    """``_mi_with_parts`` of the messages at one receiver of ``observation``.
+
+    The legitimate receiver's jamming sum enters as one set weighted by its
+    pmf, even of one stream; every other coordinate is one uniform stream,
+    unweighted, so the eavesdropper mixtures keep exactly equal weights.
+    """
+    coeffs, counts, sigma = observation(cfg, ch, receiver)
+    sets, weights = [], []
+    for i, n in enumerate(counts):
+        vals, pmf = symbol_sum_pmf(n, cfg.q)
         sets.append(cfg.a * vals)
-        weights.append(pmf)
-    else:
-        # eavesdropper: jamming stream j enters with coefficient g_j / h_j
-        # (GaussianJam has none, at either receiver)
-        coeffs = np.concatenate([coeffs, gains[jam] / ch.h[jam]])
-        sets += [msg_set] * len(jam)
-        weights += [None] * len(jam)
-    return coeffs, sets, weights, list(range(m)), sigma
+        weights.append(pmf if receiver == "legit" and i >= cfg.m else None)
+    return _mi_with_parts(coeffs, sets, sigma, range(cfg.m), method=method,
+                          n_samples=n_samples, seed=seed, weights=weights)
 
 
 def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization,
@@ -428,14 +429,8 @@ def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization,
     Every eavesdropper-side entropy is checked against the max-entropy cap
     implied by the power budget and the assumed gain bound c_bar.
     """
-    if ch.m != cfg.m:
-        raise ValueError("channel and scheme disagree on helper count")
-    c1, s1, w1, d1, sig1 = _observation_model(cfg, ch, "legit")
-    c2, s2, w2, d2, sig2 = _observation_model(cfg, ch, "eve")
-    i1, _, _ = _mi_with_parts(c1, s1, sig1, d1, method=method, n_samples=n_samples,
-                              seed=child_seed(seed, "y1"), weights=w1)
-    i2, h_y2, _ = _mi_with_parts(c2, s2, sig2, d2, method=method, n_samples=n_samples,
-                                 seed=child_seed(seed, "y2"), weights=w2)
+    i1, _, _ = _receiver_mi(cfg, ch, "legit", method, n_samples, child_seed(seed, "y1"))
+    i2, h_y2, _ = _receiver_mi(cfg, ch, "eve", method, n_samples, child_seed(seed, "y2"))
     c_bar = budget.c_bar if budget is not None else cfg.c_bar
     p = budget.p if budget is not None else cfg.p
     if h_y2 is not None:

@@ -1,11 +1,12 @@
 """Decoders and Monte Carlo error-rate estimation.
 
-The legitimate receiver decodes the message symbols by nearest-point search
-on its effective scalar constellation; the jamming coordinate is part of
-the lattice but discarded from the decision. The eavesdropper-side decoder
-recovers the jamming symbols given the message symbols, which is the step
-that caps the equivocation loss; it exists to validate that step
-numerically, not as a threat-model capability.
+Both constellations are the coordinates of ``schemes.observation``. The
+legitimate receiver decodes the messages by nearest-point search on all of
+its coordinates, the aligned jamming sum included but discarded from the
+decision. The eavesdropper-side decoder subtracts the message coordinates and
+recovers the jamming symbols on the jamming coordinates alone, the step that
+caps the equivocation loss; it validates that step numerically, not as a
+threat-model capability.
 """
 from __future__ import annotations
 
@@ -15,15 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, eve_output, legit_output
-from .constellation import (
-    DEFAULT_POINT_CAP,
-    ReceiverLattice,
-    build_receiver_lattice,
-    enumerate_sum_lattice,
-    nearest_index,
-    nearest_labels,
-)
-from .schemes import SchemeConfig, encode, jam_streams, sample_symbols
+from .constellation import ReceiverLattice, enumerate_sum_lattice, nearest_index, nearest_labels
+from .schemes import SchemeConfig, encode, jam_streams, observation, sample_symbols
 from .streams import substream
 
 __all__ = [
@@ -37,7 +31,7 @@ __all__ = [
     "estimate_eve_u_error",
 ]
 
-DEFAULT_CHUNK = 5000
+CHUNK = 5000  # trials per chunk of an error count, each chunk its own substream
 
 
 @dataclass(frozen=True)
@@ -68,24 +62,25 @@ class ErrorEstimate:
                    per_stream=per_stream)
 
 
-def _lattice_jam(cfg: SchemeConfig, ch: ChannelRealization) -> range:
-    if ch.m != cfg.m:
-        raise ValueError("channel and scheme disagree on helper count")
-    jam = jam_streams(cfg.kind, cfg.m)
-    if not jam:
+def _lattice_model(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
+    """Coefficients and stream counts of ``observation`` for a lattice kind."""
+    coeffs, counts, _ = observation(cfg, ch, receiver)
+    if len(counts) == cfg.m:
         raise ValueError(f"{cfg.kind} has no lattice jamming streams")
-    return jam
+    return coeffs, counts
 
 
-def legit_lattice(cfg: SchemeConfig, ch: ChannelRealization,
-                  cap: int = DEFAULT_POINT_CAP) -> ReceiverLattice:
+def legit_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
     """Effective constellation at the legitimate receiver for this scheme.
 
     All jamming streams land on one coefficient there: their sum is one
-    coordinate, of radius (number of jamming streams) * q.
+    coordinate, of radius (number of jamming streams) * q. Labels are
+    (v_1, ..., v_m, jamming sum).
     """
-    return build_receiver_lattice(ch.h[0], cfg.alphas, a=cfg.a, q=cfg.q, cap=cap,
-                                  jam_radius=len(_lattice_jam(cfg, ch)) * cfg.q)
+    coeffs, counts = _lattice_model(cfg, ch, "legit")
+    if cfg.q < 1:
+        raise ValueError("q must be >= 1")
+    return enumerate_sum_lattice(coeffs, [n * cfg.q for n in counts], a=cfg.a)
 
 
 def decode_legit(y1: float, lat: ReceiverLattice) -> tuple[int, ...]:
@@ -100,10 +95,10 @@ def decode_legit_batch(y1: np.ndarray, lat: ReceiverLattice) -> np.ndarray:
 
 
 def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
-                  label: str, min_errors: int | None, chunk: int, mismatch):
+                  label: str, min_errors: int | None, mismatch):
     """(block errors, trials, per-symbol error counts) of a chunked run.
 
-    Trials are consumed in fixed-size chunks with one RNG substream per chunk
+    Trials are consumed in chunks of CHUNK with one RNG substream per chunk
     index. ``mismatch(rng, v, u, x)`` flags the wrongly decoded symbols of a
     chunk, drawing its receiver noise from rng after the symbols. The run
     stops at the first chunk boundary where the cumulative error count
@@ -118,7 +113,7 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
     symbol_errors = 0
     block_idx = 0
     while trials < n_trials:
-        n = min(chunk, n_trials - trials)
+        n = min(CHUNK, n_trials - trials)
         rng = substream(seed, label, block_idx)
         v, u = sample_symbols(cfg, rng, n=n)
         wrong = mismatch(rng, v, u, encode(cfg, ch.h, v, u).x)
@@ -136,35 +131,34 @@ def _noisy(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def estimate_ser(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
-                 min_errors: int | None = 100, chunk: int = DEFAULT_CHUNK,
-                 cap: int = DEFAULT_POINT_CAP) -> ErrorEstimate:
+                 min_errors: int | None = 100) -> ErrorEstimate:
     """Block symbol-error rate of the legitimate receiver, counted by
     ``_count_errors``: a block is wrong when any message symbol is."""
-    lat = legit_lattice(cfg, ch, cap=cap)
+    lat = legit_lattice(cfg, ch)
 
     def mismatch(rng, v, u, x):
         return decode_legit_batch(_noisy(legit_output(ch, x), ch.sigma1, rng), lat) != v
 
     errors, trials, stream_errors = _count_errors(cfg, ch, n_trials, seed, "ser",
-                                                  min_errors, chunk, mismatch)
+                                                  min_errors, mismatch)
     return ErrorEstimate.from_counts(errors, trials, per_stream=stream_errors / trials)
 
 
-def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization,
-                  cap: int = DEFAULT_POINT_CAP) -> ReceiverLattice:
+def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
     """Constellation of the jamming sum alone as seen by the eavesdropper.
 
-    Jamming stream j enters with coefficient g_j / h_j; labels are the
-    jamming symbols of ``jam_streams``, in that order.
+    The jamming coordinates of ``observation``: stream j enters with
+    coefficient g_j / h_j. Labels are the jamming symbols of ``jam_streams``,
+    in that order.
     """
-    jam = _lattice_jam(cfg, ch)
-    return enumerate_sum_lattice(ch.g[jam] / ch.h[jam], [cfg.q] * len(jam), a=cfg.a, cap=cap)
+    coeffs, counts = _lattice_model(cfg, ch, "eve")
+    return enumerate_sum_lattice(coeffs[cfg.m:], [n * cfg.q for n in counts[cfg.m:]], a=cfg.a)
 
 
-def _eve_decode_batch(y2, v, cfg: SchemeConfig, ch: ChannelRealization,
+def _eve_decode_batch(y2, v, a: float, messages: np.ndarray,
                       lat: ReceiverLattice) -> np.ndarray:
-    # subtract the known message contribution, decode the jamming residual
-    offset = cfg.a * (np.asarray(v) @ (ch.g[0] * np.asarray(cfg.alphas)))
+    # subtract the known message contribution a * messages . v, decode the rest
+    offset = a * (np.asarray(v) @ messages)
     return nearest_labels(lat, np.asarray(y2, dtype=float) - offset, nearest_index)
 
 
@@ -177,27 +171,26 @@ def eve_decode_u_given_v(y2: float, v, cfg: SchemeConfig, ch: ChannelRealization
     """
     if lat is None:
         lat = eve_u_lattice(cfg, ch)
-    return tuple(int(t) for t in _eve_decode_batch(float(y2), v, cfg, ch, lat))
+    messages = observation(cfg, ch, "eve")[0][:cfg.m]
+    return tuple(int(t) for t in _eve_decode_batch(float(y2), v, cfg.a, messages, lat))
 
 
 def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
-                         min_errors: int | None = 100, chunk: int = DEFAULT_CHUNK,
-                         cap: int = DEFAULT_POINT_CAP,
-                         v_offset: int = 0) -> ErrorEstimate:
+                         min_errors: int | None = 100, v_offset: int = 0) -> ErrorEstimate:
     """Error rate of the conditional jamming decoder at the eavesdropper.
 
     ``v_offset`` shifts the conditioning messages before decoding; nonzero
     values deliberately mismatch the residual (sanity check that the
     decoder actually uses the conditioning).
     """
-    lat = eve_u_lattice(cfg, ch, cap=cap)
+    lat = eve_u_lattice(cfg, ch)
+    messages = observation(cfg, ch, "eve")[0][:cfg.m]
     jam = jam_streams(cfg.kind, cfg.m)
 
     def mismatch(rng, v, u, x):
         y = _noisy(eve_output(ch, x), ch.sigma2, rng)
         v_cond = v if v_offset == 0 else np.clip(v + v_offset, -cfg.q, cfg.q)
-        return _eve_decode_batch(y, v_cond, cfg, ch, lat) != u[:, jam]
+        return _eve_decode_batch(y, v_cond, cfg.a, messages, lat) != u[:, jam]
 
-    errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu",
-                                      min_errors, chunk, mismatch)
+    errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu", min_errors, mismatch)
     return ErrorEstimate.from_counts(errors, trials)

@@ -13,8 +13,9 @@ Three scheme kinds share one config shape:
   the classical unstructured baseline.
 
 The kinds differ in which transmitters send a lattice jamming symbol;
-``jam_streams`` is the one place that says which, and the encoder, the
-receivers, the information measures and the sweeps all derive from it.
+``jam_streams`` is the one place that says which, and ``observation`` the one
+place that says what each receiver then sums. The encoder, the decoders, the
+information measures and the sweeps all derive from these two.
 
 The power schedule is shared: q grows like a fractional power of p, the
 spacing aims the constellation at the power budget, and gamma is set to the
@@ -28,6 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .channel import ChannelRealization
 from .streams import substream
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "make_csi_scheme",
     "make_gaussian_jam_scheme",
     "jam_streams",
+    "observation",
     "encode",
     "sample_symbols",
     "analytic_power",
@@ -63,6 +66,39 @@ def jam_streams(kind: str, m: int) -> range:
     if kind == "GaussianJam":
         return range(0)
     raise ValueError(f"unknown scheme kind {kind!r}")
+
+
+def observation(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
+    """What receiver ``"legit"`` or ``"eve"`` sums: (coeffs, counts, sigma).
+
+    Its output is sum_i coeffs[i] a t_i plus N(0, sigma^2) noise, where t_i
+    is the sum of counts[i] i.i.d. uniform symbols in [-q, q]. The first m
+    coordinates are the messages, on gain_1 alpha_k. Jamming transmitter j
+    sends a u_j / h_j: at the legitimate receiver every jamming stream lands
+    on coefficient 1, one coordinate for their sum; at the eavesdropper
+    stream j keeps its own g_j / h_j. GaussianJam has no jamming coordinate;
+    its helpers' Gaussian power is folded into sigma, exactly.
+    """
+    if ch.m != cfg.m:
+        raise ValueError("channel and scheme disagree on helper count")
+    if receiver == "legit":
+        gains, sigma = ch.h, ch.sigma1
+    elif receiver == "eve":
+        gains, sigma = ch.g, ch.sigma2
+    else:
+        raise ValueError(f"unknown receiver {receiver!r}")
+    jam = jam_streams(cfg.kind, cfg.m)
+    coeffs = gains[0] * np.asarray(cfg.alphas)
+    counts = (1,) * cfg.m
+    if cfg.kind == "GaussianJam":
+        sigma = math.sqrt(sigma ** 2 + cfg.p * float(np.sum(gains[1:] ** 2)))
+    elif receiver == "legit":
+        coeffs = np.append(coeffs, 1.0)
+        counts += (len(jam),)
+    else:
+        coeffs = np.concatenate([coeffs, gains[jam] / ch.h[jam]])
+        counts += (1,) * len(jam)
+    return coeffs, counts, sigma
 
 
 def schedule_q(p: float, delta: float, m: int) -> tuple[int, bool]:

@@ -279,6 +279,30 @@ def test_report_recovers_planted_slope(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_report_on_a_non_sweep_csv_exits_1(tmp_path, capsys):
+    ser = tmp_path / "ser.csv"
+    assert entrypoint(["ser", "--m", "1", "--p", "1e2,1e3", "--draws", "1",
+                       "--trials", "200", "--out", str(ser)]) == 0
+    assert entrypoint(["report", "--input", str(ser)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "not a sweep CSV" in err and "kind" in err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("report", ["--input", "sweep.csv"]),
+    ("leakage", ["--m", "1", "--p", "1e2,1e3,1e4"]),
+    ("compare", ["--m", "1", "--p", "1e2,1e3,1e4"]),
+])
+def test_negative_exclude_lowest_exits_2(command, args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _planted_csv(tmp_path / "sweep.csv")
+    with pytest.raises(SystemExit) as ei:
+        entrypoint([command, "--exclude-lowest", "-3"] + args)
+    assert ei.value.code == 2
+    assert "--exclude-lowest must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     rc = entrypoint(["report", "--input", str(tmp_path / "nope.csv")])
     assert rc == 1

@@ -106,6 +106,9 @@ def test_fit_exclusion_rules():
     assert fit.pooled.n == 2 * 3
     with pytest.raises(ValueError, match="degenerate"):
         fit_dof(rows, exclude_lowest=2)
+    # a negative count would keep the top three powers of four instead
+    with pytest.raises(ValueError, match="exclude_lowest"):
+        leakage_slope(rows, exclude_lowest=-3)
     with pytest.raises(ValueError):
         fit_dof([])
 

@@ -17,7 +17,6 @@ from blindjam.infometrics import (
     GAUSSIAN_ENTROPY_BITS,
     MiEstimate,
     MixtureSpec,
-    _observation_model,
     _product_mixture,
     gaussian_entropy,
     gaussian_wiretap_capacity,
@@ -32,6 +31,7 @@ from blindjam.schemes import (
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
+    observation,
 )
 from blindjam.streams import substream
 
@@ -118,7 +118,8 @@ def _brute_logpdf(y, means, w, sigma):
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(
-    ["uniform", "random", "pmf", "single", "none", "product", "ulp", "light", "far"]))
+    ["uniform", "random", "pmf", "single", "none", "product", "ulp", "light", "far",
+     "skewed"]))
 def test_windowed_logpdf_equals_brute_force(seed, weighting):
     rng = np.random.default_rng(seed)
     sigma = float(rng.uniform(0.05, 3.0))
@@ -137,6 +138,10 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
         k = 1 if weighting == "single" else int(rng.integers(2, 400))
         means = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=k)
         w = rng.uniform(0.01, 1.0, size=k) if weighting in ("random", "light") else np.ones(k)
+        if weighting == "skewed":
+            # weights from 1 down to e^-300: a heavy component beyond a
+            # query's window can outweigh every light one inside it
+            w = np.exp(-rng.uniform(0.0, 300.0, size=k))
         if weighting == "light" and k > 1:
             # a cluster of subnormal weight far beyond the rest: the terms of
             # its queries underflow unless the log-sum is shifted
@@ -226,6 +231,16 @@ def test_far_query_weighs_every_component():
     got = mixture_logpdf(y, MixtureSpec(means=means, weights=w))[0]
     assert got == pytest.approx(_brute_logpdf(y, means, w, 1.0)[0], rel=1e-14)
     assert got == pytest.approx(-114.92, abs=5e-3)
+
+
+def test_heavy_component_beyond_the_window_is_summed():
+    # the window holds only the light component, 0.5 sigma away; the heavy one
+    # 15.5 sigma away outweighs it by e^138 and carries the density
+    means, w = np.array([0.0, 15.0]), np.array([1e-60, 1.0 - 1e-60])
+    y = np.array([-0.5])
+    got = mixture_logpdf(y, MixtureSpec(means=means, weights=w))[0]
+    assert got == pytest.approx(_brute_logpdf(y, means, w, 1.0)[0], rel=1e-12)
+    assert got == pytest.approx(-121.04, abs=5e-3)
 
 
 def test_far_query_single_component_closed_form():
@@ -340,6 +355,10 @@ def test_grid_entropy_matches_adaptive_quadrature(seed, weighting):
         k = int(rng.integers(1, 41))
         means = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=k)
         w = rng.uniform(0.01, 1.0, size=k) if weighting in ("random", "light") else np.ones(k)
+        if weighting == "skewed":
+            # weights from 1 down to e^-300: a heavy component beyond a
+            # query's window can outweigh every light one inside it
+            w = np.exp(-rng.uniform(0.0, 300.0, size=k))
         if weighting == "light" and k > 1:
             # a cluster of subnormal weight far beyond the rest: the terms of
             # its queries underflow unless the log-sum is shifted
@@ -522,25 +541,26 @@ def test_eve_entropy_cap_trips_on_broken_accounting(ch1):
 def test_gaussian_jam_uses_exact_noise_folding(ch1):
     budget = default_budget(ch1, 100.0)
     cfg = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
-    coeffs, sets, weights, designated, sigma = _observation_model(cfg, ch1, "eve")
+    coeffs, counts, sigma = observation(cfg, ch1, "eve")
     assert sigma == pytest.approx(
         math.sqrt(ch1.sigma2**2 + 100.0 * float(np.sum(ch1.g[1:] ** 2))))
-    assert len(sets) == 1 and designated == [0]
-    coeffs1, _, _, _, sigma1 = _observation_model(cfg, ch1, "legit")
+    assert counts == (1,)  # the message stream alone
+    coeffs1, counts1, sigma1 = observation(cfg, ch1, "legit")
     assert sigma1 == pytest.approx(
         math.sqrt(ch1.sigma1**2 + 100.0 * float(np.sum(ch1.h[1:] ** 2))))
+    assert counts1 == (1,)
     assert np.allclose(coeffs1, ch1.h[0] * np.asarray(cfg.alphas))
 
 
 def test_legit_model_collapses_jamming(ch1):
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 10.0, 3)
-    coeffs, sets, weights, designated, sigma = _observation_model(cfg, ch1, "legit")
-    # m message sets plus one pre-convolved jamming sum
-    assert len(sets) == 2 and weights[0] is None and weights[1] is not None
-    assert coeffs[-1] == 1.0
-    vals, pmf = symbol_sum_pmf(2, cfg.q)
-    assert np.allclose(weights[1], pmf)
-    assert np.allclose(sets[1], cfg.a * vals)
+    coeffs, counts, sigma = observation(cfg, ch1, "legit")
+    # m message streams plus one coordinate summing both jamming streams
+    assert counts == (1, 2) and coeffs[-1] == 1.0 and sigma == ch1.sigma1
+    # the eavesdropper keeps one coordinate per jamming stream
+    coeffs2, counts2, sigma2 = observation(cfg, ch1, "eve")
+    assert counts2 == (1, 1, 1) and sigma2 == ch1.sigma2
+    assert np.array_equal(coeffs2[1:], ch1.g / ch1.h)
 
 
 def test_mixture_models_match_simulated_channel(ch1):
@@ -550,8 +570,9 @@ def test_mixture_models_match_simulated_channel(ch1):
     from blindjam.schemes import encode, sample_symbols
 
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 10.0, 3)
-    coeffs, sets, weights, _, sigma = _observation_model(cfg, ch1, "eve")
-    means, w = _product_mixture(coeffs, sets, weights)
+    coeffs, counts, sigma = observation(cfg, ch1, "eve")
+    vals, _ = symbol_sum_pmf(1, cfg.q)
+    means, w = _product_mixture(coeffs, [cfg.a * vals] * len(counts), [None] * len(counts))
     spec = MixtureSpec(means=means, weights=w, sigma=sigma)
     rng = np.random.default_rng(4)
     v, u = sample_symbols(cfg, 8, n=60_000)

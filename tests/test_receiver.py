@@ -52,6 +52,9 @@ def test_legit_lattice_sizes(ch1):
     gj = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
     with pytest.raises(ValueError):
         legit_lattice(gj, ch1)
+    # a hand-built q = 0 is a valid config, but no constellation to decode on
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        legit_lattice(dataclasses.replace(blind, q=0), ch1)
 
 
 def test_decode_matches_exhaustive_search():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindjam.channel import default_budget, sample_channel
+from blindjam.channel import (
+    ChannelRealization,
+    default_budget,
+    eve_output,
+    legit_output,
+    sample_channel,
+)
 from blindjam.schemes import (
     SchemeConfig,
     admissible_gamma,
@@ -13,9 +19,11 @@ from blindjam.schemes import (
     config_from_json,
     config_to_json,
     encode,
+    jam_streams,
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
+    observation,
     sample_symbols,
     schedule_q,
 )
@@ -133,6 +141,54 @@ def test_analytic_power_within_budget_for_any_gains(p, delta, m, seed):
         assert np.all(power <= p * (1 + 1e-12))
         if cfg.kind == "GaussianJam":
             assert np.all(power[1:] == p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["Blind", "CsiAligned", "GaussianJam"]), m=st.integers(1, 3),
+       receiver=st.sampled_from(["legit", "eve"]), p=st.floats(10.0, 1e6),
+       seed=st.integers(0, 10**6))
+def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
+    # a * sum_i coeffs_i t_i reproduces the channel output for random gains,
+    # with t the messages, then the jamming sum (legit) or each jamming symbol
+    # (eve); GaussianJam's helper noise is the rest, folded into sigma
+    rng = np.random.default_rng(seed)
+    h, g = rng.choice([-1.0, 1.0], size=(2, m + 1)) * np.exp(
+        rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
+    ch = ChannelRealization(m=m, h=h, g=g, sigma1=float(rng.uniform(0.0, 2.0)),
+                            sigma2=float(rng.uniform(0.0, 2.0)))
+    if kind == "CsiAligned":
+        cfg = make_csi_scheme(m, p, 0.1, h, g)
+    else:
+        maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
+        cfg = maker(m, p, 0.1, h, 4.0, seed)
+    coeffs, counts, sigma = observation(cfg, ch, receiver)
+    v, u = sample_symbols(cfg, seed, n=50)
+    x = encode(cfg, h, v, u, rng=substream(seed, "helpers")).x
+    jam = u[:, jam_streams(kind, m)]
+    gains, noise = (h, ch.sigma1) if receiver == "legit" else (g, ch.sigma2)
+    y = legit_output(ch, x) if receiver == "legit" else eve_output(ch, x)
+    if receiver == "legit" and jam.shape[1]:
+        jam = jam.sum(axis=1, keepdims=True)
+    t = np.concatenate([v, jam], axis=1)
+    if kind == "GaussianJam":
+        y = y - x[:, 1:] @ gains[1:]
+        assert sigma == math.sqrt(noise ** 2 + p * float(np.sum(gains[1:] ** 2)))
+    else:
+        assert sigma == noise
+    assert counts[:m] == (1,) * m and len(counts) == t.shape[1]
+    assert np.all(np.abs(t) <= np.array(counts) * cfg.q)
+    scale = cfg.a * cfg.q * float(np.sum(np.abs(coeffs) * np.array(counts)))
+    np.testing.assert_allclose(cfg.a * (t @ coeffs), y, rtol=1e-9, atol=1e-9 * scale)
+
+
+def test_observation_rejects_mismatched_channel_and_receiver(ch1):
+    cfg = make_blind_scheme(2, 1e3, 0.1, sample_channel(2, 11).h, 4.0, 3)
+    for receiver in ("legit", "eve"):
+        with pytest.raises(ValueError, match="helper count"):
+            observation(cfg, ch1, receiver)
+    cfg1 = make_blind_scheme(1, 1e3, 0.1, ch1.h, 4.0, 3)
+    with pytest.raises(ValueError, match="receiver"):
+        observation(cfg1, ch1, "helper")
 
 
 def test_analytic_power_structure(ch1):
