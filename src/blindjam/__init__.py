@@ -17,12 +17,9 @@ from .constellation import (
     DegenerateLatticeError,
     DminStudy,
     LatticeSizeError,
-    PamConstellation,
     ReceiverLattice,
     fit_dmin_exponent,
     min_distance,
-    nearest_point,
-    pam_points,
     sum_lattice_min_distance,
 )
 from .experiments import (
@@ -38,14 +35,12 @@ from .infometrics import (
     MiEstimate,
     MixtureSpec,
     RateBound,
-    gaussian_wiretap_capacity,
     mi_discrete_input,
     mixture_entropy,
     rate_lower_bound,
 )
 from .receiver import (
     ErrorEstimate,
-    decode_legit,
     estimate_eve_u_error,
     estimate_ser,
     eve_decode_u_given_v,

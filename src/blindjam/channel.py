@@ -6,7 +6,6 @@ for one channel use with input vector ``x`` of length M+1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ __all__ = [
     "empirical_power",
     "default_budget",
 ]
+
+GAIN_MAGNITUDES = (0.5, 2.0)  # interval of a drawn gain's magnitude
 
 
 @dataclass(frozen=True)
@@ -57,30 +58,6 @@ class ChannelRealization:
         if not (0.0 <= self.sigma1 < np.inf and 0.0 <= self.sigma2 < np.inf):
             raise ValueError("noise standard deviations must be finite and nonnegative")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "h": self.h.tolist(),
-                "g": self.g.tolist(),
-                "sigma1": self.sigma1,
-                "sigma2": self.sigma2,
-                "seed": self.seed,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ChannelRealization":
-        d = json.loads(payload)
-        return cls(
-            m=d["m"],
-            h=np.asarray(d["h"], dtype=float),
-            g=np.asarray(d["g"], dtype=float),
-            sigma1=d.get("sigma1", 1.0),
-            sigma2=d.get("sigma2", 1.0),
-            seed=d.get("seed"),
-        )
-
 
 @dataclass(frozen=True)
 class PowerBudget:
@@ -105,21 +82,14 @@ def default_budget(ch: ChannelRealization, p: float) -> PowerBudget:
     return PowerBudget(p=p, c_bar=2.0 * float(np.sum(ch.g**2)))
 
 
-def sample_channel(
-    m: int,
-    seed: int,
-    magnitude_range: tuple[float, float] = (0.5, 2.0),
-) -> ChannelRealization:
-    """Draw a generic channel: gain magnitudes uniform in ``magnitude_range``
+def sample_channel(m: int, seed: int) -> ChannelRealization:
+    """Draw a generic channel: gain magnitudes uniform in ``GAIN_MAGNITUDES``
     with independent random signs.  Identical seeds give identical draws.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lo, hi = magnitude_range
-    if lo <= 0 or hi <= lo:
-        raise ValueError("magnitude range must be a positive interval excluding 0")
     rng = substream(seed, "channel", m)
-    mags = rng.uniform(lo, hi, size=2 * (m + 1))
+    mags = rng.uniform(*GAIN_MAGNITUDES, size=2 * (m + 1))
     signs = rng.integers(0, 2, size=2 * (m + 1)) * 2 - 1
     gains = mags * signs
     return ChannelRealization(m=m, h=gains[: m + 1], g=gains[m + 1 :], seed=seed)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 from .constellation import fit_dmin_exponent
 from .experiments import (
+    DEFAULT_SWEEP_MI_SAMPLES,
+    DEFAULT_SWEEP_SER_TRIALS,
     compare_schemes,
     fit_dof,
     leakage_slope,
@@ -46,10 +48,17 @@ class RunConfig:
     params: dict
 
 
+def _entry(x, integral: bool = False):
+    """One entry of a --config list: JSON true is no number, 3.5 no integer."""
+    if isinstance(x, bool) or (integral and isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"list entry {x!r} is not {'an integer' if integral else 'a number'}")
+    return x
+
+
 def parse_p_grid(spec) -> list[float]:
     """Power grid: explicit list "1e2,1e3,1e4" or "start:stop:points-per-decade"."""
     if isinstance(spec, (list, tuple)):
-        vals = [float(x) for x in spec]
+        vals = [float(_entry(x)) for x in spec]
     elif ":" in str(spec):
         parts = str(spec).strip().split(":")
         if len(parts) != 3:
@@ -68,7 +77,7 @@ def parse_p_grid(spec) -> list[float]:
 
 def parse_int_list(spec) -> list[int]:
     if isinstance(spec, (list, tuple)):
-        return [int(x) for x in spec]
+        return [int(_entry(x, integral=True)) for x in spec]
     vals = [int(tok) for tok in str(spec).split(",") if tok.strip()]
     if not vals:
         raise ValueError("empty integer list")
@@ -77,15 +86,15 @@ def parse_int_list(spec) -> list[int]:
 
 _DEFAULTS: dict[str, dict] = {
     "sweep": dict(kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
-                  mi_samples=20000, ser_trials=200000, min_errors=100,
-                  include_ser=True),
+                  mi_samples=DEFAULT_SWEEP_MI_SAMPLES, ser_trials=DEFAULT_SWEEP_SER_TRIALS,
+                  min_errors=100, include_ser=True),
     "ser": dict(kind="Blind", delta=0.1, draws=10, seed=42, workers=1,
-                trials=200000, min_errors=100),
+                trials=DEFAULT_SWEEP_SER_TRIALS, min_errors=100),
     "leakage": dict(kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
-                    mi_samples=20000, exclude_lowest=0),
+                    mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0),
     "dmin": dict(draws=50, seed=42),
     "compare": dict(delta=0.05, draws=5, seed=42, workers=1,
-                    mi_samples=20000, exclude_lowest=0),
+                    mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0),
     "report": dict(exclude_lowest=0),
 }
 
@@ -241,6 +250,17 @@ def _manifest_path(out: str) -> str:
     return stem + ".manifest.json"
 
 
+def _rows_path(out: str) -> str:
+    return os.path.splitext(out)[0] + "_rows.csv"
+
+
+def _outputs(command: str, out: str) -> list[str]:
+    """Every file ``command`` writes for ``--out``."""
+    if command == "report":
+        return [out]
+    return [out, _manifest_path(out)] + ([_rows_path(out)] if command == "compare" else [])
+
+
 def _write_manifest(command: str, params: dict) -> None:
     payload = {"command": command}
     payload.update(params)
@@ -302,7 +322,7 @@ def cmd_compare(params: dict) -> int:
                              exclude_lowest=params["exclude_lowest"],
                              workers=params["workers"])
     write_compare_csv(report, params["out"])
-    rows_path = os.path.splitext(params["out"])[0] + "_rows.csv"
+    rows_path = _rows_path(params["out"])
     write_sweep_csv(report.rows, rows_path)
     _write_manifest("compare", params)
     for rec in report.summary():
@@ -343,9 +363,14 @@ def entrypoint(argv=None) -> int:
     cfg = resolve_config(args, parser)
     try:
         out = cfg.params.get("out")  # checked before the run, not after it
+        if out == "" and cfg.command != "report":  # report writes nothing then
+            raise OSError("--out names no file")
         out_dir = out and os.path.dirname(os.path.abspath(out))
         if out_dir and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OSError(f"output directory {out_dir} does not exist or is not writable")
+        for path in _outputs(cfg.command, out) if out else ():
+            if os.path.isdir(path):
+                raise OSError(f"output path {path} is a directory")
         return _DISPATCH[cfg.command](cfg.params)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,34 +1,32 @@
-"""PAM constellation algebra and scalar receiver lattices.
+"""Scalar receiver lattices: enumeration, nearest-index search, d_min.
 
-The legitimate receiver of the jamming schemes observes a one-dimensional
+Each receiver of the jamming schemes observes a one-dimensional
 constellation: every noiseless observation is a sum of scaled PAM symbols.
 Because the realized points live on the real line, sorting them once gives
-O(log N) nearest point decoding, with no need for sphere decoders at desk
-scale. The exact minimum distance needs no lattice at all: it is the smallest
-nonzero combination over the difference box, with the widest axis solved in
-closed form.
+O(log N) nearest-point search (``nearest_index``, which the decoders in
+``receiver`` call), with no need for sphere decoders at desk scale. The exact
+minimum distance needs no lattice at all: it is the smallest nonzero
+combination over the difference box, with the widest axis solved in closed
+form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import GAIN_MAGNITUDES
 from .streams import substream
 
 __all__ = [
     "LatticeSizeError",
     "DegenerateLatticeError",
-    "PamConstellation",
     "ReceiverLattice",
-    "pam_points",
     "enumerate_sum_lattice",
     "min_distance",
     "sum_lattice_min_distance",
     "nearest_index",
-    "nearest_labels",
-    "nearest_point",
     "loglog_slope",
     "fit_dmin_exponent",
     "DminStudy",
@@ -36,6 +34,7 @@ __all__ = [
 
 DEFAULT_POINT_CAP = 10_000_000
 COLLISION_REL_TOL = 1e-9  # times the symbol spacing a
+MAX_REDRAWS = 1000  # gain draws per fit_dmin_exponent draw before it gives up
 
 
 class LatticeSizeError(ValueError):
@@ -44,36 +43,6 @@ class LatticeSizeError(ValueError):
 
 class DegenerateLatticeError(ValueError):
     """Two distinct labels landed on (numerically) the same point."""
-
-
-@dataclass(frozen=True)
-class PamConstellation:
-    """Uniform PAM with spacing ``a`` and half-width ``q``: a*{-q..q}."""
-
-    a: float
-    q: int
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("spacing a must be positive")
-        if self.q < 0:
-            raise ValueError("half-width q must be >= 0")
-
-    @property
-    def points(self) -> np.ndarray:
-        return pam_points(self.a, self.q)
-
-    def __len__(self) -> int:
-        return 2 * self.q + 1
-
-
-def pam_points(a: float, q: int) -> np.ndarray:
-    """The 2q+1 points a*{-q, ..., q}, ascending."""
-    if a <= 0:
-        raise ValueError("spacing a must be positive")
-    if q < 0:
-        raise ValueError("half-width q must be >= 0")
-    return a * np.arange(-q, q + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -87,36 +56,18 @@ class ReceiverLattice:
 
     points: np.ndarray
     labels: np.ndarray
-    collision: bool = False
-    a: float = 1.0
+    collision: bool
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         lab = np.asarray(self.labels)
-        if lab.ndim == 1:
-            lab = lab[:, None]
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", lab)
-        if pts.ndim != 1 or lab.shape[0] != pts.shape[0]:
-            raise ValueError("points and labels must have matching leading length")
+        if pts.ndim != 1 or lab.ndim != 2 or lab.shape[0] != pts.shape[0]:
+            raise ValueError("points must be 1-D and labels 2-D, of matching leading length")
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @classmethod
-    def from_points(cls, points, labels=None, a: float = 1.0, collision_tol: float = 0.0):
-        """Wrap externally built points (sorted here) as a lattice."""
-        pts = np.asarray(points, dtype=float)
-        if labels is None:
-            labels = np.arange(pts.shape[0], dtype=np.int64)[:, None]
-        lab = np.asarray(labels)
-        if lab.ndim == 1:
-            lab = lab[:, None]
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
-        lab = lab[order]
-        collision = bool(pts.shape[0] > 1 and np.min(np.diff(pts)) < collision_tol)
-        return cls(points=pts, labels=lab, collision=collision, a=a)
 
 
 def enumerate_sum_lattice(
@@ -154,7 +105,7 @@ def enumerate_sum_lattice(
     labels = labels[order]
     tol = COLLISION_REL_TOL * a
     collision = bool(points.shape[0] > 1 and np.min(np.diff(points)) < tol)
-    return ReceiverLattice(points=points, labels=labels, collision=collision, a=a)
+    return ReceiverLattice(points=points, labels=labels, collision=collision)
 
 
 def min_distance(lat: ReceiverLattice) -> float:
@@ -224,22 +175,6 @@ def nearest_index(points: np.ndarray, y) -> np.ndarray:
     return idx[0] if scalar else idx
 
 
-def nearest_labels(lat: ReceiverLattice, y, index=nearest_index) -> np.ndarray:
-    """Labels of the lattice points closest to the queries ``y``.
-
-    ``index`` is the nearest-index step, ``nearest_index`` or a function of
-    the same signature (the decoders pass the name their module resolves).
-    """
-    if lat.collision:
-        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
-    return lat.labels[index(lat.points, np.asarray(y, dtype=float))]
-
-
-def nearest_point(y: float, lat: ReceiverLattice) -> tuple[int, ...]:
-    """Label of the lattice point closest to ``y``."""
-    return tuple(int(t) for t in nearest_labels(lat, float(y)))
-
-
 def loglog_slope(qs, values) -> float:
     """Least-squares slope of log(values) against log(qs)."""
     qs = np.asarray(qs, dtype=float)
@@ -282,18 +217,17 @@ def fit_dmin_exponent(
     q_grid,
     n_draws: int,
     seed: int,
-    magnitude_range: tuple[float, float] = (0.5, 2.0),
-    alpha_range: tuple[float, float] = (0.5, 1.5),
-    max_redraws: int = 1000,
 ) -> DminStudy:
     """Empirical scaling exponent of the receiver minimum distance in Q.
 
-    For each draw of generic gains (spacing fixed at a=1), the minimum
+    For each draw of generic gains (|h1| as a channel gain, the alphas as a
+    Blind scheme's; spacing fixed at a=1), the minimum
     distance of the receiver lattice (coefficients h1*alphas and 1, radii q
     and (M+1)q) is computed exactly on every q in the grid by
     ``sum_lattice_min_distance``, without enumerating the lattice, and a
     least-squares slope of log d_min against log q is fitted.  Draws whose
-    lattice collides at any q are redrawn; the count of redraws is reported.
+    lattice collides at any q are redrawn, up to MAX_REDRAWS times; the
+    count of redraws is reported.
     """
     q_grid = tuple(int(q) for q in q_grid)
     if len(q_grid) < 3:
@@ -307,10 +241,10 @@ def fit_dmin_exponent(
     slopes = np.empty(n_draws)
     redraws = 0
     for draw_id in range(n_draws):
-        for attempt in range(max_redraws):
+        for attempt in range(MAX_REDRAWS):
             rng = substream(seed, "dmin", draw_id, attempt)
-            h1 = rng.uniform(*magnitude_range) * (rng.integers(0, 2) * 2 - 1)
-            alphas = rng.uniform(*alpha_range, size=m) * (rng.integers(0, 2, size=m) * 2 - 1)
+            h1 = rng.uniform(*GAIN_MAGNITUDES) * (rng.integers(0, 2) * 2 - 1)
+            alphas = rng.uniform(0.5, 1.5, size=m) * (rng.integers(0, 2, size=m) * 2 - 1)
             coeffs = np.concatenate([h1 * alphas, [1.0]])
             try:
                 dmins = [sum_lattice_min_distance(coeffs, [q] * m + [(m + 1) * q])
@@ -322,5 +256,5 @@ def fit_dmin_exponent(
             rows.extend(DminRow(draw_id, q, d) for q, d in zip(q_grid, dmins))
             break
         else:
-            raise RuntimeError(f"draw {draw_id} kept colliding after {max_redraws} attempts")
+            raise RuntimeError(f"draw {draw_id} kept colliding after {MAX_REDRAWS} attempts")
     return DminStudy(m=m, q_grid=q_grid, rows=tuple(rows), slopes=slopes, redraws=redraws)

@@ -41,7 +41,6 @@ __all__ = [
     "symbol_sum_pmf",
     "mi_discrete_input",
     "rate_lower_bound",
-    "gaussian_wiretap_capacity",
 ]
 
 # bounds a mixture's component count and the trapezoid grid's point count
@@ -441,11 +440,3 @@ def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization,
                 f"max-entropy cap {cap_bits:.6f}; power accounting is broken"
             )
     return RateBound(i_v_y1=i1, i_v_y2=i2, bound=max(0.0, i1.value - i2.value))
-
-
-def gaussian_wiretap_capacity(h1: float, g1: float, p: float) -> float:
-    """Helper-free secrecy capacity in bits, clamped at zero."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    val = 0.5 * math.log2(1.0 + h1 ** 2 * p) - 0.5 * math.log2(1.0 + g1 ** 2 * p)
-    return max(0.0, val)

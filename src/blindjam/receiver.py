@@ -1,12 +1,13 @@
 """Decoders and Monte Carlo error-rate estimation.
 
-Both constellations are the coordinates of ``schemes.observation``. The
-legitimate receiver decodes the messages by nearest-point search on all of
-its coordinates, the aligned jamming sum included but discarded from the
-decision. The eavesdropper-side decoder subtracts the message coordinates and
-recovers the jamming symbols on the jamming coordinates alone, the step that
-caps the equivocation loss; it validates that step numerically, not as a
-threat-model capability.
+Both constellations are the coordinates of ``schemes.observation``. Each
+decoder takes a batch of observations and labels each with its nearest
+lattice point, through ``constellation.nearest_index``. The legitimate
+receiver decodes the messages on all of its coordinates, the aligned jamming
+sum included but discarded from the decision. The eavesdropper-side decoder
+subtracts the message coordinates and recovers the jamming symbols on the
+jamming coordinates alone, the step that caps the equivocation loss; it
+validates that step numerically, not as a threat-model capability.
 """
 from __future__ import annotations
 
@@ -16,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, eve_output, legit_output
-from .constellation import ReceiverLattice, enumerate_sum_lattice, nearest_index, nearest_labels
+from .constellation import (DegenerateLatticeError, ReceiverLattice, enumerate_sum_lattice,
+                            nearest_index)
 from .schemes import SchemeConfig, encode, jam_streams, observation, sample_symbols
 from .streams import substream
 
 __all__ = [
     "ErrorEstimate",
     "legit_lattice",
-    "decode_legit",
     "decode_legit_batch",
     "estimate_ser",
     "eve_u_lattice",
@@ -83,15 +84,18 @@ def legit_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
     return enumerate_sum_lattice(coeffs, [n * cfg.q for n in counts], a=cfg.a)
 
 
-def decode_legit(y1: float, lat: ReceiverLattice) -> tuple[int, ...]:
-    """Message estimate: v-part of the nearest lattice label (jam coordinate dropped)."""
-    return tuple(int(t) for t in decode_legit_batch(float(y1), lat))
-
-
-def decode_legit_batch(y1: np.ndarray, lat: ReceiverLattice) -> np.ndarray:
-    """Vectorized decode_legit; returns an (n, m) integer array."""
+def _nearest_labels(lat: ReceiverLattice, y) -> np.ndarray:
+    """Labels of the lattice points closest to the queries ``y``."""
+    if lat.collision:
+        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
     # nearest_index by this module's name: perfbench wraps it
-    return nearest_labels(lat, y1, nearest_index)[..., :-1]
+    return lat.labels[nearest_index(lat.points, np.asarray(y, dtype=float))]
+
+
+def decode_legit_batch(y1, lat: ReceiverLattice) -> np.ndarray:
+    """Message estimates: the v-part of each nearest lattice label (the jamming
+    coordinate dropped), an (n, m) integer array for n observations."""
+    return _nearest_labels(lat, y1)[..., :-1]
 
 
 def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
@@ -155,24 +159,18 @@ def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
     return enumerate_sum_lattice(coeffs[cfg.m:], [n * cfg.q for n in counts[cfg.m:]], a=cfg.a)
 
 
-def _eve_decode_batch(y2, v, a: float, messages: np.ndarray,
-                      lat: ReceiverLattice) -> np.ndarray:
-    # subtract the known message contribution a * messages . v, decode the rest
-    offset = a * (np.asarray(v) @ messages)
-    return nearest_labels(lat, np.asarray(y2, dtype=float) - offset, nearest_index)
+def eve_decode_u_given_v(y2, v, cfg: SchemeConfig, ch: ChannelRealization,
+                         lat: ReceiverLattice) -> np.ndarray:
+    """Jamming-symbol estimates at the eavesdropper, conditioned on the messages.
 
-
-def eve_decode_u_given_v(y2: float, v, cfg: SchemeConfig, ch: ChannelRealization,
-                         lat: ReceiverLattice | None = None) -> tuple[int, ...]:
-    """Jamming-symbol estimate at the eavesdropper, conditioned on the messages.
-
-    Subtracts the known message contribution from y2 and nearest-point
-    decodes the residual on the jamming constellation.
+    Subtracts the known message contribution a * (message coefficients) . v
+    from each observation in y2 and nearest-point decodes the residual on
+    ``lat``, the ``eve_u_lattice``. Returns one row of jamming symbols per
+    observation, in ``jam_streams`` order.
     """
-    if lat is None:
-        lat = eve_u_lattice(cfg, ch)
     messages = observation(cfg, ch, "eve")[0][:cfg.m]
-    return tuple(int(t) for t in _eve_decode_batch(float(y2), v, cfg.a, messages, lat))
+    offset = cfg.a * (np.asarray(v) @ messages)
+    return _nearest_labels(lat, np.asarray(y2, dtype=float) - offset)
 
 
 def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
@@ -184,13 +182,12 @@ def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: in
     decoder actually uses the conditioning).
     """
     lat = eve_u_lattice(cfg, ch)
-    messages = observation(cfg, ch, "eve")[0][:cfg.m]
     jam = jam_streams(cfg.kind, cfg.m)
 
     def mismatch(rng, v, u, x):
         y = _noisy(eve_output(ch, x), ch.sigma2, rng)
         v_cond = v if v_offset == 0 else np.clip(v + v_offset, -cfg.q, cfg.q)
-        return _eve_decode_batch(y, v_cond, cfg.a, messages, lat) != u[:, jam]
+        return eve_decode_u_given_v(y, v_cond, cfg, ch, lat) != u[:, jam]
 
     errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu", min_errors, mismatch)
     return ErrorEstimate.from_counts(errors, trials)

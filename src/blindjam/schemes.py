@@ -23,9 +23,8 @@ largest value that keeps every transmitter inside the budget.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +45,6 @@ __all__ = [
     "encode",
     "sample_symbols",
     "analytic_power",
-    "config_to_json",
-    "config_from_json",
 ]
 
 KINDS = ("Blind", "CsiAligned", "GaussianJam")
@@ -326,13 +323,3 @@ def analytic_power(cfg: SchemeConfig, h) -> np.ndarray:
     own = 1.0 / h[0] ** 2 if 0 in jam else 0.0
     e[0] = s2 * (own + float(np.sum(np.asarray(cfg.alphas) ** 2)))
     return e
-
-
-def config_to_json(cfg: SchemeConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True)
-
-
-def config_from_json(text: str) -> SchemeConfig:
-    d = json.loads(text)
-    d["alphas"] = tuple(d["alphas"])
-    return SchemeConfig(**d)

@@ -5,7 +5,8 @@ the rate-bound, leakage, reliability, and eavesdropper-decodability curves,
 the minimum-distance scaling law, oracle suites for the decoders and the
 entropy estimators, and the blindness/determinism contracts. Each test
 prints one pass/fail line; with `pytest -v` every criterion also appears as
-its own PASSED/FAILED row. Full run takes about two minutes.
+its own PASSED/FAILED row. On two cores the nine take about 15 s, most of the
+~20 s tier-1 run.
 
 Trend criteria run with exclusion of the lowest power row from the slope
 fits (the flag built for exactly this purpose): at P <= 1e5 the aligned

@@ -115,6 +115,10 @@ def _bad_config(tmp_path, text):
     ("sweep", "{bad"),
     ("sweep", "[1, 2]"),
     ("leakage", json.dumps({"m": "x", "p": "1e2,1e3,1e4"})),
+    # list entries are not cast: 3.5 is no integer, true no number
+    ("dmin", json.dumps({"m": 1, "q": [2, 3.5, 8]})),
+    ("dmin", json.dumps({"m": 1, "q": [2, True, 8]})),
+    ("ser", json.dumps({"m": 1, "p": [True, 10, 100]})),
 ])
 def test_bad_config_exits_2(command, text, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -180,6 +184,7 @@ def test_manifest_replay_is_byte_identical(command, tmp_path):
 @pytest.mark.parametrize("command,runner,args", [
     ("compare", "compare_schemes", ["--m", "1", "--p", "1e2,1e3,1e4"]),
     ("dmin", "fit_dmin_exponent", ["--m", "1", "--q", "2,4,8"]),
+    ("report", "read_sweep_csv", ["--input", "in.csv"]),
 ])
 def test_unwritable_out_dir_exits_1_before_running(command, runner, args, tmp_path,
                                                    monkeypatch, capsys):
@@ -191,6 +196,19 @@ def test_unwritable_out_dir_exits_1_before_running(command, runner, args, tmp_pa
     assert entrypoint([command, "--out", str(out)] + args) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.parent.exists()
+    if command != "report":  # where an empty --out means no summary file
+        assert entrypoint([command, "--out", ""] + args) == 1
+        assert "error:" in capsys.readouterr().err
+    # each file the command would write (the CSV, its manifest, compare's
+    # rows) that is an existing directory is refused too
+    out = tmp_path / "x.csv"
+    written = {"compare": ["x.csv", "x.manifest.json", "x_rows.csv"],
+               "dmin": ["x.csv", "x.manifest.json"], "report": ["x.csv"]}[command]
+    for name in written:
+        (tmp_path / name).mkdir()
+        assert entrypoint([command, "--out", str(out)] + args) == 1
+        assert f"{tmp_path / name} is a directory" in capsys.readouterr().err
+        (tmp_path / name).rmdir()
 
 
 def test_default_out_respects_env(tmp_path, monkeypatch):

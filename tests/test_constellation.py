@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindjam import constellation
 from blindjam.constellation import (
     COLLISION_REL_TOL,
     DegenerateLatticeError,
     LatticeSizeError,
-    PamConstellation,
-    ReceiverLattice,
+    MAX_REDRAWS,
     enumerate_sum_lattice,
     fit_dmin_exponent,
     loglog_slope,
     min_distance,
     nearest_index,
-    nearest_point,
-    pam_points,
     sum_lattice_min_distance,
 )
 from blindjam.streams import substream
@@ -27,20 +25,12 @@ from blindjam.streams import substream
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-3, 1e3), st.integers(0, 50))
 def test_pam_cardinality_and_symmetry(a, q):
-    pts = pam_points(a, q)
-    assert pts.shape == (2 * q + 1,)
-    assert np.all(np.diff(pts) > 0)
-    assert np.allclose(pts, -pts[::-1])
-
-
-def test_pam_validation():
-    with pytest.raises(ValueError):
-        pam_points(0.0, 3)
-    with pytest.raises(ValueError):
-        pam_points(1.0, -1)
-    with pytest.raises(ValueError):
-        PamConstellation(a=-1.0, q=2)
-    assert len(PamConstellation(a=1.0, q=4)) == 9
+    # one coefficient of 1: the PAM constellation a * {-q, ..., q}
+    lat = enumerate_sum_lattice([1.0], [q], a=a)
+    assert lat.points.shape == (2 * q + 1,)
+    assert np.all(np.diff(lat.points) > 0)
+    assert np.array_equal(lat.points, -lat.points[::-1])
+    assert np.array_equal(lat.labels[:, 0], np.arange(-q, q + 1))
 
 
 def test_enumerate_sum_lattice_points_match_labels():
@@ -64,8 +54,6 @@ def test_collision_detected_for_dependent_coeffs():
     assert lat.collision
     with pytest.raises(DegenerateLatticeError):
         min_distance(lat)
-    with pytest.raises(DegenerateLatticeError):
-        nearest_point(0.1, lat)
 
 
 def _legit_lattice(h1, alphas, a, q, jam_radius):
@@ -111,7 +99,7 @@ def test_min_distance_matches_brute_force_on_small_lattices():
 
 
 def test_min_distance_needs_two_points():
-    lat = ReceiverLattice.from_points(np.array([0.3]))
+    lat = enumerate_sum_lattice([0.3], [0])
     with pytest.raises(ValueError):
         min_distance(lat)
 
@@ -136,14 +124,7 @@ def test_nearest_point_recovers_perturbed_labels(seed, frac):
     d = min_distance(lat)
     idx = rng.integers(0, len(lat))
     y = lat.points[idx] + frac * d
-    assert nearest_point(y, lat) == tuple(int(t) for t in lat.labels[idx])
-
-
-def test_from_points_sorts_and_flags_collisions():
-    lat = ReceiverLattice.from_points(np.array([2.0, 0.0, 1.0]))
-    assert np.array_equal(lat.points, [0.0, 1.0, 2.0])
-    dup = ReceiverLattice.from_points(np.array([0.0, 1e-12]), collision_tol=1e-9)
-    assert dup.collision
+    assert nearest_index(lat.points, y) == idx
 
 
 def test_loglog_slope_recovers_planted_exponent():
@@ -176,11 +157,10 @@ def test_fit_dmin_exponent_validation():
 
 def test_collision_tolerance_scales_with_spacing():
     # same geometry at two spacings: collision decision must not depend on a
-    eps = 0.5 * COLLISION_REL_TOL
+    # (1, 0) and (0, 1) land c * a apart, against a tolerance of COLLISION_REL_TOL * a
     for a in (1.0, 1e-4):
-        lat = ReceiverLattice.from_points(
-            np.array([0.0, eps * a, 1.0 * a]), a=a, collision_tol=COLLISION_REL_TOL * a)
-        assert lat.collision
+        assert enumerate_sum_lattice([1.0, 1.0 + 0.5 * COLLISION_REL_TOL], [1, 1], a=a).collision
+        assert not enumerate_sum_lattice([1.0, 1.0 + 2 * COLLISION_REL_TOL], [1, 1], a=a).collision
 
 
 def _fraction_min_distance(coeffs, radii, a):
@@ -255,8 +235,15 @@ def test_fit_dmin_exponent_matches_enumeration(m, q_grid, n_draws):
     assert [r.dmin for r in study.rows] == pytest.approx([x for _, _, x in want], rel=1e-7)
 
 
-def test_fit_dmin_exponent_forced_collisions_raise():
-    # unit gains make every draw rationally dependent
-    with pytest.raises(RuntimeError):
-        fit_dmin_exponent(1, [2, 4, 8], 1, 0, magnitude_range=(1, 1),
-                          alpha_range=(1, 1), max_redraws=5)
+def test_fit_dmin_exponent_forced_collisions_raise(monkeypatch):
+    # every draw collides: the draw is given up after MAX_REDRAWS attempts
+    attempts = []
+
+    def collide(coeffs, radii):
+        attempts.append(tuple(coeffs))
+        raise DegenerateLatticeError("forced")
+
+    monkeypatch.setattr(constellation, "sum_lattice_min_distance", collide)
+    with pytest.raises(RuntimeError, match=f"after {MAX_REDRAWS} attempts"):
+        fit_dmin_exponent(1, [2, 4, 8], 1, 0)
+    assert len(attempts) == MAX_REDRAWS == len(set(attempts))

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from blindjam import infometrics
-from blindjam.channel import ChannelRealization, default_budget, sample_channel
+from blindjam.channel import default_budget
 from blindjam.infometrics import (
     CHUNK_TERMS,
     COMPONENT_CAP,
-    GAUSSIAN_ENTROPY_BITS,
     MiEstimate,
     MixtureSpec,
     _product_mixture,
     gaussian_entropy,
-    gaussian_wiretap_capacity,
     mi_discrete_input,
     mixture_entropy,
     mixture_logpdf,
@@ -580,12 +578,3 @@ def test_mixture_models_match_simulated_channel(ch1):
     cross = float(np.mean(-mixture_logpdf(y, spec))) / math.log(2)
     h_model = mixture_entropy(spec, method="mc", n_samples=60_000, seed=5)
     assert cross == pytest.approx(h_model.value, abs=4.0 * h_model.stderr + 0.02)
-
-
-def test_gaussian_wiretap_capacity():
-    assert gaussian_wiretap_capacity(1.0, 1.0, 10.0) == 0.0
-    assert gaussian_wiretap_capacity(0.5, 2.0, 10.0) == 0.0
-    val = gaussian_wiretap_capacity(2.0, 0.5, 10.0)
-    assert val == pytest.approx(0.5 * math.log2(41.0) - 0.5 * math.log2(3.5))
-    with pytest.raises(ValueError):
-        gaussian_wiretap_capacity(1.0, 1.0, -1.0)

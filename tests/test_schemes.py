@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from blindjam.channel import (
     ChannelRealization,
-    default_budget,
     eve_output,
     legit_output,
     sample_channel,
@@ -16,8 +15,6 @@ from blindjam.schemes import (
     SchemeConfig,
     admissible_gamma,
     analytic_power,
-    config_from_json,
-    config_to_json,
     encode,
     jam_streams,
     make_blind_scheme,
@@ -289,8 +286,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, gamma=1.0,
                      q=-1, a=1.0, alphas=(0.9,), c_bar=1.0)
-
-
-def test_config_json_round_trip(ch1):
-    cfg = make_blind_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
-    assert config_from_json(config_to_json(cfg)) == cfg
