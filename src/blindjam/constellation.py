@@ -2,17 +2,20 @@
 
 Each receiver of the jamming schemes observes a one-dimensional
 constellation: every noiseless observation is a sum of scaled PAM symbols.
-Because the realized points live on the real line, sorting them once gives
-O(log N) nearest-point search (``nearest_index``, which the decoders in
-``receiver`` call), with no need for sphere decoders at desk scale. The exact
-minimum distance needs no lattice at all: it is the smallest nonzero
-combination over the difference box, with the widest axis solved in closed
-form.
+Because the realized points live on the real line, a lattice is sorted once
+and gets a table of equal-width buckets over its range; ``nearest_index``
+(which the decoders in ``receiver`` call) reads a query's insertion index
+from its bucket in constant time and falls back to binary search only where
+the bucket cannot settle it, with no need for sphere decoders at desk scale.
+The exact minimum distance needs no lattice at all: it is the smallest
+nonzero combination over the difference box, with the widest axis solved in
+closed form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
 
 DEFAULT_POINT_CAP = 10_000_000
 COLLISION_REL_TOL = 1e-9  # times the symbol spacing a
+BUCKETS_PER_POINT = 4
 MAX_REDRAWS = 1000  # gain draws per fit_dmin_exponent draw before it gives up
 
 
@@ -45,6 +49,43 @@ class DegenerateLatticeError(ValueError):
     """Two distinct labels landed on (numerically) the same point."""
 
 
+class BucketTable(NamedTuple):
+    """BUCKETS_PER_POINT * N equal-width buckets over the span [lo, hi] of N
+    sorted points; ``below[k]`` counts the points in buckets under k."""
+
+    lo: float
+    hi: float
+    scale: float
+    below: np.ndarray
+
+    @classmethod
+    def build(cls, points: np.ndarray) -> BucketTable | None:
+        n = points.shape[0]
+        if n < 2:
+            return None
+        lo, hi = float(points[0]), float(points[-1])
+        nb = BUCKETS_PER_POINT * n
+        # (nb - 1) / span keeps every bucket index below nb after rounding
+        scale = (nb - 1) / (hi - lo) if hi > lo else 0.0
+        if not 0.0 < scale < math.inf:
+            return None
+        # the points' buckets by the queries' own arithmetic: one monotone map
+        table = cls(lo, hi, scale, None)
+        first = table.bucket(points)
+        # below[k] = i for the buckets k in (first[i-1], first[i]]
+        runs = np.diff(first, prepend=-1, append=nb - 1)
+        return table._replace(below=np.repeat(np.arange(n + 1, dtype=np.int32), runs))
+
+    def bucket(self, y: np.ndarray) -> np.ndarray:
+        """Bucket of each query, clamped into the span first, so neither the
+        arithmetic nor the cast meets a NaN, an infinity or an overflow."""
+        t = np.fmax(y, self.lo)  # fmax and fmin send NaN to the bound
+        np.fmin(t, self.hi, out=t)
+        t -= self.lo
+        t *= self.scale
+        return t.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class ReceiverLattice:
     """Sorted scalar constellation with the integer labels that generated it.
@@ -52,19 +93,32 @@ class ReceiverLattice:
     ``labels[i]`` is the integer tuple behind ``points[i]``.  ``collision``
     is set when two distinct labels map within tolerance of each other, in
     which case decoding is refused (degenerate gains).
+
+    Construction also builds the search table of ``nearest_index``: a
+    ``BucketTable`` over the points, and a copy of them padded with -inf and
+    +inf (``points`` is a view into it), so the search reads both neighbours
+    of any insertion index without bounds checks. A lattice of one point, of
+    equal points or of non-finite span gets no table and is searched by
+    ``np.searchsorted`` alone.
     """
 
     points: np.ndarray
     labels: np.ndarray
     collision: bool
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: BucketTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         lab = np.asarray(self.labels)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", lab)
         if pts.ndim != 1 or lab.ndim != 2 or lab.shape[0] != pts.shape[0]:
             raise ValueError("points must be 1-D and labels 2-D, of matching leading length")
+        padded = np.concatenate(([-np.inf], pts, [np.inf]))
+        pts = padded[1:-1]
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "_table", BucketTable.build(pts))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -160,13 +214,38 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0,
     return best
 
 
-def nearest_index(points: np.ndarray, y) -> np.ndarray:
-    """Index of the closest point for each query, ties toward the smaller point."""
+def _insertion_index(lat: ReceiverLattice, y: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(lat.points, y)``, read from the bucket table.
+
+    A bucket's count covers points that are all below y; one step past a
+    point of y's own bucket that is below y settles any bucket of at most
+    one point. Each candidate r is checked against searchsorted's definition
+    points[r-1] < y <= points[r]; the queries it fails (buckets of several
+    points, NaN, -inf) are searched by bisection.
+    """
+    table = lat._table
+    if table is None:
+        return np.searchsorted(lat.points, y)
+    under, over = lat._padded[:-1], lat._padded[1:]  # points[r-1], points[r]
+    r = table.below.take(table.bucket(y)).astype(np.intp)
+    r += over.take(r) < y
+    ok = under.take(r) < y
+    ok &= over.take(r) >= y
+    if not ok.all():
+        miss = ~ok
+        r[miss] = np.searchsorted(lat.points, y[miss])
+    return r
+
+
+def nearest_index(lat: ReceiverLattice, y) -> np.ndarray:
+    """Index of the closest point of ``lat`` for each query, ties toward the
+    smaller point."""
+    points = lat.points
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     yq = np.atleast_1d(y)
     n = points.shape[0]
-    right = np.searchsorted(points, yq)
+    right = _insertion_index(lat, yq)
     left = np.clip(right - 1, 0, n - 1)
     right = np.clip(right, 0, n - 1)
     d_left = np.abs(yq - points[left])

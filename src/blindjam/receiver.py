@@ -11,7 +11,9 @@ validates that step numerically, not as a threat-model capability.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +91,7 @@ def _nearest_labels(lat: ReceiverLattice, y) -> np.ndarray:
     if lat.collision:
         raise DegenerateLatticeError("degenerate gains: distinct labels collide")
     # nearest_index by this module's name: perfbench wraps it
-    return lat.labels[nearest_index(lat.points, np.asarray(y, dtype=float))]
+    return np.take(lat.labels, nearest_index(lat, np.asarray(y, dtype=float)), axis=0)
 
 
 def decode_legit_batch(y1, lat: ReceiverLattice) -> np.ndarray:
@@ -120,9 +122,10 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
         n = min(CHUNK, n_trials - trials)
         rng = substream(seed, label, block_idx)
         v, u = sample_symbols(cfg, rng, n=n)
-        wrong = mismatch(rng, v, u, encode(cfg, ch.h, v, u).x)
-        errors += int(np.sum(np.any(wrong, axis=1)))
-        symbol_errors = symbol_errors + np.sum(wrong, axis=0)
+        # column by column: reductions across a narrow (n, k) array are slow
+        cols = mismatch(rng, v, u, encode(cfg, ch.h, v, u).x).T
+        errors += int(np.count_nonzero(functools.reduce(operator.or_, cols)))
+        symbol_errors = symbol_errors + np.array([np.count_nonzero(c) for c in cols])
         trials += n
         block_idx += 1
         if min_errors is not None and errors >= min_errors:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,3 +29,11 @@ def blind_cfg(ch1):
 def noiseless_ch():
     return ChannelRealization(m=1, h=np.array([1.3, -0.8]), g=np.array([0.9, 1.1]),
                               sigma1=0.0, sigma2=0.0)
+
+
+@pytest.fixture
+def src_env():
+    # a subprocess does not inherit pytest's pythonpath: put this checkout's src/ first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -338,8 +338,8 @@ def test_infeasible_grid_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_invocation_smoke():
+def test_module_invocation_smoke(src_env):
     proc = subprocess.run([sys.executable, "-m", "blindjam", "sweep", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert "--mi-samples" in proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from blindjam.constellation import (
     DegenerateLatticeError,
     LatticeSizeError,
     MAX_REDRAWS,
+    ReceiverLattice,
     enumerate_sum_lattice,
     fit_dmin_exponent,
     loglog_slope,
@@ -105,7 +107,8 @@ def test_min_distance_needs_two_points():
 
 
 def test_nearest_index_tie_breaks_toward_smaller_point():
-    pts = np.array([0.0, 1.0, 2.0])
+    pts = ReceiverLattice(points=np.array([0.0, 1.0, 2.0]), labels=np.arange(3)[:, None],
+                          collision=False)
     assert nearest_index(pts, 0.5) == 0
     assert nearest_index(pts, 1.5) == 1
     assert nearest_index(pts, 1.0) == 1
@@ -124,7 +127,73 @@ def test_nearest_point_recovers_perturbed_labels(seed, frac):
     d = min_distance(lat)
     idx = rng.integers(0, len(lat))
     y = lat.points[idx] + frac * d
-    assert nearest_index(lat.points, y) == idx
+    assert nearest_index(lat, y) == idx
+
+
+def _searchsorted_nearest_index(points, y):
+    # the reference: binary search, then the tie rule of nearest_index
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    yq = np.atleast_1d(y)
+    n = points.shape[0]
+    right = np.searchsorted(points, yq)
+    left = np.clip(right - 1, 0, n - 1)
+    right = np.clip(right, 0, n - 1)
+    d_left = np.abs(yq - points[left])
+    d_right = np.abs(points[right] - yq)
+    idx = np.where(d_left <= d_right, left, right)
+    return idx[0] if scalar else idx
+
+
+def _random_sum_lattice(seed, m, shape):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.3, 2.0, size=m + 1) * rng.choice([-1, 1], size=m + 1)
+    radii = [int(r) for r in rng.integers(1, 5 if m < 3 else 3, size=m + 1)]
+    if shape == "clustered":
+        # M=2: tight clusters of the small coefficient, several points a bucket
+        coeffs = np.array([1.0, 1.0 + 1e-3 * rng.uniform(0.5, 2.0), 1e-4 * rng.uniform(1, 3)])
+    elif shape == "one point":
+        radii = [0] * (m + 1)
+    elif shape == "equal points":
+        coeffs = np.zeros(m + 1)
+    return enumerate_sum_lattice(coeffs, radii, a=float(rng.uniform(0.05, 3.0)))
+
+
+def _edge_queries(points):
+    mid = (points[:-1] + points[1:]) / 2
+    exact = np.concatenate([points, mid])
+    far = [points[0] - 1.0, points[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf, np.nan]
+    return np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf), far])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3),
+       st.sampled_from(["generic", "clustered", "one point", "equal points"]))
+def test_nearest_index_matches_searchsorted(seed, m, shape):
+    if shape == "clustered":
+        m = 2
+    lat = _random_sum_lattice(seed, m, shape)
+    y = _edge_queries(lat.points)
+    y = np.concatenate([y, np.random.default_rng(seed).permutation(y)])
+    want = _searchsorted_nearest_index(lat.points, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = nearest_index(lat, y)
+        column = nearest_index(lat, y[:, None])
+        scalars = [nearest_index(lat, q) for q in y[::7]]
+    assert np.array_equal(got, want)
+    assert np.array_equal(column, want[:, None])
+    assert scalars == [_searchsorted_nearest_index(lat.points, q) for q in y[::7]]
+
+
+@pytest.mark.parametrize("coeffs, radii", [([1.0], [1]), ([0.7, 1.3], [40, 80]),
+                                           ([0.83, -1.27, 1.0], [12, 12, 36])])
+def test_bucket_table_at_most_doubles_points(coeffs, radii):
+    # 4 int32 buckets a point: 2x the float64 points, which are not copied again
+    lat = enumerate_sum_lattice(coeffs, radii)
+    assert lat._table.below.dtype == np.int32
+    assert lat._table.below.nbytes <= 2 * lat.points.nbytes
+    assert np.shares_memory(lat.points, lat._padded)
 
 
 def test_loglog_slope_recovers_planted_exponent():

@@ -370,10 +370,10 @@ def test_grid_entropy_matches_adaptive_quadrature(seed, weighting):
     assert grid.stderr >= diff - 1e-12
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(src_env):
     code = "import sys, blindjam; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=src_env)
     assert out.stdout.strip() == "False"
 
 

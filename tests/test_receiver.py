@@ -211,3 +211,30 @@ def test_decoders_query_receiver_nearest_index(estimate, blind_cfg, ch1, monkeyp
     est = estimate(blind_cfg, ch1, 12_000, seed=3, min_errors=None)
     assert sum(queries) == est.trials == 12_000
     assert max(queries) <= receiver.CHUNK  # one batch query per chunk of trials
+
+
+# counts of the chunked Monte Carlo loop, pinned so that a faster search or
+# error count cannot change a single decision: (m, p, kind) ->
+# ((SER errors, per-stream symbol errors), eavesdropper jamming errors)
+GOLDEN_COUNTS = {
+    (1, 1e2, "Blind"): ((8489, (8489,)), 7305),
+    (1, 1e2, "CsiAligned"): ((7012, (7012,)), 361),
+    (2, 1e4, "Blind"): ((7513, (7401, 7155)), 3572),
+    (2, 1e4, "CsiAligned"): ((6855, (6346, 5213)), 517),
+}
+
+
+@pytest.mark.parametrize("m, p, kind", list(GOLDEN_COUNTS))
+def test_error_counts_match_golden(m, p, kind):
+    ch = sample_channel(m, 7)
+    if kind == "Blind":
+        cfg = make_blind_scheme(m, p, 0.25, ch.h, default_budget(ch, p).c_bar, 3)
+    else:
+        cfg = make_csi_scheme(m, p, 0.25, ch.h, ch.g)
+    (ser_errors, stream_errors), eve_errors = GOLDEN_COUNTS[(m, p, kind)]
+    trials = 12_000  # chunks of 5,000, 5,000 and 2,000
+    ser = estimate_ser(cfg, ch, trials, seed=5, min_errors=None)
+    assert (ser.errors, ser.trials) == (ser_errors, trials)
+    assert ser.per_stream == tuple(e / trials for e in stream_errors)
+    eve = estimate_eve_u_error(cfg, ch, trials, seed=5, min_errors=None)
+    assert (eve.errors, eve.trials) == (eve_errors, trials)
