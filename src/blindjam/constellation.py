@@ -214,8 +214,11 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0,
     return best
 
 
-def _insertion_index(lat: ReceiverLattice, y: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(lat.points, y)``, read from the bucket table.
+def _insertion_index(lat: ReceiverLattice,
+                     y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``r = np.searchsorted(lat.points, y)``, read from the bucket table,
+    with the neighbours points[r-1] and points[r] (-inf and +inf past the
+    ends) that settle it.
 
     A bucket's count covers points that are all below y; one step past a
     point of y's own bucket that is below y settles any bucket of at most
@@ -223,34 +226,37 @@ def _insertion_index(lat: ReceiverLattice, y: np.ndarray) -> np.ndarray:
     points[r-1] < y <= points[r]; the queries it fails (buckets of several
     points, NaN, -inf) are searched by bisection.
     """
+    under, over = lat._padded[:-1], lat._padded[1:]  # points[r-1], points[r]
     table = lat._table
     if table is None:
-        return np.searchsorted(lat.points, y)
-    under, over = lat._padded[:-1], lat._padded[1:]  # points[r-1], points[r]
+        r = np.searchsorted(lat.points, y)
+        return r, under.take(r), over.take(r)
     r = table.below.take(table.bucket(y)).astype(np.intp)
     r += over.take(r) < y
-    ok = under.take(r) < y
-    ok &= over.take(r) >= y
+    left, right = under.take(r), over.take(r)
+    ok = left < y
+    ok &= right >= y
     if not ok.all():
         miss = ~ok
-        r[miss] = np.searchsorted(lat.points, y[miss])
-    return r
+        r_miss = np.searchsorted(lat.points, y[miss])
+        r[miss], left[miss], right[miss] = r_miss, under.take(r_miss), over.take(r_miss)
+    return r, left, right
 
 
 def nearest_index(lat: ReceiverLattice, y) -> np.ndarray:
     """Index of the closest point of ``lat`` for each query, ties toward the
     smaller point."""
-    points = lat.points
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     yq = np.atleast_1d(y)
-    n = points.shape[0]
-    right = _insertion_index(lat, yq)
-    left = np.clip(right - 1, 0, n - 1)
-    right = np.clip(right, 0, n - 1)
-    d_left = np.abs(yq - points[left])
-    d_right = np.abs(points[right] - yq)
-    idx = np.where(d_left <= d_right, left, right)
+    r, left, right = _insertion_index(lat, yq)
+    # left < y <= right, so neither distance needs abs; an infinite
+    # neighbour is never the nearer one, and the comparisons with NaN
+    # (inf - inf at infinite queries) are false: r = 0 stays, r = n is
+    # clamped to the last point
+    with np.errstate(invalid="ignore"):
+        idx = r - (yq - left <= right - yq)
+    np.minimum(idx, lat.points.shape[0] - 1, out=idx)
     return idx[0] if scalar else idx
 
 

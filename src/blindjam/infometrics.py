@@ -6,7 +6,10 @@ coordinate, plus Gaussian noise. Its log-density at a query sums only the
 components within WINDOW_SIGMAS noise deviations, unless a heavier component
 beyond them could outweigh those. A mixture whose weights are all equal
 (every eavesdropper mixture, whose streams are all uniform) keeps one
-log-weight, which leaves its log-sum as a constant. Entropies have no closed
+log-weight, which leaves its log-sum as a constant, and no weight array: it
+is its sorted means alone. A weighted one (the legitimate receiver's jamming
+sum) also keeps one sorted log-weight per component. Each mixture lives only
+while its entropy is estimated, so one is held at a time. Entropies have no closed
 form, so two estimators are provided on that log-density: Monte Carlo, and
 a trapezoid rule on a uniform grid of step GRID_STEP noise deviations that
 covers every component's window. The trapezoid rule converges exponentially
@@ -50,7 +53,9 @@ LOG2E = math.log2(math.e)
 # components beyond this many noise deviations from a sample contribute
 # less than exp(-98) of the density and are dropped from the log-sum
 WINDOW_SIGMAS = 14.0
-CHUNK_TERMS = 1 << 18  # window terms per chunk of queries: 2 MiB per float64 array
+# window terms per chunk of queries: 512 KiB per float64 array, so the
+# chunk's few arrays stay within a 2 MiB L2 cache
+CHUNK_TERMS = 1 << 16
 # trapezoid grid step in noise deviations: at sigma/4, two-component mixtures
 # 2 to 30 sigma apart already differ from adaptive quadrature by 1.3e-9 bits
 GRID_STEP = 0.125
@@ -63,7 +68,11 @@ class MixtureSpec:
 
     Components of zero weight are dropped, and the rest sorted by mean once.
     When the remaining weights are all exactly equal, one log-weight stands
-    for them all and the log-density gathers no weights.
+    for them all and the log-density gathers no weights. Weights of None, or
+    a zero-stride view (``np.broadcast_to`` of one weight), are equal by
+    construction: ``weights`` stays a zero-stride view, and means already in
+    order are not copied, so such a mixture holds a single array of its
+    length. Unequal weights keep their sorted means and log-weights.
     """
 
     means: np.ndarray
@@ -71,36 +80,42 @@ class MixtureSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float).ravel()
+        means = np.asarray(self.means, dtype=float).reshape(-1)
         if means.size == 0 or not np.all(np.isfinite(means)):
             raise ValueError("mixture needs at least one component, all means finite")
         # sigma**2 is then a normal double, and so is its reciprocal
         if not 1e-150 < self.sigma < 1e150:  # NaN fails too
             raise ValueError("sigma must lie in (1e-150, 1e150)")
         if self.weights is None:
-            weights = np.full(means.size, 1.0 / means.size)
+            weights = np.broadcast_to(1.0 / means.size, means.shape)
         else:
-            weights = np.asarray(self.weights, dtype=float).ravel()
+            weights = np.asarray(self.weights, dtype=float).reshape(-1)
             if weights.shape != means.shape:
                 raise ValueError("weights and means must have equal length")
-            if np.any(weights < 0):
+            if weights.min() < 0:
                 raise ValueError("weights must be nonnegative")
             total = float(np.sum(weights))
             if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError("weights must sum to 1")
-            weights = weights / total
+            weights = (np.broadcast_to(weights[0] / total, means.shape)
+                       if weights.strides == (0,) else weights / total)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         # sorted once per mixture, without massless components; equal weights
         # (exactly) keep one log-weight, and their means need no stable order
-        keep = weights > 0
-        mu, w = means[keep], weights[keep]
-        if np.all(w == w[0]):
-            sorted_ = (np.sort(mu), float(np.log(w[0])))
+        mu, w = means, weights
+        if weights.min() == 0.0:
+            keep = weights > 0
+            mu, w = means[keep], weights[keep]
+        if w.strides == (0,) or np.all(w == w[0]):
+            logw = float(np.log(w[0]))
+            if not np.all(mu[:-1] <= mu[1:]):
+                mu = np.sort(mu)
         else:
             order = np.argsort(mu, kind="stable")
-            sorted_ = (mu[order], np.log(w[order]))
-        object.__setattr__(self, "_sorted", sorted_)
+            mu, logw = mu[order], w[order]
+            np.log(logw, out=logw)
+        object.__setattr__(self, "_sorted", (mu, logw))
 
     def __len__(self) -> int:
         return self.means.size
@@ -154,6 +169,17 @@ def _logpdf_sorted(y, means, logw, sigma):
     lo[far], hi[far] = 0, len(means)
     norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
     scale = -0.5 / sigma ** 2
+    # exp of a term above -700 is a normal double (underflow starts below
+    # -708), so a row needs the shift by its maximum only if it can hold a
+    # lower term. A window's terms are at least the lightest log-weight - 98;
+    # a far row's, that log-weight less half the squared distance to the
+    # farther end of the means. Decided from the row alone, a row's value
+    # does not depend on the rows that share its chunk.
+    floor = logw.min() if gather else 0.0
+    if floor - 0.5 * WINDOW_SIGMAS ** 2 < -700.0:
+        shift = np.ones_like(far)
+    else:
+        shift = far & (floor + scale * np.maximum(y - means[0], means[-1] - y) ** 2 < -700.0)
     if not gather:
         norm -= logw  # an equal weight leaves the log-sum as a constant
     width = hi - lo
@@ -177,11 +203,9 @@ def _logpdf_sorted(y, means, logw, sigma):
         z *= scale
         if gather:
             z += logw[idx]
-        # exp of a term above -700 is a normal double (underflow starts below
-        # -708), so the log-sum needs the shift by each row's maximum only
-        # when some term lies lower: far queries, or very light components
-        if z.min() < -700.0:
+        if shift[a:b].any():
             zmax = np.maximum.reduceat(z, starts)
+            zmax[~shift[a:b]] = 0.0
             z -= np.repeat(zmax, w)
         else:
             zmax = 0.0
@@ -210,10 +234,13 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, float]:
     rng = substream(seed, "entropy")
     means, logw = spec._sorted
-    # the same draws for a shared log-weight as for its per-component copies
-    cum = np.cumsum(np.exp(np.full(means.shape, logw)))
+    # the sampling CDF, built in place; a shared log-weight gives the same
+    # draws as its per-component copies
+    cum = np.full(means.shape, np.exp(logw)) if np.ndim(logw) == 0 else np.exp(logw)
+    np.cumsum(cum, out=cum)
     cum[-1] = 1.0
     comp = np.searchsorted(cum, rng.random(n_samples), side="right")
+    del cum  # freed before the log-density runs
     comp = np.minimum(comp, means.shape[0] - 1)
     y = means[comp] + spec.sigma * rng.normal(size=n_samples)
     bits = -mixture_logpdf(y, spec) * LOG2E  # by its public name: perfbench wraps it
@@ -294,20 +321,34 @@ def symbol_sum_pmf(n_streams: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return values, pmf
 
 
-def _product_mixture(coeffs, symbol_sets, set_weights):
+def _product_mixture(coeffs, symbol_sets, set_weights, sigma) -> MixtureSpec:
+    """The mixture of sum_i coeffs[i] S_i + N(0, sigma^2), the S_i independent
+    on ``symbol_sets[i]`` with pmf ``set_weights[i]`` (None: uniform).
+
+    While every set is uniform the log-weight is one number, so an
+    equal-weight product is its means, sorted in place, and one weight
+    broadcast without a copy. A weighted one takes the exp of its
+    log-weights in place.
+    """
     means = np.zeros(1)
-    logw = np.zeros(1)
+    logw = 0.0  # one number while every set so far is uniform
     for c, vals, w in zip(coeffs, symbol_sets, set_weights):
         vals = np.asarray(vals, dtype=float)
         if w is None:
-            lw = np.full(vals.size, -math.log(vals.size))
+            lw = -math.log(vals.size)
         else:
-            w = np.asarray(w, dtype=float)
             with np.errstate(divide="ignore"):
-                lw = np.log(w)
+                lw = np.log(np.asarray(w, dtype=float))
+        if w is None and np.ndim(logw) == 0:
+            logw += lw
+        else:
+            logw = (np.broadcast_to(logw, means.shape)[:, None]
+                    + np.broadcast_to(lw, vals.shape)).ravel()
         means = (means[:, None] + c * vals[None, :]).ravel()
-        logw = (logw[:, None] + lw[None, :]).ravel()
-    return means, np.exp(logw)
+    if np.ndim(logw) == 0:
+        means.sort()
+        return MixtureSpec(means, np.broadcast_to(np.exp(logw), means.shape), sigma)
+    return MixtureSpec(means, np.exp(logw, out=logw), sigma)
 
 
 def _component_count(symbol_sets) -> int:
@@ -348,19 +389,18 @@ def _mi_with_parts(coeffs, symbol_sets, sigma, designated, method="mc",
         zero = MiEstimate(0.0, 0.0, 0, method)
         return zero, None, None
 
-    means, w = _product_mixture(coeffs, symbol_sets, weights)
-    h_y = mixture_entropy(MixtureSpec(means, w, sigma), method=method,
-                          n_samples=n_samples, seed=child_seed(seed, "hy"))
+    # each mixture lives only while its entropy is estimated
+    h_y = mixture_entropy(_product_mixture(coeffs, symbol_sets, weights, sigma),
+                          method=method, n_samples=n_samples, seed=child_seed(seed, "hy"))
 
     free = [i for i in range(coeffs.shape[0]) if i not in designated]
     if free:
         # translation invariance in the conditioning value: one evaluation
         # with the designated inputs pinned covers every conditioning value
-        f_means, f_w = _product_mixture(coeffs[free],
-                                        [symbol_sets[i] for i in free],
-                                        [weights[i] for i in free])
-        h_cond = mixture_entropy(MixtureSpec(f_means, f_w, sigma), method=method,
-                                 n_samples=n_samples, seed=child_seed(seed, "hcond"))
+        cond = _product_mixture(coeffs[free], [symbol_sets[i] for i in free],
+                                [weights[i] for i in free], sigma)
+        h_cond = mixture_entropy(cond, method=method, n_samples=n_samples,
+                                 seed=child_seed(seed, "hcond"))
     else:
         h_cond = MiEstimate(gaussian_entropy(sigma), 0.0, 0, method)
 

@@ -277,12 +277,12 @@ def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -
         raise ValueError("v must have trailing dimension m")
     if u.shape[-1:] != (cfg.m + 1,):
         raise ValueError("u must have trailing dimension m+1")
-    if np.any(np.abs(v) > cfg.q) or np.any(np.abs(u) > cfg.q):
+    if any(sym.size and (sym.min() < -cfg.q or sym.max() > cfg.q) for sym in (v, u)):
         raise ValueError(f"symbols out of range [-{cfg.q}, {cfg.q}]")
     batch = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
-    jam = jam_streams(cfg.kind, cfg.m)
     x = np.zeros(batch + (cfg.m + 1,), dtype=float)
-    x[..., jam] = cfg.a * u[..., jam] / h[jam]
+    for j in jam_streams(cfg.kind, cfg.m):
+        x[..., j] = cfg.a * u[..., j] / h[j]
     x[..., 0] += cfg.a * (v @ np.asarray(cfg.alphas))
     if cfg.kind == "GaussianJam":
         if rng is None:

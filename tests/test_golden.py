@@ -1,0 +1,108 @@
+"""Golden outputs: each command below re-runs and must write the same bytes.
+
+The files in ``tests/golden/`` are the CSVs and manifests these commands wrote
+when they were captured; a change that moves any published number, even in
+the last ulp, fails here and says which columns moved and by how much.
+Regenerate them, after checking that a shift is intended, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+import contextlib
+import csv
+import io
+import math
+import os
+from pathlib import Path
+
+import pytest
+
+from blindjam import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; each writes <name>.csv and <name>.manifest.json (compare also
+# <name>_rows.csv) under its relative --out
+COMMANDS = {
+    "compare": "compare --m 1 --p 1e2,1e3,1e4,1e5 --draws 3 --mi-samples 2000",
+    "sweep_m1": "sweep --m 1 --p 1e2,1e3,1e4,1e5 --draws 2 --mi-samples 2000 --ser-trials 5000",
+    "sweep_m2": "sweep --m 2 --p 1e3,1e4,1e5 --draws 1 --mi-samples 500 --ser-trials 5000",
+    "sweep_m2_csi": ("sweep --m 2 --kind CsiAligned --p 1e3,1e4,1e5 --draws 1 "
+                     "--mi-samples 500 --ser-trials 5000"),
+    "ser": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
+    "ser_noiseless": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000 --sigma1 0",
+    "ser_m2_csi": "ser --m 2 --kind CsiAligned --p 1e2,1e3,1e4 --draws 2 --trials 20000",
+    "leakage": "leakage --kind GaussianJam --m 1 --p 1e2,1e3,1e4 --draws 2 --mi-samples 2000",
+    "dmin": "dmin --m 2 --q 4,8,16,32 --draws 5",
+}
+
+
+def _outputs(name: str) -> list[str]:
+    files = [f"{name}.csv", f"{name}.manifest.json"]
+    return files + ([f"{name}_rows.csv"] if COMMANDS[name].startswith("compare") else [])
+
+
+def _run(name: str, directory: Path, extra=()) -> None:
+    argv = COMMANDS[name].split() + ["--out", f"{name}.csv", *extra]
+    cwd = os.getcwd()
+    os.chdir(directory)  # the manifest records --out as given
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.entrypoint(argv)
+    finally:
+        os.chdir(cwd)
+    assert rc == 0
+
+
+def _column_shifts(want: bytes, got: bytes) -> str:
+    """Per column: how many values moved, the largest absolute and relative shift."""
+    old = list(csv.DictReader(io.StringIO(want.decode())))
+    new = list(csv.DictReader(io.StringIO(got.decode())))
+    if len(old) != len(new) or (old and old[0].keys() != new[0].keys()):
+        return f"rows or columns differ: {len(old)} rows -> {len(new)} rows"
+    lines = []
+    for col in (old[0].keys() if old else ()):
+        moved, abs_max, rel_max = 0, 0.0, 0.0
+        for a, b in zip((r[col] for r in old), (r[col] for r in new)):
+            if a == b:
+                continue
+            moved += 1
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                abs_max = rel_max = math.nan
+                continue
+            abs_max = max(abs_max, abs(y - x))
+            rel_max = max(rel_max, abs(y - x) / abs(x) if x else math.inf)
+        if moved:
+            lines.append(f"  {col}: {moved} of {len(old)} moved, "
+                         f"max abs {abs_max:.3g}, max rel {rel_max:.3g}")
+    return "\n".join(lines) or "  (no value moved: formatting only)"
+
+
+def _assert_same(golden: Path, produced: Path) -> None:
+    want, got = golden.read_bytes(), produced.read_bytes()
+    if want != got:
+        detail = (_column_shifts(want, got) if golden.suffix == ".csv"
+                  else got.decode())
+        pytest.fail(f"{golden.name} differs from its golden copy:\n{detail}")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_outputs_match_golden(name, tmp_path):
+    _run(name, tmp_path)
+    for fname in _outputs(name):
+        _assert_same(GOLDEN / fname, tmp_path / fname)
+    if name == "dmin":  # runs on one thread, no --workers
+        return
+    # the same bytes on two worker threads; the manifest records the count
+    two = tmp_path / "workers2"
+    two.mkdir()
+    _run(name, two, ["--workers", "2"])
+    for fname in _outputs(name):
+        if fname.endswith(".csv"):
+            _assert_same(GOLDEN / fname, two / fname)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for cmd in COMMANDS:
+        _run(cmd, GOLDEN)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from blindjam import infometrics
-from blindjam.channel import default_budget
+from blindjam.channel import default_budget, sample_channel
 from blindjam.infometrics import (
     CHUNK_TERMS,
     COMPONENT_CAP,
@@ -58,7 +58,12 @@ def test_mixture_spec_validation():
                 dict(means=np.array([0.0]), sigma=np.inf),
                 dict(means=np.array([0.0]), sigma=1e-200),
                 dict(means=np.array([0.0]), sigma=1e200),
-                dict(means=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))):
+                dict(means=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0])),
+                # one weight broadcast without a copy is checked all the same
+                dict(means=np.zeros(4), weights=np.broadcast_to(0.3, 4)),
+                dict(means=np.zeros(4), weights=np.broadcast_to(-0.25, 4)),
+                dict(means=np.zeros(4), weights=np.broadcast_to(np.nan, 4)),
+                dict(means=np.zeros(4), weights=np.broadcast_to(0.25, 3))):
         with pytest.raises(ValueError):
             MixtureSpec(**bad)
     spec = MixtureSpec(means=np.array([0.0, 1.0]))
@@ -125,13 +130,13 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
         # the legitimate receiver's shape: a message set plus a weighted jamming sum
         vals, pmf = symbol_sum_pmf(int(rng.integers(1, 4)), int(rng.integers(0, 5)))
         msg = np.arange(-2, 3, dtype=float)
-        means, w = _product_mixture(rng.uniform(0.5, 3.0, size=2) * [1.0, sigma],
-                                    [msg, vals], [None, pmf])
+        spec = _product_mixture(rng.uniform(0.5, 3.0, size=2) * [1.0, sigma],
+                                [msg, vals], [None, pmf], sigma)
     elif weighting == "product":
         # the eavesdropper's shape: every stream a uniform set, equal weights
         sets = [np.arange(-q, q + 1, dtype=float) for q in rng.integers(0, 4, size=3)]
-        means, w = _product_mixture(rng.uniform(-3.0, 3.0, size=3) * sigma, sets,
-                                    [None] * 3)
+        spec = _product_mixture(rng.uniform(-3.0, 3.0, size=3) * sigma, sets,
+                                [None] * 3, sigma)
     else:
         k = 1 if weighting == "single" else int(rng.integers(2, 400))
         means = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=k)
@@ -148,9 +153,10 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
         w = w / w.sum()
         if weighting == "ulp":
             w[int(rng.integers(0, k))] = np.nextafter(w[0], 1.0)
-    spec = MixtureSpec(means=means, weights=None if weighting == "none" else w,
-                       sigma=sigma)
-    w = spec.weights
+    if weighting not in ("pmf", "product"):
+        spec = MixtureSpec(means=means, weights=None if weighting == "none" else w,
+                           sigma=sigma)
+    means, w = spec.means, spec.weights
     # equal weights share one log-weight; one ulp apart they keep one each
     if weighting in ("uniform", "single", "none", "product", "far"):
         assert np.ndim(spec._sorted[1]) == 0
@@ -170,8 +176,8 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
 def test_mc_draws_match_per_component_weights(monkeypatch):
     # an equal-weight mixture draws the components the explicit
     # cumsum(exp(log w)) form over its sorted components picks
-    means, w = _product_mixture([1.0, 0.37, -0.061], [np.arange(-3.0, 4.0)] * 3, [None] * 3)
-    spec = MixtureSpec(means, w, sigma=0.2)
+    spec = _product_mixture([1.0, 0.37, -0.061], [np.arange(-3.0, 4.0)] * 3, [None] * 3, 0.2)
+    means = spec.means
     assert np.ndim(spec._sorted[1]) == 0
     seen = []
 
@@ -206,6 +212,49 @@ def test_chunk_boundaries_match_brute_force():
     y = np.array([40.5, 0.3, 79.0])
     got = mixture_logpdf(y, MixtureSpec(means=means, weights=w, sigma=1.0))
     assert np.max(np.abs(got - _brute_logpdf(y, means, w, 1.0))) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["equal", "skewed"]), st.booleans(),
+       st.sampled_from([64, 1024]))
+def test_logpdf_row_does_not_depend_on_its_chunk_mates(seed, weighting, far, chunk):
+    # a query's log-density has the same bits alone as among other queries,
+    # whichever rows share its chunk and whether they need the log-sum shift
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 120))
+    means = rng.uniform(-30.0, 30.0, size=k)
+    w = None
+    if weighting == "skewed":
+        # down to e^-800: at times light enough that every row is shifted
+        w = np.exp(-rng.uniform(0.0, 800.0, size=k))
+        w /= w.sum()
+    spec = MixtureSpec(means=means, weights=w, sigma=float(rng.uniform(0.1, 2.0)))
+    y = means[rng.integers(0, k, size=40)] + rng.normal(size=40) * spec.sigma
+    if far:
+        y[rng.integers(0, 40, size=3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(40.0, 600.0, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infometrics, "CHUNK_TERMS", chunk)
+        batch = mixture_logpdf(y, spec)
+        alone = [mixture_logpdf(y[i:i + 1], spec)[0] for i in range(y.size)]
+    np.testing.assert_array_equal(batch, alone)
+
+
+def test_rate_bound_holds_each_mixture_once():
+    # the eavesdropper's mixture of Blind M=2 at p=1e5: 13^5 = 371,293
+    # equal-weight components. Its means and its sampling CDF are the two
+    # arrays of that length alive at once; the log-density's chunks add
+    # well under 2 MiB.
+    ch = sample_channel(2, 7)
+    cfg = make_blind_scheme(2, 1e5, 0.05, ch.h, default_budget(ch, 1e5).c_bar, 3)
+    n = (2 * cfg.q + 1) ** len(observation(cfg, ch, "eve")[1])
+    assert n == 371_293
+    tracemalloc.start()
+    try:
+        rate_lower_bound(cfg, ch, n_samples=500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n + 2 * 2**20
 
 
 def test_zero_weight_components_are_dropped():
@@ -434,7 +483,8 @@ def test_mi_nonnegative_and_capped(seed):
                            n_samples=4000, seed=int(seed))
     assert mi.value >= -3.0 * mi.stderr - 1e-9
     assert mi.value <= math.log2(2 * q + 1) + 3.0 * mi.stderr
-    means, w = _product_mixture(coeffs, sets, [None, None])
+    spec = _product_mixture(coeffs, sets, [None, None], sigma)
+    means, w = spec.means, spec.weights
     var = float(np.sum(w * means**2) - np.sum(w * means) ** 2)
     cap = 0.5 * math.log2(1.0 + var / sigma**2)
     assert mi.value <= cap + 3.0 * mi.stderr + 1e-6
@@ -570,8 +620,7 @@ def test_mixture_models_match_simulated_channel(ch1):
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 10.0, 3)
     coeffs, counts, sigma = observation(cfg, ch1, "eve")
     vals, _ = symbol_sum_pmf(1, cfg.q)
-    means, w = _product_mixture(coeffs, [cfg.a * vals] * len(counts), [None] * len(counts))
-    spec = MixtureSpec(means=means, weights=w, sigma=sigma)
+    spec = _product_mixture(coeffs, [cfg.a * vals] * len(counts), [None] * len(counts), sigma)
     rng = np.random.default_rng(4)
     v, u = sample_symbols(cfg, 8, n=60_000)
     y = eve_output(ch1, encode(cfg, ch1.h, v, u).x) + rng.normal(size=60_000)

@@ -226,11 +226,34 @@ def test_encode_batch_shapes(ch2):
     assert blk.v.shape == (17, 2) and blk.u.shape == (17, 3)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["Blind", "CsiAligned"])
+def test_encode_matches_the_broadcast_form(kind, m):
+    # one column per jamming stream: the same bits as the divide over all
+    # jamming columns at once
+    ch = sample_channel(m, 5)
+    cfg = (make_blind_scheme(m, 1e4, 0.1, ch.h, 10.0, 3) if kind == "Blind"
+           else make_csi_scheme(m, 1e4, 0.1, ch.h, ch.g))
+    v, u = sample_symbols(cfg, 2, n=500)
+    jam = jam_streams(kind, m)
+    want = np.zeros((500, m + 1))
+    want[:, jam] = cfg.a * u[:, jam] / ch.h[jam]
+    want[:, 0] += cfg.a * (v @ np.asarray(cfg.alphas))
+    np.testing.assert_array_equal(encode(cfg, ch.h, v, u).x, want)
+
+
 def test_encode_validates_symbol_range(ch1, blind_cfg):
     v = np.array([blind_cfg.q + 1])
     u = np.zeros(2, dtype=int)
     with pytest.raises(ValueError):
         encode(blind_cfg, ch1.h, v, u)
+    with pytest.raises(ValueError):
+        encode(blind_cfg, ch1.h, np.zeros(1, dtype=int), np.array([0, -blind_cfg.q - 1]))
+    # the range's ends are symbols, and an empty batch encodes to no rows
+    q = blind_cfg.q
+    assert encode(blind_cfg, ch1.h, np.array([-q]), np.array([q, -q])).x.shape == (2,)
+    empty = encode(blind_cfg, ch1.h, np.zeros((0, 1), dtype=int), np.zeros((0, 2), dtype=int))
+    assert empty.x.shape == (0, 2)
 
 
 def test_gaussian_jam_encode_needs_rng(ch1):
