@@ -95,24 +95,24 @@ def sample_channel(m: int, seed: int) -> ChannelRealization:
     return ChannelRealization(m=m, h=gains[: m + 1], g=gains[m + 1 :], seed=seed)
 
 
-def legit_output(ch: ChannelRealization, x, noise=0.0):
-    """Legitimate receiver observation ``sum_i h[i] x[i] + noise``.
+def legit_output(ch: ChannelRealization, x):
+    """Noiseless legitimate receiver observation ``sum_i h[i] x[i]``.
 
     ``x`` may be a single input vector or a batch with trailing dimension
-    M+1; ``noise`` broadcasts against the batch.
+    M+1.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.m + 1:
         raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
-    return x @ ch.h + noise
+    return x @ ch.h
 
 
-def eve_output(ch: ChannelRealization, x, noise=0.0):
-    """Eavesdropper observation ``sum_i g[i] x[i] + noise``."""
+def eve_output(ch: ChannelRealization, x):
+    """Noiseless eavesdropper observation ``sum_i g[i] x[i]``."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.m + 1:
         raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
-    return x @ ch.g + noise
+    return x @ ch.g
 
 
 def empirical_power(blocks) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Batch command-line interface.
 
 Every experiment is a subcommand that writes a CSV plus a JSON manifest of
-the fully resolved configuration. Values come from built-in defaults, then
-an optional --config JSON file, then explicit flags (highest priority).
-Because the manifest stores the resolved configuration and carries no
-wall-clock data, `--config <manifest>` replays a run byte-for-byte.
+the fully resolved configuration. One table, ``_COMMANDS``, lists each
+command's options and their defaults; the parser, the required-option
+check, the keys a --config file may set and the manifest's starting values
+all come from it. Values come from those defaults, then an optional
+--config JSON file (a key the command does not take is ignored, and not
+recorded), then explicit flags (highest priority). Because the manifest
+stores the resolved configuration and carries no wall-clock data,
+`--config <manifest>` replays a run byte-for-byte.
 
 Output paths default into $BLINDJAM_OUT (or the working directory).
 """
@@ -84,167 +88,6 @@ def parse_int_list(spec) -> list[int]:
     return vals
 
 
-_DEFAULTS: dict[str, dict] = {
-    "sweep": dict(kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
-                  mi_samples=DEFAULT_SWEEP_MI_SAMPLES, ser_trials=DEFAULT_SWEEP_SER_TRIALS,
-                  min_errors=100, include_ser=True),
-    "ser": dict(kind="Blind", delta=0.1, draws=10, seed=42, workers=1,
-                trials=DEFAULT_SWEEP_SER_TRIALS, min_errors=100),
-    "leakage": dict(kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
-                    mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0),
-    "dmin": dict(draws=50, seed=42),
-    "compare": dict(delta=0.05, draws=5, seed=42, workers=1,
-                    mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0),
-    "report": dict(exclude_lowest=0),
-}
-
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "sweep": ("m", "p"),
-    "ser": ("m", "p"),
-    "leakage": ("m", "p"),
-    "dmin": ("m", "q"),
-    "compare": ("m", "p"),
-    "report": ("input",),
-}
-
-
-# each option's value type: its flag parses to it, and a --config value must
-# have it (p and q take a string or a list, and are parsed on their own)
-_TYPES = dict(m=int, seed=int, draws=int, workers=int, mi_samples=int, ser_trials=int,
-              min_errors=int, trials=int, exclude_lowest=int, delta=float, sigma1=float,
-              kind=str, out=str, input=str, config=str, include_ser=bool)
-# options whose null means "unset" or "no limit" to the library
-_NULLABLE = {"min_errors", "sigma1", "out"}
-
-
-def _add(sp, *names, **kw):
-    kw.setdefault("default", None)
-    if "action" not in kw:
-        kw["type"] = _TYPES.get(kw.get("dest", names[0].lstrip("-")), str)
-    sp.add_argument(*names, **kw)
-
-
-def _fits(key: str, val) -> bool:
-    """Whether a --config value has the type of option ``key``."""
-    want = _TYPES.get(key)
-    if want is None or val is None:
-        return want is None or key in _NULLABLE
-    if isinstance(val, bool):  # JSON true is no number
-        return want is bool
-    return isinstance(val, (int, float) if want is float else want)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blindjam",
-        description="Simulation experiments for helper-assisted wiretap jamming schemes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_kind=True, with_workers=True):
-        _add(sp, "--config", help="JSON file (e.g. a previous manifest) with parameter defaults")
-        _add(sp, "--m", help="helper count")
-        _add(sp, "--seed", help="root RNG seed")
-        _add(sp, "--draws", help="independent channel draws")
-        _add(sp, "--out", help="output CSV path")
-        if with_kind:
-            _add(sp, "--kind", choices=KINDS)
-        if with_workers:
-            _add(sp, "--workers", help="worker threads (results identical for any count)")
-
-    sp = sub.add_parser("sweep", help="power sweep: SER and rate bound per (draw, p)")
-    common(sp)
-    _add(sp, "--delta")
-    _add(sp, "--p", help="power grid: list 1e2,1e3,... or start:stop:ppd")
-    _add(sp, "--mi-samples", dest="mi_samples")
-    _add(sp, "--ser-trials", dest="ser_trials")
-    _add(sp, "--min-errors", dest="min_errors")
-    _add(sp, "--no-ser", dest="include_ser", action="store_const", const=False,
-         help="skip the reliability estimate")
-
-    sp = sub.add_parser("ser", help="reliability-only power sweep")
-    common(sp)
-    _add(sp, "--delta")
-    _add(sp, "--p", help="power grid")
-    _add(sp, "--trials")
-    _add(sp, "--min-errors", dest="min_errors")
-    _add(sp, "--sigma1", help="override legitimate-side noise level")
-
-    sp = sub.add_parser("leakage", help="power sweep and leakage-slope fit")
-    common(sp)
-    _add(sp, "--delta")
-    _add(sp, "--p", help="power grid")
-    _add(sp, "--mi-samples", dest="mi_samples")
-    _add(sp, "--exclude-lowest", dest="exclude_lowest")
-
-    sp = sub.add_parser("dmin", help="minimum-distance scaling study")
-    common(sp, with_kind=False, with_workers=False)
-    _add(sp, "--q", help="q grid, e.g. 2,4,8,16,32")
-
-    sp = sub.add_parser("compare", help="rate-bound slopes of all scheme kinds side by side")
-    common(sp, with_kind=False)
-    _add(sp, "--delta")
-    _add(sp, "--p", help="power grid")
-    _add(sp, "--mi-samples", dest="mi_samples")
-    _add(sp, "--exclude-lowest", dest="exclude_lowest")
-
-    sp = sub.add_parser("report", help="slope summary from an existing sweep CSV")
-    _add(sp, "--config", help="JSON file with parameter defaults")
-    _add(sp, "--input", help="sweep CSV to analyze")
-    _add(sp, "--out", help="summary CSV path (optional)")
-    _add(sp, "--exclude-lowest", dest="exclude_lowest")
-
-    return parser
-
-
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    """defaults <- config file <- explicit flags, then validate requireds."""
-    command = args.command
-    params = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
-            parser.error(f"cannot read --config {config_path}: {exc}")
-        if not isinstance(loaded, dict):
-            parser.error(f"--config {config_path} must hold one JSON object")
-        known = set(params) | set(_REQUIRED[command]) | {"out", "sigma1"}
-        for key, val in loaded.items():
-            if key not in known:
-                continue
-            if not _fits(key, val):
-                parser.error(f"--config value {key}={val!r} is not of type "
-                             f"{_TYPES[key].__name__}")
-            params[key] = val
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        params[key] = val
-    missing = [k for k in _REQUIRED[command] if params.get(k) is None]
-    if missing:
-        parser.error(f"missing required option(s) for {command}: "
-                     + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-    if params.get("workers", 1) < 1:
-        parser.error("--workers must be >= 1")
-    if (params.get("min_errors") or 0) < 0:
-        parser.error("--min-errors must be >= 0")
-    if params.get("exclude_lowest", 0) < 0:
-        parser.error("--exclude-lowest must be >= 0")
-    try:
-        if "p" in params:
-            params["p"] = parse_p_grid(params["p"])
-        if command == "dmin":
-            params["q"] = parse_int_list(params["q"])
-    except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
-        parser.error(str(exc))
-    if params.get("out") is None and command != "report":
-        out_dir = os.environ.get("BLINDJAM_OUT", ".")
-        params["out"] = os.path.join(out_dir, f"{command}.csv")
-    return RunConfig(command=command, params=params)
-
-
 def _manifest_path(out: str) -> str:
     stem, _ = os.path.splitext(out)
     return stem + ".manifest.json"
@@ -268,6 +111,7 @@ def _write_manifest(command: str, params: dict) -> None:
 
 
 def cmd_sweep(params: dict) -> int:
+    """Power sweep: SER and rate bound per (draw, p)."""
     rows = sweep_power(params["kind"], params["m"], params["delta"], params["p"],
                        params["draws"], params["seed"],
                        mi_samples=params["mi_samples"],
@@ -282,6 +126,7 @@ def cmd_sweep(params: dict) -> int:
 
 
 def cmd_ser(params: dict) -> int:
+    """Reliability-only power sweep."""
     rows = sweep_ser(params["kind"], params["m"], params["delta"], params["p"],
                      params["draws"], params["seed"], trials=params["trials"],
                      min_errors=params["min_errors"], workers=params["workers"],
@@ -293,6 +138,7 @@ def cmd_ser(params: dict) -> int:
 
 
 def cmd_leakage(params: dict) -> int:
+    """Power sweep and leakage-slope fit."""
     rows = sweep_power(params["kind"], params["m"], params["delta"], params["p"],
                        params["draws"], params["seed"],
                        mi_samples=params["mi_samples"], include_ser=False,
@@ -306,6 +152,7 @@ def cmd_leakage(params: dict) -> int:
 
 
 def cmd_dmin(params: dict) -> int:
+    """Minimum-distance scaling study."""
     study = fit_dmin_exponent(params["m"], params["q"], params["draws"], params["seed"])
     write_dmin_csv(study, params["out"])
     _write_manifest("dmin", params)
@@ -316,6 +163,7 @@ def cmd_dmin(params: dict) -> int:
 
 
 def cmd_compare(params: dict) -> int:
+    """Rate-bound slopes of all scheme kinds side by side."""
     report = compare_schemes(params["m"], params["delta"], params["p"],
                              params["draws"], params["seed"],
                              mi_samples=params["mi_samples"],
@@ -332,6 +180,7 @@ def cmd_compare(params: dict) -> int:
 
 
 def cmd_report(params: dict) -> int:
+    """Slope summary from an existing sweep CSV."""
     rows = read_sweep_csv(params["input"])
     dof = fit_dof(rows, exclude_lowest=params["exclude_lowest"])
     leak = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
@@ -347,14 +196,131 @@ def cmd_report(params: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "sweep": cmd_sweep,
-    "ser": cmd_ser,
-    "leakage": cmd_leakage,
-    "dmin": cmd_dmin,
-    "compare": cmd_compare,
-    "report": cmd_report,
+# every option once: its value type, which its flag parses to and a --config
+# value must have (p and q take a string or a list and are parsed on their
+# own), and its help text
+_OPTIONS: dict[str, tuple[type | None, str]] = {
+    "m": (int, "helper count"),
+    "p": (None, "power grid: list 1e2,1e3,... or start:stop:points-per-decade"),
+    "q": (None, "q grid, e.g. 2,4,8,16,32"),
+    "input": (str, "sweep CSV to analyze"),
+    "kind": (str, "scheme kind"),
+    "delta": (float, "margin delta of the power schedule, in (0, 0.5)"),
+    "draws": (int, "independent channel draws"),
+    "seed": (int, "root RNG seed"),
+    "workers": (int, "worker threads (results identical for any count)"),
+    "mi_samples": (int, "Monte Carlo samples per entropy estimate"),
+    "ser_trials": (int, "most SER trials per cell"),
+    "trials": (int, "most SER trials per cell"),
+    "min_errors": (int, "stop a cell's SER count at this many errors"),
+    "include_ser": (bool, "skip the reliability estimate"),  # the flag --no-ser
+    "sigma1": (float, "override legitimate-side noise level"),
+    "exclude_lowest": (int, "lowest powers per draw left out of slope fits"),
+    "out": (str, "output CSV path (report: optional summary CSV)"),
 }
+_CHOICES = {"kind": KINDS}
+# options whose null means "unset" or "no limit" to the library
+_NULLABLE = {"min_errors", "sigma1", "out"}
+
+# each command: its runner (whose docstring is its help), then its options
+# and their defaults. A default of None marks a required option, unless the
+# option is in _NULLABLE; the manifest starts from the defaults not None.
+_COMMANDS: dict[str, tuple] = {
+    "sweep": (cmd_sweep, dict(
+        m=None, p=None, kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
+        mi_samples=DEFAULT_SWEEP_MI_SAMPLES, ser_trials=DEFAULT_SWEEP_SER_TRIALS,
+        min_errors=100, include_ser=True, out=None)),
+    "ser": (cmd_ser, dict(
+        m=None, p=None, kind="Blind", delta=0.1, draws=10, seed=42, workers=1,
+        trials=DEFAULT_SWEEP_SER_TRIALS, min_errors=100, sigma1=None, out=None)),
+    "leakage": (cmd_leakage, dict(
+        m=None, p=None, kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
+        mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0, out=None)),
+    "dmin": (cmd_dmin, dict(m=None, q=None, draws=50, seed=42, out=None)),
+    "compare": (cmd_compare, dict(
+        m=None, p=None, delta=0.05, draws=5, seed=42, workers=1,
+        mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0, out=None)),
+    "report": (cmd_report, dict(input=None, exclude_lowest=0, out=None)),
+}
+
+
+def _flag(name: str) -> str:
+    return "--no-ser" if name == "include_ser" else "--" + name.replace("_", "-")
+
+
+def _misfit(key: str, val) -> str | None:
+    """Why a --config value cannot be option ``key``'s, or None when it can."""
+    want = _OPTIONS[key][0]
+    if key in _CHOICES:
+        return None if val in _CHOICES[key] else f"is not one of {', '.join(_CHOICES[key])}"
+    if want is None or (val is None and key in _NULLABLE):
+        return None
+    # JSON true is no number, and a number no bool
+    if isinstance(val, bool) != (want is bool) or not isinstance(
+            val, (int, float) if want is float else want):
+        return f"is not of type {want.__name__}"
+    return None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="blindjam",
+        description="Simulation experiments for helper-assisted wiretap jamming schemes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=run.__doc__)
+        sp.add_argument("--config", help="JSON file (e.g. a previous manifest) with "
+                        "parameter defaults")
+        for name in options:
+            want, text = _OPTIONS[name]
+            kw = (dict(action="store_const", const=False) if want is bool
+                  else dict(type=want, choices=_CHOICES.get(name)))
+            sp.add_argument(_flag(name), dest=name, help=text, **kw)
+    return parser
+
+
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """defaults <- config file <- explicit flags, then validate requireds."""
+    command = args.command
+    options = _COMMANDS[command][1]
+    params = {k: v for k, v in options.items() if v is not None}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config {args.config} must hold one JSON object")
+        for key, val in loaded.items():
+            if key in options:  # other keys are ignored, and not recorded
+                why = _misfit(key, val)
+                if why:
+                    parser.error(f"--config value {key}={val!r} {why}")
+                params[key] = val
+    for key, val in vars(args).items():
+        if key in options and val is not None:
+            params[key] = val
+    missing = [k for k, v in options.items()
+               if v is None and k not in _NULLABLE and params.get(k) is None]
+    if missing:
+        parser.error(f"missing required option(s) for {command}: "
+                     + ", ".join(map(_flag, missing)))
+    for key, low in (("workers", 1), ("min_errors", 0), ("exclude_lowest", 0)):
+        if params.get(key) is not None and params[key] < low:
+            parser.error(f"{_flag(key)} must be >= {low}")
+    try:
+        if "p" in params:
+            params["p"] = parse_p_grid(params["p"])
+        if "q" in params:
+            params["q"] = parse_int_list(params["q"])
+    except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
+        parser.error(str(exc))
+    if params.get("out") is None and command != "report":
+        out_dir = os.environ.get("BLINDJAM_OUT", ".")
+        params["out"] = os.path.join(out_dir, f"{command}.csv")
+    return RunConfig(command=command, params=params)
 
 
 def entrypoint(argv=None) -> int:
@@ -371,7 +337,7 @@ def entrypoint(argv=None) -> int:
         for path in _outputs(cfg.command, out) if out else ():
             if os.path.isdir(path):
                 raise OSError(f"output path {path} is a directory")
-        return _DISPATCH[cfg.command](cfg.params)
+        return _COMMANDS[cfg.command][0](cfg.params)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ __all__ = [
     "DminStudy",
 ]
 
-DEFAULT_POINT_CAP = 10_000_000
+POINT_CAP = 10_000_000  # most points an enumeration or difference box may hold
 COLLISION_REL_TOL = 1e-9  # times the symbol spacing a
 BUCKETS_PER_POINT = 4
 MAX_REDRAWS = 1000  # gain draws per fit_dmin_exponent draw before it gives up
@@ -124,16 +124,11 @@ class ReceiverLattice:
         return self.points.shape[0]
 
 
-def enumerate_sum_lattice(
-    coeffs,
-    radii,
-    a: float = 1.0,
-    cap: int = DEFAULT_POINT_CAP,
-) -> ReceiverLattice:
+def enumerate_sum_lattice(coeffs, radii, a: float = 1.0) -> ReceiverLattice:
     """All points ``a * sum_i coeffs[i] * t_i`` for integers t_i in [-r_i, r_i].
 
-    Labels are the tuples (t_1, ..., t_L).  Size (prod 2r_i+1) above ``cap``
-    is refused outright rather than subsampled.
+    Labels are the tuples (t_1, ..., t_L).  Size (prod 2r_i+1) above
+    POINT_CAP is refused outright rather than subsampled.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     radii = [int(r) for r in radii]
@@ -141,13 +136,10 @@ def enumerate_sum_lattice(
         raise ValueError("one radius per coefficient required")
     if a <= 0:
         raise ValueError("spacing a must be positive")
-    sizes = [2 * r + 1 for r in radii]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > cap:
+    total = math.prod(2 * r + 1 for r in radii)
+    if total > POINT_CAP:
         raise LatticeSizeError(
-            f"lattice enumeration would produce {total} points, above the cap of {cap}; "
+            f"lattice enumeration would produce {total} points, above the cap of {POINT_CAP}; "
             "reduce q or the number of streams"
         )
     axes = [np.arange(-r, r + 1, dtype=np.int32) for r in radii]
@@ -171,15 +163,14 @@ def min_distance(lat: ReceiverLattice) -> float:
     return float(np.min(np.diff(lat.points)))
 
 
-def sum_lattice_min_distance(coeffs, radii, a: float = 1.0,
-                             cap: int = DEFAULT_POINT_CAP) -> float:
+def sum_lattice_min_distance(coeffs, radii, a: float = 1.0) -> float:
     """Exact minimum distance of ``enumerate_sum_lattice(coeffs, radii, a)``
     without building it.
 
     Two distinct labels differ by a nonzero integer d with |d_i| <= 2 r_i, so
     d_min = a * min |coeffs . d| over that difference box. Every axis but the
     widest is enumerated by outer sums (its size, prod 4 r_i + 1, is held to
-    ``cap``); on the widest one |x + c d| is convex in d, so the nearest
+    POINT_CAP); on the widest one |x + c d| is convex in d, so the nearest
     integer to -x / c, clipped to the box, is the exact minimizer.
     """
     coeffs = np.asarray(coeffs, dtype=float)
@@ -193,9 +184,9 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0,
     wide = int(np.argmax(radii))
     head = [i for i in range(len(radii)) if i != wide]
     total = math.prod(4 * radii[i] + 1 for i in head)
-    if total > cap:
+    if total > POINT_CAP:
         raise LatticeSizeError(
-            f"difference box would hold {total} terms, above the cap of {cap}; "
+            f"difference box would hold {total} terms, above the cap of {POINT_CAP}; "
             "reduce q or the number of streams"
         )
     x = np.zeros(1)

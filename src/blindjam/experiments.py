@@ -354,20 +354,19 @@ class ComparisonReport:
 
 
 def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
-                    kinds=KINDS,
                     mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
                     exclude_lowest: int = 0,
                     workers: int = 1) -> ComparisonReport:
     """Fit the rate-bound slope for each kind on identical channel draws."""
     all_rows: list[SweepRow] = []
     fits = {}
-    for kind in kinds:
+    for kind in KINDS:
         rows = sweep_power(kind, m, delta, p_grid, n_draws, seed,
                            mi_samples=mi_samples, include_ser=False,
                            workers=workers)
         fits[kind] = fit_dof(rows, exclude_lowest=exclude_lowest)
         all_rows.extend(rows)
-    return ComparisonReport(kinds=tuple(kinds), fits=fits, rows=tuple(all_rows))
+    return ComparisonReport(kinds=KINDS, fits=fits, rows=tuple(all_rows))
 
 
 def write_rows(rows, columns, path) -> None:

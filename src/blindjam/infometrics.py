@@ -259,6 +259,10 @@ def _entropy_grid(spec: MixtureSpec) -> tuple[float, float]:
     # means are sorted, so both ends are too and the windows merge into runs
     lo = np.ceil((means - half - origin) / h)
     hi = np.floor((means + half - origin) / h)
+    # an end whose query, rounded as _logpdf_sorted computes it, puts the
+    # mean just outside its window steps in: no grid row's window is empty
+    lo += origin + lo * h + half < means
+    hi -= origin + hi * h - half > means
     first = np.flatnonzero(np.append(True, lo[1:] > hi[:-1] + 1))
     run_lo = lo[first]
     width = hi[np.append(first[1:] - 1, hi.size - 1)] - run_lo + 1

@@ -177,20 +177,15 @@ def eve_decode_u_given_v(y2, v, cfg: SchemeConfig, ch: ChannelRealization,
 
 
 def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
-                         min_errors: int | None = 100, v_offset: int = 0) -> ErrorEstimate:
-    """Error rate of the conditional jamming decoder at the eavesdropper.
-
-    ``v_offset`` shifts the conditioning messages before decoding; nonzero
-    values deliberately mismatch the residual (sanity check that the
-    decoder actually uses the conditioning).
-    """
+                         min_errors: int | None = 100) -> ErrorEstimate:
+    """Error rate of the conditional jamming decoder at the eavesdropper,
+    which knows the messages v, counted by ``_count_errors``."""
     lat = eve_u_lattice(cfg, ch)
     jam = jam_streams(cfg.kind, cfg.m)
 
     def mismatch(rng, v, u, x):
         y = _noisy(eve_output(ch, x), ch.sigma2, rng)
-        v_cond = v if v_offset == 0 else np.clip(v + v_offset, -cfg.q, cfg.q)
-        return eve_decode_u_given_v(y, v_cond, cfg, ch, lat) != u[:, jam]
+        return eve_decode_u_given_v(y, v, cfg, ch, lat) != u[:, jam]
 
     errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu", min_errors, mismatch)
     return ErrorEstimate.from_counts(errors, trials)

@@ -234,15 +234,14 @@ def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, se
     return replace(make_blind_scheme(m, p, delta, h, c_bar, seed), kind="GaussianJam")
 
 
-def make_csi_scheme(m: int, p: float, delta: float, h, g, seed: int = 0,
-                    c_bar: float | None = None) -> SchemeConfig:
+def make_csi_scheme(m: int, p: float, delta: float, h, g) -> SchemeConfig:
     """Aligned baseline that requires the eavesdropper gains.
 
     Helper j inverts its own gain, so all jamming shares one dimension at
     the legitimate receiver; the message coefficient of stream j is
     g_j/(g_1 h_j), which puts message stream j and jamming stream j on the
-    same coefficient at the eavesdropper. Only the m helpers jam. The seed
-    is accepted for signature parity; the construction is deterministic.
+    same coefficient at the eavesdropper. Only the m helpers jam. The
+    construction is deterministic, and its gain bound c_bar is 2 sum g^2.
     """
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -251,9 +250,7 @@ def make_csi_scheme(m: int, p: float, delta: float, h, g, seed: int = 0,
     if np.any(g == 0) or np.any(h == 0):
         raise ValueError("all gains must be nonzero")
     alphas = tuple(float(x) for x in g[1:] / (g[0] * h[1:]))
-    if c_bar is None:
-        c_bar = 2.0 * float(np.sum(g ** 2))
-    return _config("CsiAligned", m, p, delta, h, alphas, c_bar)
+    return _config("CsiAligned", m, p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
 
 
 def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -> TransmitBlock:

@@ -80,7 +80,7 @@ def test_outputs_linear_in_inputs(seed):
 
 def test_output_batching_and_noise(ch1):
     x = np.ones((5, 2))
-    y = legit_output(ch1, x, noise=np.arange(5.0))
+    y = legit_output(ch1, x) + np.arange(5.0)
     assert y.shape == (5,)
     assert np.allclose(y, ch1.h.sum() + np.arange(5.0))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -119,6 +120,8 @@ def _bad_config(tmp_path, text):
     ("dmin", json.dumps({"m": 1, "q": [2, 3.5, 8]})),
     ("dmin", json.dumps({"m": 1, "q": [2, True, 8]})),
     ("ser", json.dumps({"m": 1, "p": [True, 10, 100]})),
+    # a kind outside KINDS exits 2, as the flag does
+    ("sweep", json.dumps({"m": 1, "p": "1e2,1e3,1e4", "kind": "Foo"})),
 ])
 def test_bad_config_exits_2(command, text, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -127,6 +130,52 @@ def test_bad_config_exits_2(command, text, tmp_path, capsys):
     assert ei.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, args, extra", [
+    ("sweep", ["--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1"] + FAST_SWEEP,
+     {"sigma1": 0.5, "trials": 7, "command": "ser", "package_version": "0.0.0"}),
+    ("dmin", ["--m", "1", "--q", "2,4,8", "--draws", "2"],
+     {"kind": "Foo", "workers": 0, "p": "x", "gamma_rule": "other"}),
+])
+def test_config_keys_the_command_does_not_take_are_ignored(command, args, extra, tmp_path):
+    # neither applied nor recorded: the run and its manifest are those of
+    # the same flags without the file
+    plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+    assert entrypoint([command, "--out", str(plain)] + args) == 0
+    (tmp_path / "run.json").write_text(json.dumps(extra))
+    assert entrypoint([command, "--config", str(tmp_path / "run.json"),
+                       "--out", str(configured)] + args) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    first = json.loads((tmp_path / "plain.manifest.json").read_text())
+    again = json.loads((tmp_path / "configured.manifest.json").read_text())
+    assert again.pop("out") == str(configured) and first.pop("out") == str(plain)
+    assert again == first
+
+
+# each command's flags besides --help and --config
+HELP_FLAGS = {
+    "sweep": ("--m --p --kind --delta --draws --seed --workers --mi-samples --ser-trials "
+              "--min-errors --no-ser --out"),
+    "ser": "--m --p --kind --delta --draws --seed --workers --trials --min-errors --sigma1 --out",
+    "leakage": ("--m --p --kind --delta --draws --seed --workers --mi-samples "
+                "--exclude-lowest --out"),
+    "dmin": "--m --q --draws --seed --out",
+    "compare": "--m --p --delta --draws --seed --workers --mi-samples --exclude-lowest --out",
+    "report": "--input --exclude-lowest --out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_exactly_the_table_row(command, capsys):
+    assert set(cli._COMMANDS) == set(HELP_FLAGS)
+    with pytest.raises(SystemExit) as ei:
+        entrypoint([command, "--help"])
+    assert ei.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    flags = set(HELP_FLAGS[command].split())
+    assert listed == flags | {"--help", "--config"}
+    assert {cli._flag(name) for name in cli._COMMANDS[command][1]} == flags
 
 
 @pytest.mark.parametrize("args", [

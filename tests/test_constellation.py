@@ -45,9 +45,10 @@ def test_enumerate_sum_lattice_points_match_labels():
     assert not lat.collision
 
 
-def test_enumerate_sum_lattice_cap_refusal():
+def test_enumerate_sum_lattice_cap_refusal(monkeypatch):
+    monkeypatch.setattr(constellation, "POINT_CAP", 10_000)
     with pytest.raises(LatticeSizeError):
-        enumerate_sum_lattice([1.0, 1.3], [200, 200], cap=10_000)
+        enumerate_sum_lattice([1.0, 1.3], [200, 200])
 
 
 def test_collision_detected_for_dependent_coeffs():
@@ -265,11 +266,13 @@ def test_sum_lattice_min_distance_flags_dependent_coeffs(coeffs):
         sum_lattice_min_distance(coeffs, [1, 1])
 
 
-def test_sum_lattice_min_distance_cap_and_validation():
+def test_sum_lattice_min_distance_cap_and_validation(monkeypatch):
     # the head box is every axis but the widest: 801 terms here
-    assert sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300], cap=801) > 0
+    monkeypatch.setattr(constellation, "POINT_CAP", 801)
+    assert sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300]) > 0
+    monkeypatch.setattr(constellation, "POINT_CAP", 800)
     with pytest.raises(LatticeSizeError):
-        sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300], cap=800)
+        sum_lattice_min_distance([1.0, 2 ** 0.5], [200, 300])
     with pytest.raises(ValueError):
         sum_lattice_min_distance([1.0, 2.0], [0, 0])
     with pytest.raises(ValueError):

@@ -293,13 +293,12 @@ def test_sweep_ser_noiseless_and_validation(tmp_path):
 
 
 def test_compare_and_dmin_csv_writers(tmp_path):
-    report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 1, 11,
-                             mi_samples=300, kinds=("Blind", "GaussianJam"))
+    report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 1, 11, mi_samples=300)
     cpath = tmp_path / "compare.csv"
     write_compare_csv(report, cpath)
     lines = cpath.read_text().splitlines()
     assert lines[0] == ",".join(COMPARE_COLUMNS)
-    assert len(lines) == 3
+    assert len(lines) == 4  # one row per kind
 
     study = fit_dmin_exponent(1, [2, 4, 8], 3, 0)
     dpath = tmp_path / "dmin.csv"

@@ -368,6 +368,26 @@ def test_isolated_components_refuse_before_the_grid():
         mixture_entropy(MixtureSpec(means=np.array([0.0, 1e19])), method="quadrature")
 
 
+def test_grid_rows_never_find_their_window_empty(monkeypatch):
+    # every grid point lies in some component's window, also as the density
+    # rounds it (origin + k h +- the half-width); an empty window sums every
+    # component. This cell's eavesdropper mixtures had 1 such row each.
+    logpdf, empty = infometrics._logpdf_sorted, []
+
+    def checked(y, means, logw, sigma):
+        half = infometrics.WINDOW_SIGMAS * sigma
+        lo = np.searchsorted(means, y - half, side="left")
+        hi = np.searchsorted(means, y + half, side="right")
+        empty.append(int(np.count_nonzero(hi <= lo)))
+        return logpdf(y, means, logw, sigma)
+
+    monkeypatch.setattr(infometrics, "_logpdf_sorted", checked)
+    ch = sample_channel(1, 101)
+    cfg = make_blind_scheme(1, 1e2, 0.05, ch.h, default_budget(ch, 1e2).c_bar, 4)
+    rate_lower_bound(cfg, ch, method="quadrature")
+    assert empty == [0, 0, 0, 0]
+
+
 def _entropy_adaptive(spec):
     # scipy's adaptive quadrature between the component means: the reference
     # the trapezoid rule replaced, on a brute-force log-density

@@ -149,9 +149,13 @@ def test_eve_error_zero_without_noise(noiseless_ch):
 def test_eve_decoder_uses_the_conditioning(noiseless_ch):
     # deliberately wrong conditioning must break the noiseless decoder
     cfg = make_blind_scheme(1, 100.0, 0.1, noiseless_ch.h, 4.0, 2)
-    est = estimate_eve_u_error(cfg, noiseless_ch, 2000, seed=0, min_errors=None,
-                               v_offset=1)
-    assert est.rate > 0.1
+    lat = eve_u_lattice(cfg, noiseless_ch)
+    v, u = sample_symbols(cfg, 0, n=2000)
+    y2 = eve_output(noiseless_ch, encode(cfg, noiseless_ch.h, v, u).x)
+    u = u[:, jam_streams(cfg.kind, cfg.m)]
+    assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, noiseless_ch, lat), u)
+    wrong = eve_decode_u_given_v(y2, np.clip(v + 1, -cfg.q, cfg.q), cfg, noiseless_ch, lat)
+    assert np.mean(np.any(wrong != u, axis=1)) > 0.1
 
 
 def test_eve_error_csi_kind(ch1):
