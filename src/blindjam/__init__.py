@@ -47,7 +47,6 @@ from .receiver import (
 )
 from .schemes import (
     SchemeConfig,
-    TransmitBlock,
     encode,
     make_blind_scheme,
     make_csi_scheme,

@@ -40,7 +40,6 @@ class ChannelRealization:
     g: np.ndarray
     sigma1: float = 1.0
     sigma2: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         h = np.atleast_1d(np.asarray(self.h, dtype=float))
@@ -92,7 +91,7 @@ def sample_channel(m: int, seed: int) -> ChannelRealization:
     mags = rng.uniform(*GAIN_MAGNITUDES, size=2 * (m + 1))
     signs = rng.integers(0, 2, size=2 * (m + 1)) * 2 - 1
     gains = mags * signs
-    return ChannelRealization(m=m, h=gains[: m + 1], g=gains[m + 1 :], seed=seed)
+    return ChannelRealization(m=m, h=gains[: m + 1], g=gains[m + 1 :])
 
 
 def legit_output(ch: ChannelRealization, x):
@@ -115,12 +114,10 @@ def eve_output(ch: ChannelRealization, x):
     return x @ ch.g
 
 
-def empirical_power(blocks) -> np.ndarray:
-    """Per-transmitter mean of X^2 over a sequence of transmit blocks."""
-    if hasattr(blocks, "__len__") and len(blocks) == 0:
-        raise ValueError("cannot average power over an empty sequence")
-    if isinstance(blocks, np.ndarray):
-        x = np.atleast_2d(blocks)
-    else:
-        x = np.stack([np.asarray(b.x, dtype=float) for b in blocks])
+def empirical_power(x) -> np.ndarray:
+    """Per-transmitter mean of X^2 over channel inputs x, trailing dimension
+    M+1 (one input vector, or a batch of them as rows)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.size == 0:
+        raise ValueError("cannot average power over no channel uses")
     return np.mean(x**2, axis=0)

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .constellation import fit_dmin_exponent
 from .experiments import (
@@ -40,16 +39,7 @@ from .experiments import (
 )
 from .schemes import KINDS
 
-__all__ = ["RunConfig", "parse_p_grid", "parse_int_list", "build_parser",
-           "entrypoint", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A resolved invocation: the subcommand plus its full parameter map."""
-
-    command: str
-    params: dict
+__all__ = ["parse_p_grid", "parse_int_list", "build_parser", "entrypoint", "main"]
 
 
 def _entry(x, integral: bool = False):
@@ -143,9 +133,10 @@ def cmd_leakage(params: dict) -> int:
                        params["draws"], params["seed"],
                        mi_samples=params["mi_samples"], include_ser=False,
                        workers=params["workers"])
+    # fitted before anything is written: a grid the cap truncated can fail
+    fit = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
     write_sweep_csv(rows, params["out"])
     _write_manifest("leakage", params)
-    fit = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
     print(f"{len(rows)} rows -> {params['out']}")
     print(f"leakage slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
     return 0
@@ -280,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    """defaults <- config file <- explicit flags, then validate requireds."""
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The parameters of ``args.command``: defaults <- config file <- explicit
+    flags, then validated."""
     command = args.command
     options = _COMMANDS[command][1]
     params = {k: v for k, v in options.items() if v is not None}
@@ -317,27 +309,30 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             params["q"] = parse_int_list(params["q"])
     except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
         parser.error(str(exc))
+    # a slope needs 3 powers: refused before the sweep, not after it
+    if command in ("leakage", "compare") and len(params["p"]) - params["exclude_lowest"] < 3:
+        parser.error("--exclude-lowest leaves fewer than 3 of the --p powers to fit")
     if params.get("out") is None and command != "report":
         out_dir = os.environ.get("BLINDJAM_OUT", ".")
         params["out"] = os.path.join(out_dir, f"{command}.csv")
-    return RunConfig(command=command, params=params)
+    return params
 
 
 def entrypoint(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = resolve_config(args, parser)
+    params = resolve_config(args, parser)
     try:
-        out = cfg.params.get("out")  # checked before the run, not after it
-        if out == "" and cfg.command != "report":  # report writes nothing then
+        out = params.get("out")  # checked before the run, not after it
+        if out == "" and args.command != "report":  # report writes nothing then
             raise OSError("--out names no file")
         out_dir = out and os.path.dirname(os.path.abspath(out))
         if out_dir and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OSError(f"output directory {out_dir} does not exist or is not writable")
-        for path in _outputs(cfg.command, out) if out else ():
+        for path in _outputs(args.command, out) if out else ():
             if os.path.isdir(path):
                 raise OSError(f"output path {path} is a directory")
-        return _COMMANDS[cfg.command][0](cfg.params)
+        return _COMMANDS[args.command][0](params)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

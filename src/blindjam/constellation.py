@@ -274,7 +274,6 @@ class DminStudy:
     """Per-draw minimum distances over a q grid plus fitted log-log slopes."""
 
     m: int
-    q_grid: tuple[int, ...]
     rows: tuple[DminRow, ...]
     slopes: np.ndarray
     redraws: int = 0
@@ -333,4 +332,4 @@ def fit_dmin_exponent(
             break
         else:
             raise RuntimeError(f"draw {draw_id} kept colliding after {MAX_REDRAWS} attempts")
-    return DminStudy(m=m, q_grid=q_grid, rows=tuple(rows), slopes=slopes, redraws=redraws)
+    return DminStudy(m=m, rows=tuple(rows), slopes=slopes, redraws=redraws)

@@ -17,13 +17,13 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
 from .infometrics import COMPONENT_CAP, rate_lower_bound
-from .receiver import ErrorEstimate, estimate_ser
+from .receiver import estimate_ser
 from .schemes import (
     KINDS,
     SchemeConfig,
@@ -87,8 +87,7 @@ class SweepRow:
     ser_stderr: float | None = None
 
     def __post_init__(self):
-        q_expect, _ = schedule_q(self.p, self.delta, self.m)
-        if q_expect != self.q:
+        if schedule_q(self.p, self.delta, self.m) != self.q:
             raise ValueError("q inconsistent with the (p, delta, m) schedule")
         a_expect = self.gamma * math.sqrt(self.p) / self.q
         if abs(a_expect - self.a) > 1e-9 * max(1.0, abs(self.a)):
@@ -129,7 +128,7 @@ def _feasible_grid(kind: str, m: int, delta: float, p_grid) -> list[float]:
     n_jam = len(jam_streams(kind, m))
     kept = []
     for p in p_grid:
-        q, _ = schedule_q(p, delta, m)
+        q = schedule_q(p, delta, m)
         if (2 * q + 1) ** (m + n_jam) > COMPONENT_CAP:
             warnings.warn(
                 f"truncating power grid at p={p:g}: q={q} exceeds the component cap",
@@ -153,7 +152,7 @@ def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
 
 def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
                workers: int, sigma1: float | None, cell) -> list:
-    """``cell(cfg, ch, budget, d, i)`` for every (draw d, grid index i), in that
+    """``cell(cfg, ch, d, i)`` for every (draw d, grid index i), in that
     order, serially or on a thread pool.
 
     Channel draws depend only on (seed, draw index), never on the kind, so
@@ -164,19 +163,15 @@ def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
         raise ValueError("workers must be >= 1")
     channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(n_draws)]
     if sigma1 is not None:
-        channels = [
-            ChannelRealization(m=ch.m, h=ch.h, g=ch.g, sigma1=sigma1,
-                               sigma2=ch.sigma2, seed=ch.seed)
-            for ch in channels
-        ]
+        channels = [replace(ch, sigma1=sigma1) for ch in channels]
 
     def run(d_i):
         d, i = d_i
         ch = channels[d]
-        budget = default_budget(ch, p_grid[i])
-        cfg = _make_config(kind, m, p_grid[i], delta, ch, budget.c_bar,
-                           child_seed(seed, "alphas", d))
-        return cell(cfg, ch, budget, d, i)
+        # looked up as this module's global: perfbench starts a cell span here
+        c_bar = default_budget(ch, p_grid[i]).c_bar
+        cfg = _make_config(kind, m, p_grid[i], delta, ch, c_bar, child_seed(seed, "alphas", d))
+        return cell(cfg, ch, d, i)
 
     cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
     workers = min(workers, len(cells))  # a thread per cell at most
@@ -202,8 +197,8 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
         raise ValueError("fewer than 3 feasible grid points after cap truncation")
     with_ser = include_ser and bool(jam_streams(kind, m))
 
-    def cell(cfg, ch, budget, d, i):
-        rb = rate_lower_bound(cfg, ch, budget, method="mc", n_samples=mi_samples,
+    def cell(cfg, ch, d, i):
+        rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
                               seed=child_seed(seed, "cell", kind, d, i, "mi"))
         row = dict(
             kind=kind, m=m, delta=delta, draw_id=d, p=cfg.p, q=cfg.q, a=cfg.a,
@@ -250,7 +245,7 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
     if not jam_streams(kind, m):
         raise ValueError("reliability sweeps need a lattice scheme kind")
 
-    def cell(cfg, ch, budget, d, i):
+    def cell(cfg, ch, d, i):
         est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
                            min_errors=min_errors)
         return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
@@ -304,6 +299,10 @@ def _fit_column(rows, column: str, exclude_lowest: int) -> DofFit:
         raise ValueError("no rows to fit")
     if exclude_lowest < 0:
         raise ValueError("exclude_lowest must be >= 0")
+    series = sorted({(row.kind, row.m, row.delta) for row in rows})
+    if len(series) > 1:
+        raise ValueError("rows of several (kind, m, delta) do not share one slope: "
+                         + ", ".join(f"{k} m={m} delta={d:g}" for k, m, d in series))
     ps = sorted({row.p for row in rows})
     if exclude_lowest:
         if len(ps) - exclude_lowest < 3:
@@ -337,15 +336,14 @@ def leakage_slope(rows, exclude_lowest: int = 0) -> DofFit:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side degrees-of-freedom fits for several scheme kinds."""
+    """Side-by-side degrees-of-freedom fits, one per scheme kind of KINDS."""
 
-    kinds: tuple[str, ...]
     fits: dict
     rows: tuple[SweepRow, ...]
 
     def summary(self) -> list[dict]:
         out = []
-        for kind in self.kinds:
+        for kind in KINDS:
             fit = self.fits[kind]
             out.append({"kind": kind, "slope": fit.pooled.slope,
                         "slope_stderr": fit.pooled.slope_stderr,
@@ -366,7 +364,7 @@ def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
                            workers=workers)
         fits[kind] = fit_dof(rows, exclude_lowest=exclude_lowest)
         all_rows.extend(rows)
-    return ComparisonReport(kinds=KINDS, fits=fits, rows=tuple(all_rows))
+    return ComparisonReport(fits=fits, rows=tuple(all_rows))
 
 
 def write_rows(rows, columns, path) -> None:

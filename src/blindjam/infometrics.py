@@ -8,7 +8,7 @@ beyond them could outweigh those. A mixture whose weights are all equal
 (every eavesdropper mixture, whose streams are all uniform) keeps one
 log-weight, which leaves its log-sum as a constant, and no weight array: it
 is its sorted means alone. A weighted one (the legitimate receiver's jamming
-sum) also keeps one sorted log-weight per component. Each mixture lives only
+sum) also keeps its sorted weights and their logs. Each mixture lives only
 while its entropy is estimated, so one is held at a time. Entropies have no closed
 form, so two estimators are provided on that log-density: Monte Carlo, and
 a trapezoid rule on a uniform grid of step GRID_STEP noise deviations that
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, PowerBudget
+from .channel import ChannelRealization
 from .schemes import SchemeConfig, observation
 from .streams import child_seed, substream
 
@@ -66,13 +66,13 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 class MixtureSpec:
     """Finite equal-variance Gaussian mixture: means, weights, common sigma.
 
-    Components of zero weight are dropped, and the rest sorted by mean once.
-    When the remaining weights are all exactly equal, one log-weight stands
-    for them all and the log-density gathers no weights. Weights of None, or
-    a zero-stride view (``np.broadcast_to`` of one weight), are equal by
-    construction: ``weights`` stays a zero-stride view, and means already in
-    order are not copied, so such a mixture holds a single array of its
-    length. Unequal weights keep their sorted means and log-weights.
+    Components of zero weight are dropped, and the rest sorted by mean once:
+    ``means`` and ``weights`` hold the kept components in that order, and
+    are what the log-density reads. When the weights are all exactly equal,
+    one log-weight stands for them all, ``weights`` is a zero-stride view of
+    one weight and means already in order are not copied, so such a mixture
+    holds a single array of its length. Unequal weights hold their sorted
+    means, normalised weights and log-weights: three arrays.
     """
 
     means: np.ndarray
@@ -97,25 +97,26 @@ class MixtureSpec:
             total = float(np.sum(weights))
             if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError("weights must sum to 1")
+            # normalised before sorting: the sum runs in the caller's order
             weights = (np.broadcast_to(weights[0] / total, means.shape)
                        if weights.strides == (0,) else weights / total)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "weights", weights)
-        # sorted once per mixture, without massless components; equal weights
-        # (exactly) keep one log-weight, and their means need no stable order
-        mu, w = means, weights
         if weights.min() == 0.0:
             keep = weights > 0
-            mu, w = means[keep], weights[keep]
-        if w.strides == (0,) or np.all(w == w[0]):
-            logw = float(np.log(w[0]))
-            if not np.all(mu[:-1] <= mu[1:]):
-                mu = np.sort(mu)
+            means, weights = means[keep], weights[keep]
+        # equal weights (exactly) keep one log-weight, and their means need
+        # no stable order
+        if weights.strides == (0,) or np.all(weights == weights[0]):
+            logw = float(np.log(weights[0]))
+            weights = np.broadcast_to(weights[0], means.shape)
+            if not np.all(means[:-1] <= means[1:]):
+                means = np.sort(means)
         else:
-            order = np.argsort(mu, kind="stable")
-            mu, logw = mu[order], w[order]
-            np.log(logw, out=logw)
-        object.__setattr__(self, "_sorted", (mu, logw))
+            order = np.argsort(means, kind="stable")
+            means, weights = means[order], weights[order]
+            logw = np.log(weights)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_logw", logw)
 
     def __len__(self) -> int:
         return self.means.size
@@ -127,8 +128,6 @@ class MiEstimate:
 
     value: float
     stderr: float
-    n_samples: int
-    method: str
 
     def __post_init__(self):
         # no sign rule: differential entropies are negative for small sigma,
@@ -228,12 +227,12 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     mixture adds its one log-weight to each query's log-sum.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _logpdf_sorted(y, *spec._sorted, spec.sigma)
+    return _logpdf_sorted(y, spec.means, spec._logw, spec.sigma)
 
 
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, float]:
     rng = substream(seed, "entropy")
-    means, logw = spec._sorted
+    means, logw = spec.means, spec._logw
     # the sampling CDF, built in place; a shared log-weight gives the same
     # draws as its per-component copies
     cum = np.full(means.shape, np.exp(logw)) if np.ndim(logw) == 0 else np.exp(logw)
@@ -250,7 +249,7 @@ def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, fl
 
 
 def _entropy_grid(spec: MixtureSpec) -> tuple[float, float]:
-    means, logw = spec._sorted
+    means, logw = spec.means, spec._logw
     sigma = spec.sigma
     h = GRID_STEP * sigma
     half = WINDOW_SIGMAS * sigma
@@ -299,11 +298,9 @@ def mixture_entropy(spec: MixtureSpec, method: str = "mc",
     if method == "mc":
         if n_samples < 2:
             raise ValueError("need at least 2 samples")
-        value, stderr = _entropy_mc(spec, n_samples, seed)
-        return MiEstimate(value=value, stderr=stderr, n_samples=n_samples, method="mc")
+        return MiEstimate(*_entropy_mc(spec, n_samples, seed))
     if method == "quadrature":
-        value, err = _entropy_grid(spec)
-        return MiEstimate(value=value, stderr=err, n_samples=0, method="quadrature")
+        return MiEstimate(*_entropy_grid(spec))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -390,8 +387,7 @@ def _mi_with_parts(coeffs, symbol_sets, sigma, designated, method="mc",
     _check_cap(_component_count(symbol_sets))
 
     if all(len(np.asarray(symbol_sets[i]).ravel()) == 1 for i in designated):
-        zero = MiEstimate(0.0, 0.0, 0, method)
-        return zero, None, None
+        return MiEstimate(0.0, 0.0), None, None
 
     # each mixture lives only while its entropy is estimated
     h_y = mixture_entropy(_product_mixture(coeffs, symbol_sets, weights, sigma),
@@ -406,16 +402,14 @@ def _mi_with_parts(coeffs, symbol_sets, sigma, designated, method="mc",
         h_cond = mixture_entropy(cond, method=method, n_samples=n_samples,
                                  seed=child_seed(seed, "hcond"))
     else:
-        h_cond = MiEstimate(gaussian_entropy(sigma), 0.0, 0, method)
+        h_cond = MiEstimate(gaussian_entropy(sigma), 0.0)
 
     value = h_y.value - h_cond.value
     stderr = math.hypot(h_y.stderr, h_cond.stderr)
     if method == "quadrature" and value < -3.0 * stderr - 1e-9:
         # no sampling noise here: a negative information is a defect
         raise ValueError("mutual information cannot be negative beyond the grid rule's error")
-    mi = MiEstimate(value=value, stderr=stderr,
-                    n_samples=h_y.n_samples + h_cond.n_samples, method=method)
-    return mi, h_y, h_cond
+    return MiEstimate(value=value, stderr=stderr), h_y, h_cond
 
 
 def mi_discrete_input(coeffs, symbol_sets, sigma, designated, method="mc",
@@ -441,10 +435,6 @@ class RateBound:
     i_v_y2: MiEstimate
     bound: float
 
-    @property
-    def stderr(self) -> float:
-        return math.hypot(self.i_v_y1.stderr, self.i_v_y2.stderr)
-
 
 def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, method: str,
                  n_samples: int, seed: int):
@@ -464,20 +454,18 @@ def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, metho
                           n_samples=n_samples, seed=seed, weights=weights)
 
 
-def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization,
-                     budget: PowerBudget | None = None, method: str = "mc",
+def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "mc",
                      n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> RateBound:
     """Achievable-rate lower bound max(0, I(V;Y1) - I(V;Y2)) in bits.
 
     Every eavesdropper-side entropy is checked against the max-entropy cap
-    implied by the power budget and the assumed gain bound c_bar.
+    implied by the scheme's power ``cfg.p`` and assumed gain bound
+    ``cfg.c_bar``.
     """
     i1, _, _ = _receiver_mi(cfg, ch, "legit", method, n_samples, child_seed(seed, "y1"))
     i2, h_y2, _ = _receiver_mi(cfg, ch, "eve", method, n_samples, child_seed(seed, "y2"))
-    c_bar = budget.c_bar if budget is not None else cfg.c_bar
-    p = budget.p if budget is not None else cfg.p
     if h_y2 is not None:
-        cap_bits = 0.5 * math.log2(2.0 * math.pi * math.e * (ch.sigma2 ** 2 + c_bar * p))
+        cap_bits = 0.5 * math.log2(2.0 * math.pi * math.e * (ch.sigma2 ** 2 + cfg.c_bar * cfg.p))
         if h_y2.value > cap_bits + 3.0 * h_y2.stderr + 1e-6:
             raise RuntimeError(
                 f"eavesdropper output entropy {h_y2.value:.6f} exceeds the "

@@ -45,7 +45,6 @@ class ErrorEstimate:
     errors: int
     rate: float
     stderr: float
-    per_stream: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.trials <= 0:
@@ -56,13 +55,10 @@ class ErrorEstimate:
             raise ValueError("rate must equal errors/trials")
 
     @classmethod
-    def from_counts(cls, errors: int, trials: int, per_stream=None) -> "ErrorEstimate":
+    def from_counts(cls, errors: int, trials: int) -> "ErrorEstimate":
         rate = errors / trials
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-        if per_stream is not None:
-            per_stream = tuple(float(x) for x in per_stream)
-        return cls(trials=trials, errors=errors, rate=rate, stderr=stderr,
-                   per_stream=per_stream)
+        return cls(trials=trials, errors=errors, rate=rate, stderr=stderr)
 
 
 def _lattice_model(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
@@ -102,7 +98,8 @@ def decode_legit_batch(y1, lat: ReceiverLattice) -> np.ndarray:
 
 def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
                   label: str, min_errors: int | None, mismatch):
-    """(block errors, trials, per-symbol error counts) of a chunked run.
+    """(block errors, trials) of a chunked run; a block is wrong when any of
+    its symbols is.
 
     Trials are consumed in chunks of CHUNK with one RNG substream per chunk
     index. ``mismatch(rng, v, u, x)`` flags the wrongly decoded symbols of a
@@ -116,21 +113,19 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
         raise ValueError("n_trials must be positive")
     trials = 0
     errors = 0
-    symbol_errors = 0
     block_idx = 0
     while trials < n_trials:
         n = min(CHUNK, n_trials - trials)
         rng = substream(seed, label, block_idx)
         v, u = sample_symbols(cfg, rng, n=n)
         # column by column: reductions across a narrow (n, k) array are slow
-        cols = mismatch(rng, v, u, encode(cfg, ch.h, v, u).x).T
+        cols = mismatch(rng, v, u, encode(cfg, ch.h, v, u)).T
         errors += int(np.count_nonzero(functools.reduce(operator.or_, cols)))
-        symbol_errors = symbol_errors + np.array([np.count_nonzero(c) for c in cols])
         trials += n
         block_idx += 1
         if min_errors is not None and errors >= min_errors:
             break
-    return errors, trials, symbol_errors
+    return errors, trials
 
 
 def _noisy(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -146,9 +141,8 @@ def estimate_ser(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed:
     def mismatch(rng, v, u, x):
         return decode_legit_batch(_noisy(legit_output(ch, x), ch.sigma1, rng), lat) != v
 
-    errors, trials, stream_errors = _count_errors(cfg, ch, n_trials, seed, "ser",
-                                                  min_errors, mismatch)
-    return ErrorEstimate.from_counts(errors, trials, per_stream=stream_errors / trials)
+    return ErrorEstimate.from_counts(*_count_errors(cfg, ch, n_trials, seed, "ser",
+                                                    min_errors, mismatch))
 
 
 def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
@@ -187,5 +181,5 @@ def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: in
         y = _noisy(eve_output(ch, x), ch.sigma2, rng)
         return eve_decode_u_given_v(y, v, cfg, ch, lat) != u[:, jam]
 
-    errors, trials, _ = _count_errors(cfg, ch, n_trials, seed, "eveu", min_errors, mismatch)
-    return ErrorEstimate.from_counts(errors, trials)
+    return ErrorEstimate.from_counts(*_count_errors(cfg, ch, n_trials, seed, "eveu",
+                                                    min_errors, mismatch))

@@ -34,7 +34,6 @@ from .streams import substream
 __all__ = [
     "KINDS",
     "SchemeConfig",
-    "TransmitBlock",
     "schedule_q",
     "admissible_gamma",
     "make_blind_scheme",
@@ -98,12 +97,11 @@ def observation(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
     return coeffs, counts, sigma
 
 
-def schedule_q(p: float, delta: float, m: int) -> tuple[int, bool]:
+def schedule_q(p: float, delta: float, m: int) -> int:
     """Symbol half-width for power ``p``: floor of p^((1-delta)/(2(m+1+delta))).
 
-    Clamped to >= 1 so small-p runs stay well defined; the second return
-    value flags that clamping fired (valid but trivial constellation,
-    outside the regime where the rate guarantees kick in).
+    Clamped to >= 1 so small-p runs stay well defined (a valid but trivial
+    constellation, outside the regime where the rate guarantees kick in).
     """
     if p <= 0:
         raise ValueError("power p must be positive")
@@ -111,8 +109,7 @@ def schedule_q(p: float, delta: float, m: int) -> tuple[int, bool]:
         raise ValueError("delta must lie in (0, 0.5)")
     if m < 1:
         raise ValueError("helper count m must be >= 1")
-    raw = math.floor(p ** ((1.0 - delta) / (2.0 * (m + 1 + delta))))
-    return max(1, raw), raw < 1
+    return max(1, math.floor(p ** ((1.0 - delta) / (2.0 * (m + 1 + delta)))))
 
 
 def admissible_gamma(h, alphas) -> float:
@@ -136,8 +133,7 @@ def admissible_gamma(h, alphas) -> float:
 class SchemeConfig:
     """Everything a transmitter ensemble needs for one scheme instance.
 
-    ``alphas`` are the m message-stream coefficients. ``trivial_q`` records
-    that the schedule wanted q < 1 and was clamped. Constructors guarantee
+    ``alphas`` are the m message-stream coefficients. Constructors guarantee
     q = max(1, floor(p^((1-delta)/(2(m+1+delta))))) and a = gamma*sqrt(p)/q;
     the dataclass itself only enforces basic ranges so degenerate configs
     can be built by hand in tests.
@@ -152,7 +148,6 @@ class SchemeConfig:
     a: float
     alphas: tuple[float, ...]
     c_bar: float
-    trivial_q: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -176,21 +171,6 @@ class SchemeConfig:
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
 
 
-@dataclass(frozen=True, eq=False)
-class TransmitBlock:
-    """Channel inputs for one (or a batch of) channel uses.
-
-    v: message symbols, integer, trailing dim m.  u: jamming symbols,
-    integer, trailing dim m+1 (entry 0 is ignored by the kinds that have no
-    transmitter-side lattice jamming).  x: the real channel inputs, trailing
-    dim m+1.
-    """
-
-    v: np.ndarray
-    u: np.ndarray
-    x: np.ndarray
-
-
 def _draw_alphas(m: int, seed: int) -> tuple[float, ...]:
     # generic reals: magnitudes in [0.5, 1.5], random sign; keeps the
     # 1/|h1| + sum|alpha| term bounded so gamma does not collapse
@@ -203,10 +183,9 @@ def _draw_alphas(m: int, seed: int) -> tuple[float, ...]:
 def _config(kind: str, m: int, p: float, delta: float, h, alphas, c_bar: float) -> SchemeConfig:
     # the shared power schedule: largest admissible gamma, q from p, a = gamma sqrt(p) / q
     gamma = admissible_gamma(h, alphas)
-    q, trivial = schedule_q(p, delta, m)
+    q = schedule_q(p, delta, m)
     return SchemeConfig(kind=kind, m=m, p=p, delta=delta, gamma=gamma, q=q,
-                        a=gamma * math.sqrt(p) / q, alphas=alphas, c_bar=c_bar,
-                        trivial_q=trivial)
+                        a=gamma * math.sqrt(p) / q, alphas=alphas, c_bar=c_bar)
 
 
 def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
@@ -253,8 +232,9 @@ def make_csi_scheme(m: int, p: float, delta: float, h, g) -> SchemeConfig:
     return _config("CsiAligned", m, p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
 
 
-def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -> TransmitBlock:
-    """Map symbols to channel inputs. Batch-capable: v (..., m), u (..., m+1).
+def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Channel inputs x, trailing dimension m+1, for message symbols v
+    (..., m) and jamming symbols u (..., m+1); batch-capable.
 
     Each jamming transmitter j (see ``jam_streams``) sends a u_j / h_j, and
     x_1 adds the messages sum_k alpha_k a v_k; u_j of the other transmitters
@@ -285,7 +265,7 @@ def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -
         if rng is None:
             raise ValueError("GaussianJam encoding draws helper noise; pass rng")
         x[..., 1:] = rng.normal(0.0, math.sqrt(cfg.p), size=batch + (cfg.m,))
-    return TransmitBlock(v=v, u=u, x=x)
+    return x
 
 
 def sample_symbols(cfg: SchemeConfig, seed, n: int | None = None):

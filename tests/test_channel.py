@@ -106,14 +106,14 @@ def test_empirical_power_below_budget_at_scale(ch1):
     p = 100.0
     cfg = make_blind_scheme(1, p, 0.1, ch1.h, default_budget(ch1, p).c_bar, 3)
     v, u = sample_symbols(cfg, 0, n=100_000)
-    blk = encode(cfg, ch1.h, v, u)
-    assert np.all(empirical_power(blk.x) <= p * 1.02)
+    assert np.all(empirical_power(encode(cfg, ch1.h, v, u)) <= p * 1.02)
 
 
-def test_empirical_power_accepts_block_sequences(ch1, blind_cfg):
+def test_empirical_power_of_stacked_single_inputs(ch1, blind_cfg):
     v, u = sample_symbols(blind_cfg, 1, n=4)
-    blocks = [encode(blind_cfg, ch1.h, v[i], u[i]) for i in range(4)]
-    stacked = encode(blind_cfg, ch1.h, v, u)
-    assert np.allclose(empirical_power(blocks), empirical_power(stacked.x))
+    singles = [encode(blind_cfg, ch1.h, v[i], u[i]) for i in range(4)]
+    batch = encode(blind_cfg, ch1.h, v, u)
+    assert np.allclose(empirical_power(np.stack(singles)), empirical_power(batch))
+    assert np.array_equal(empirical_power(singles[0]), singles[0] ** 2)
     with pytest.raises(ValueError):
-        empirical_power([])
+        empirical_power(np.zeros((0, 2)))

@@ -322,7 +322,7 @@ def _planted_csv(path, slope=0.5):
     rows = []
     for d in range(2):
         for p in (1e2, 1e3, 1e4, 1e5):
-            q, _ = schedule_q(p, 0.05, 1)
+            q = schedule_q(p, 0.05, 1)
             a = 0.3 * math.sqrt(p) / q
             x = 0.5 * math.log2(p)
             rows.append(SweepRow(kind="Blind", m=1, delta=0.05, draw_id=d, p=p,
@@ -368,6 +368,44 @@ def test_negative_exclude_lowest_exits_2(command, args, tmp_path, monkeypatch, c
     assert ei.value.code == 2
     assert "--exclude-lowest must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["leakage", "compare"])
+def test_exclusion_leaving_under_3_powers_exits_2_before_the_sweep(command, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "l.csv"
+    with pytest.raises(SystemExit) as ei:
+        entrypoint([command, "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
+                    "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
+    assert ei.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_leakage_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, capsys):
+    # at m=2 the cap truncates 1e6 away, so one exclusion leaves 2 powers; the
+    # sweep runs, and its fit fails before the CSV or manifest is written
+    import warnings
+    out = tmp_path / "l.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = entrypoint(["leakage", "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
+                         "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_refuses_rows_of_several_kinds(tmp_path, capsys):
+    # a compare rows CSV holds every kind; one line through them all fits none
+    out = tmp_path / "c.csv"
+    assert entrypoint(["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
+                       "--mi-samples", "200", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert entrypoint(["report", "--input", str(tmp_path / "c_rows.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "kind, m, delta" in captured.err
+    assert "slope" not in captured.out
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

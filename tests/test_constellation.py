@@ -209,7 +209,7 @@ def test_fit_dmin_exponent_shape_and_determinism():
     study = fit_dmin_exponent(1, [2, 4, 8], 5, 42)
     assert study.slopes.shape == (5,)
     assert len(study.rows) == 15
-    assert study.q_grid == (2, 4, 8)
+    assert [row.q for row in study.rows[:3]] == [2, 4, 8]
     again = fit_dmin_exponent(1, [2, 4, 8], 5, 42)
     assert np.array_equal(study.slopes, again.slopes)
     assert study.median_slope == float(np.median(study.slopes))

@@ -28,7 +28,7 @@ from blindjam.experiments import (
     write_ser_csv,
     write_sweep_csv,
 )
-from blindjam.schemes import schedule_q
+from blindjam.schemes import KINDS, schedule_q
 
 
 def _planted_rows(slope, p_grid=(1e2, 1e3, 1e4, 1e5), draws=2, kind="Blind",
@@ -36,7 +36,7 @@ def _planted_rows(slope, p_grid=(1e2, 1e3, 1e4, 1e5), draws=2, kind="Blind",
     rows = []
     for d in range(draws):
         for p in p_grid:
-            q, _ = schedule_q(p, delta, m)
+            q = schedule_q(p, delta, m)
             a = gamma * math.sqrt(p) / q
             x = 0.5 * math.log2(p)
             bound = slope * x + 1.0
@@ -76,7 +76,7 @@ def test_sweep_row_revalidates_schedule():
         SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=1e3, q=3, a=1.0,
                  gamma=0.3, i_vy1=1.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0,
                  bound=1.0)
-    q, _ = schedule_q(1e3, 0.05, 1)
+    q = schedule_q(1e3, 0.05, 1)
     with pytest.raises(ValueError, match="gamma"):
         SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=1e3, q=q, a=1.0,
                  gamma=0.3, i_vy1=1.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0,
@@ -111,6 +111,15 @@ def test_fit_exclusion_rules():
         leakage_slope(rows, exclude_lowest=-3)
     with pytest.raises(ValueError):
         fit_dof([])
+
+
+@pytest.mark.parametrize("other", [dict(kind="CsiAligned"), dict(m=2), dict(delta=0.1)])
+def test_fit_refuses_rows_of_several_series(other):
+    # one line through several (kind, m, delta) series is no slope of any
+    rows = _planted_rows(0.5) + _planted_rows(0.1, **other)
+    for fit in (fit_dof, leakage_slope):
+        with pytest.raises(ValueError, match="kind, m, delta"):
+            fit(rows)
 
 
 def test_sweep_power_rows_and_order():
@@ -236,11 +245,10 @@ def test_zero_information_cell_below_minus_three_stderr_keeps_its_row():
 
 def test_compare_schemes_shape():
     report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 2, 11, mi_samples=300)
-    assert report.kinds == ("Blind", "CsiAligned", "GaussianJam")
-    assert set(report.fits) == set(report.kinds)
+    assert set(report.fits) == set(KINDS)
     assert len(report.rows) == 3 * 2 * 3
     summary = report.summary()
-    assert [rec["kind"] for rec in summary] == list(report.kinds)
+    assert [rec["kind"] for rec in summary] == list(KINDS)
     assert all(np.isfinite(rec["slope"]) for rec in summary)
 
 
