@@ -25,6 +25,7 @@ from .experiments import (
     DEFAULT_SWEEP_MI_SAMPLES,
     DEFAULT_SWEEP_SER_TRIALS,
     compare_schemes,
+    feasible_grid,
     fit_dof,
     leakage_slope,
     read_sweep_csv,
@@ -94,12 +95,6 @@ def _outputs(command: str, out: str) -> list[str]:
     return [out, _manifest_path(out)] + ([_rows_path(out)] if command == "compare" else [])
 
 
-def _write_manifest(command: str, params: dict) -> None:
-    payload = {"command": command}
-    payload.update(params)
-    write_manifest(_manifest_path(params["out"]), payload)
-
-
 def cmd_sweep(params: dict) -> int:
     """Power sweep: SER and rate bound per (draw, p)."""
     rows = sweep_power(params["kind"], params["m"], params["delta"], params["p"],
@@ -110,21 +105,24 @@ def cmd_sweep(params: dict) -> int:
                        include_ser=params["include_ser"],
                        workers=params["workers"])
     write_sweep_csv(rows, params["out"])
-    _write_manifest("sweep", params)
     print(f"{len(rows)} rows -> {params['out']}")
     return 0
 
 
-def cmd_ser(params: dict) -> int:
-    """Reliability-only power sweep."""
+def cmd_ser(params: dict, receiver: str = "legit") -> int:
+    """Reliability-only power sweep: the legitimate receiver's block SER."""
     rows = sweep_ser(params["kind"], params["m"], params["delta"], params["p"],
                      params["draws"], params["seed"], trials=params["trials"],
                      min_errors=params["min_errors"], workers=params["workers"],
-                     sigma1=params.get("sigma1"))
+                     sigma1=params.get("sigma1"), receiver=receiver)
     write_ser_csv(rows, params["out"])
-    _write_manifest("ser", params)
     print(f"{len(rows)} rows -> {params['out']}")
     return 0
+
+
+def cmd_eve(params: dict) -> int:
+    """The eavesdropper's jamming-symbol error rate when it knows the messages."""
+    return cmd_ser(dict(params, kind="Blind", min_errors=100), receiver="eve")
 
 
 def cmd_leakage(params: dict) -> int:
@@ -136,7 +134,6 @@ def cmd_leakage(params: dict) -> int:
     # fitted before anything is written: a grid the cap truncated can fail
     fit = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
     write_sweep_csv(rows, params["out"])
-    _write_manifest("leakage", params)
     print(f"{len(rows)} rows -> {params['out']}")
     print(f"leakage slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
     return 0
@@ -146,7 +143,6 @@ def cmd_dmin(params: dict) -> int:
     """Minimum-distance scaling study."""
     study = fit_dmin_exponent(params["m"], params["q"], params["draws"], params["seed"])
     write_dmin_csv(study, params["out"])
-    _write_manifest("dmin", params)
     print(f"{len(study.rows)} rows -> {params['out']}")
     print(f"median slope {study.median_slope:.6f}, min slope {study.min_slope:.6f}, "
           f"redraws {study.redraws}")
@@ -163,7 +159,6 @@ def cmd_compare(params: dict) -> int:
     write_compare_csv(report, params["out"])
     rows_path = _rows_path(params["out"])
     write_sweep_csv(report.rows, rows_path)
-    _write_manifest("compare", params)
     for rec in report.summary():
         print(f"{rec['kind']}: slope {rec['slope']:.6f} (stderr {rec['slope_stderr']:.6f})")
     print(f"summary -> {params['out']}; rows -> {rows_path}")
@@ -202,7 +197,7 @@ _OPTIONS: dict[str, tuple[type | None, str]] = {
     "workers": (int, "worker threads (results identical for any count)"),
     "mi_samples": (int, "Monte Carlo samples per entropy estimate"),
     "ser_trials": (int, "most SER trials per cell"),
-    "trials": (int, "most SER trials per cell"),
+    "trials": (int, "most error-count trials per cell"),
     "min_errors": (int, "stop a cell's SER count at this many errors"),
     "include_ser": (bool, "skip the reliability estimate"),  # the flag --no-ser
     "sigma1": (float, "override legitimate-side noise level"),
@@ -224,6 +219,9 @@ _COMMANDS: dict[str, tuple] = {
     "ser": (cmd_ser, dict(
         m=None, p=None, kind="Blind", delta=0.1, draws=10, seed=42, workers=1,
         trials=DEFAULT_SWEEP_SER_TRIALS, min_errors=100, sigma1=None, out=None)),
+    "eve": (cmd_eve, dict(
+        m=None, p=None, delta=0.1, draws=10, seed=42, workers=1,
+        trials=DEFAULT_SWEEP_SER_TRIALS, out=None)),
     "leakage": (cmd_leakage, dict(
         m=None, p=None, kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
         mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0, out=None)),
@@ -261,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (run, options) in _COMMANDS.items():
         sp = sub.add_parser(command, help=run.__doc__)
+        sp.set_defaults(command_parser=sp)  # refusals print the command's usage
         sp.add_argument("--config", help="JSON file (e.g. a previous manifest) with "
                         "parameter defaults")
         for name in options:
@@ -271,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def resolve_config(args: argparse.Namespace) -> dict:
     """The parameters of ``args.command``: defaults <- config file <- explicit
-    flags, then validated."""
-    command = args.command
+    flags, then validated; a refusal exits 2 with the command's usage."""
+    command, parser = args.command, args.command_parser
     options = _COMMANDS[command][1]
     params = {k: v for k, v in options.items() if v is not None}
     if args.config:
@@ -299,9 +298,11 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if missing:
         parser.error(f"missing required option(s) for {command}: "
                      + ", ".join(map(_flag, missing)))
-    for key, low in (("workers", 1), ("min_errors", 0), ("exclude_lowest", 0)):
+    for key, low in (("m", 1), ("workers", 1), ("min_errors", 0), ("exclude_lowest", 0)):
         if params.get(key) is not None and params[key] < low:
             parser.error(f"{_flag(key)} must be >= {low}")
+    if "delta" in params and not 0 < params["delta"] < 0.5:
+        parser.error("--delta must lie in (0, 0.5)")
     try:
         if "p" in params:
             params["p"] = parse_p_grid(params["p"])
@@ -309,9 +310,14 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             params["q"] = parse_int_list(params["q"])
     except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
         parser.error(str(exc))
-    # a slope needs 3 powers: refused before the sweep, not after it
-    if command in ("leakage", "compare") and len(params["p"]) - params["exclude_lowest"] < 3:
-        parser.error("--exclude-lowest leaves fewer than 3 of the --p powers to fit")
+    # a slope needs 3 of the powers the sweep keeps: refused before it, not after
+    if command in ("leakage", "compare"):
+        kept = len(feasible_grid(KINDS if command == "compare" else [params["kind"]],
+                                 params["m"], params["delta"], params["p"]))
+        if kept - params["exclude_lowest"] < 3:
+            parser.error(f"--exclude-lowest {params['exclude_lowest']} leaves fewer than 3 "
+                         f"powers to fit: the component cap keeps {kept} of the "
+                         f"{len(params['p'])} --p powers")
     if params.get("out") is None and command != "report":
         out_dir = os.environ.get("BLINDJAM_OUT", ".")
         params["out"] = os.path.join(out_dir, f"{command}.csv")
@@ -319,9 +325,8 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def entrypoint(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = resolve_config(args, parser)
+    args = build_parser().parse_args(argv)
+    params = resolve_config(args)
     try:
         out = params.get("out")  # checked before the run, not after it
         if out == "" and args.command != "report":  # report writes nothing then
@@ -332,7 +337,10 @@ def entrypoint(argv=None) -> int:
         for path in _outputs(args.command, out) if out else ():
             if os.path.isdir(path):
                 raise OSError(f"output path {path} is a directory")
-        return _COMMANDS[args.command][0](params)
+        rc = _COMMANDS[args.command][0](params)
+        if args.command != "report":  # after the run: a failed one leaves no manifest
+            write_manifest(_manifest_path(out), {"command": args.command, **params})
+        return rc
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

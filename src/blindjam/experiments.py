@@ -1,14 +1,15 @@
 """Power sweeps and slope analysis.
 
-A sweep evaluates one scheme kind over a grid of powers and a set of
-independent channel draws, producing flat rows ready for CSV. Slope fits
-regress the rate bound (or the leakage term) against half the log power,
-which is the natural abscissa for degrees-of-freedom statements.
+A sweep evaluates one or several scheme kinds over a grid of powers and a
+set of independent channel draws, producing flat rows ready for CSV; every
+kind sees the same channels and the same powers. Slope fits regress the rate
+bound (or the leakage term) against half the log power, which is the
+natural abscissa for degrees-of-freedom statements.
 
 Determinism contract: every cell of a sweep derives its own RNG substreams
 from (root seed, kind, draw, grid index), cells are computed independently,
-and rows are ordered by (draw, grid index) before output; the result is
-byte-identical for any worker count.
+and rows are ordered by (kind, draw, grid index) before output; the result
+is byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
 from .infometrics import COMPONENT_CAP, rate_lower_bound
-from .receiver import estimate_ser
+from .receiver import estimate_eve_u_error, estimate_ser
 from .schemes import (
     KINDS,
     SchemeConfig,
@@ -46,6 +47,7 @@ __all__ = [
     "fit_dof",
     "leakage_slope",
     "compare_schemes",
+    "feasible_grid",
     "ols",
     "SWEEP_COLUMNS",
     "SER_COLUMNS",
@@ -122,21 +124,16 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def _feasible_grid(kind: str, m: int, delta: float, p_grid) -> list[float]:
-    # the eavesdropper mixture is the largest: the legitimate mixture and
-    # lattice hold (2q+1)^m (2 n_jam q + 1) <= (2q+1)^(m + n_jam) points
-    n_jam = len(jam_streams(kind, m))
-    kept = []
-    for p in p_grid:
-        q = schedule_q(p, delta, m)
-        if (2 * q + 1) ** (m + n_jam) > COMPONENT_CAP:
-            warnings.warn(
-                f"truncating power grid at p={p:g}: q={q} exceeds the component cap",
-                RuntimeWarning,
-            )
-            break
-        kept.append(p)
-    return kept
+def feasible_grid(kinds, m: int, delta: float, p_grid) -> list[float]:
+    """The powers of ``p_grid`` before the first at which some kind's
+    eavesdropper mixture, the largest one, exceeds the component cap."""
+    # the legitimate mixture and lattice hold (2q+1)^m (2 n_jam q + 1) <=
+    # (2q+1)^(m + n_jam) points
+    n_jam = max(len(jam_streams(kind, m)) for kind in kinds)
+    for k, p in enumerate(p_grid):
+        if (2 * schedule_q(p, delta, m) + 1) ** (m + n_jam) > COMPONENT_CAP:
+            return list(p_grid[:k])
+    return list(p_grid)
 
 
 def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
@@ -150,14 +147,14 @@ def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
     return p_grid
 
 
-def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
-               workers: int, sigma1: float | None, cell) -> list:
-    """``cell(cfg, ch, d, i)`` for every (draw d, grid index i), in that
-    order, serially or on a thread pool.
+def _run_cells(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int,
+               workers: int, cell, sigma1: float | None = None) -> list:
+    """``cell(cfg, ch, d, i)`` for every (kind, draw d, grid index i), in that
+    order, serially or on one thread pool.
 
-    Channel draws depend only on (seed, draw index), never on the kind, so
-    sweeps of different kinds at the same seed see identical channels.
-    ``sigma1`` overrides the legitimate receiver's noise level when given.
+    Each channel is drawn once, from (seed, draw index) alone, so every kind
+    sees identical channels. ``sigma1`` overrides the legitimate receiver's
+    noise level when given.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -165,20 +162,55 @@ def _run_cells(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int,
     if sigma1 is not None:
         channels = [replace(ch, sigma1=sigma1) for ch in channels]
 
-    def run(d_i):
-        d, i = d_i
+    def run(kind_d_i):
+        kind, d, i = kind_d_i
         ch = channels[d]
         # looked up as this module's global: perfbench starts a cell span here
         c_bar = default_budget(ch, p_grid[i]).c_bar
         cfg = _make_config(kind, m, p_grid[i], delta, ch, c_bar, child_seed(seed, "alphas", d))
         return cell(cfg, ch, d, i)
 
-    cells = [(d, i) for d in range(n_draws) for i in range(len(p_grid))]
+    cells = [(kind, d, i) for kind in kinds for d in range(n_draws) for i in range(len(p_grid))]
     workers = min(workers, len(cells))  # a thread per cell at most
     if workers == 1:
         return [run(c) for c in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, cells))
+
+
+def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, workers: int,
+               mi_samples: int, ser_trials: int | None = None,
+               min_errors: int | None = None) -> list[SweepRow]:
+    """Rate-bound rows of every (kind, draw, power) cell, with the SER columns
+    where ``ser_trials`` is given and the kind sends lattice jamming. The
+    grid is cut once for all kinds, so their slopes share the same powers."""
+    p_grid = _checked_grid(p_grid, n_draws, 3)
+    kept = feasible_grid(kinds, m, delta, p_grid)
+    if len(kept) < len(p_grid):
+        p = p_grid[len(kept)]
+        warnings.warn(f"truncating power grid at p={p:g}: q={schedule_q(p, delta, m)} "
+                      "exceeds the component cap", RuntimeWarning)
+    if len(kept) < 3:
+        raise ValueError("fewer than 3 feasible grid points after cap truncation")
+
+    def cell(cfg, ch, d, i):
+        rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
+                              seed=child_seed(seed, "cell", cfg.kind, d, i, "mi"))
+        row = dict(
+            kind=cfg.kind, m=m, delta=delta, draw_id=d, p=cfg.p, q=cfg.q, a=cfg.a,
+            gamma=cfg.gamma,
+            i_vy1=rb.i_v_y1.value, i_vy1_se=rb.i_v_y1.stderr,
+            i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr, bound=rb.bound,
+        )
+        if ser_trials is not None and jam_streams(cfg.kind, m):
+            est = estimate_ser(cfg, ch, ser_trials,
+                               child_seed(seed, "cell", cfg.kind, d, i, "ser"),
+                               min_errors=min_errors)
+            row.update(trials=est.trials, errors=est.errors, ser=est.rate,
+                       ser_stderr=est.stderr)
+        return SweepRow(**row)
+
+    return _run_cells(kinds, m, delta, kept, n_draws, seed, workers, cell)
 
 
 def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, *,
@@ -192,29 +224,8 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
     The reliability columns stay empty when ``include_ser`` is off or the
     kind has no lattice jamming.
     """
-    p_grid = _feasible_grid(kind, m, delta, _checked_grid(p_grid, n_draws, 3))
-    if len(p_grid) < 3:
-        raise ValueError("fewer than 3 feasible grid points after cap truncation")
-    with_ser = include_ser and bool(jam_streams(kind, m))
-
-    def cell(cfg, ch, d, i):
-        rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
-                              seed=child_seed(seed, "cell", kind, d, i, "mi"))
-        row = dict(
-            kind=kind, m=m, delta=delta, draw_id=d, p=cfg.p, q=cfg.q, a=cfg.a,
-            gamma=cfg.gamma,
-            i_vy1=rb.i_v_y1.value, i_vy1_se=rb.i_v_y1.stderr,
-            i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr, bound=rb.bound,
-        )
-        if with_ser:
-            est = estimate_ser(cfg, ch, ser_trials,
-                               child_seed(seed, "cell", kind, d, i, "ser"),
-                               min_errors=min_errors)
-            row.update(trials=est.trials, errors=est.errors, ser=est.rate,
-                       ser_stderr=est.stderr)
-        return SweepRow(**row)
-
-    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers, None, cell)
+    return _rate_rows((kind,), m, delta, p_grid, n_draws, seed, workers, mi_samples,
+                      ser_trials if include_ser else None, min_errors)
 
 
 @dataclass(frozen=True)
@@ -235,23 +246,35 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
               trials: int = DEFAULT_SWEEP_SER_TRIALS,
               min_errors: int | None = 100,
               workers: int = 1,
-              sigma1: float | None = None) -> list[SerRow]:
+              sigma1: float | None = None,
+              receiver: str = "legit") -> list[SerRow]:
     """Reliability-only sweep (no information measures computed).
 
-    ``sigma1`` overrides the legitimate receiver's noise level when given
-    (0 is allowed and checks the noiseless decoder).
+    ``receiver="legit"`` counts the legitimate receiver's block symbol
+    errors; ``sigma1`` overrides its noise level when given (0 is allowed
+    and checks the noiseless decoder). ``"eve"`` counts the eavesdropper's
+    jamming-symbol errors when it knows the messages, the step that caps the
+    leakage (``estimate_eve_u_error``).
     """
     p_grid = _checked_grid(p_grid, n_draws, 1)
     if not jam_streams(kind, m):
         raise ValueError("reliability sweeps need a lattice scheme kind")
+    if receiver not in ("legit", "eve"):
+        raise ValueError(f"receiver must be 'legit' or 'eve', not {receiver!r}")
+    if receiver == "eve" and sigma1 is not None:
+        raise ValueError("sigma1 sets the legitimate receiver's noise: an eve sweep takes none")
 
     def cell(cfg, ch, d, i):
-        est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
-                           min_errors=min_errors)
+        if receiver == "legit":
+            est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
+                               min_errors=min_errors)
+        else:
+            est = estimate_eve_u_error(cfg, ch, trials, child_seed(seed, "eveu", d, i),
+                                       min_errors=min_errors)
         return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
                       errors=est.errors, rate=est.rate, stderr=est.stderr)
 
-    return _run_cells(kind, m, delta, p_grid, n_draws, seed, workers, sigma1, cell)
+    return _run_cells((kind,), m, delta, p_grid, n_draws, seed, workers, cell, sigma1)
 
 
 @dataclass(frozen=True)
@@ -355,16 +378,12 @@ def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
                     mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
                     exclude_lowest: int = 0,
                     workers: int = 1) -> ComparisonReport:
-    """Fit the rate-bound slope for each kind on identical channel draws."""
-    all_rows: list[SweepRow] = []
-    fits = {}
-    for kind in KINDS:
-        rows = sweep_power(kind, m, delta, p_grid, n_draws, seed,
-                           mi_samples=mi_samples, include_ser=False,
-                           workers=workers)
-        fits[kind] = fit_dof(rows, exclude_lowest=exclude_lowest)
-        all_rows.extend(rows)
-    return ComparisonReport(fits=fits, rows=tuple(all_rows))
+    """Fit the rate-bound slope for each kind on identical channel draws and
+    powers, all cells in one pass."""
+    rows = _rate_rows(KINDS, m, delta, p_grid, n_draws, seed, workers, mi_samples)
+    fits = {kind: fit_dof([row for row in rows if row.kind == kind], exclude_lowest)
+            for kind in KINDS}
+    return ComparisonReport(fits=fits, rows=tuple(rows))
 
 
 def write_rows(rows, columns, path) -> None:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from blindjam.channel import ChannelRealization, default_budget, sample_channel
+from blindjam.channel import ChannelRealization, sample_channel
 from blindjam.constellation import fit_dmin_exponent, min_distance
 from blindjam.experiments import (
     compare_schemes,
@@ -33,18 +33,14 @@ from blindjam.experiments import (
     write_sweep_csv,
 )
 from blindjam.infometrics import MixtureSpec, gaussian_entropy, mixture_entropy
-from blindjam.receiver import (
-    decode_legit_batch,
-    estimate_eve_u_error,
-    legit_lattice,
-)
+from blindjam.receiver import decode_legit_batch, legit_lattice
 from blindjam.schemes import (
     encode,
     make_blind_scheme,
     make_gaussian_jam_scheme,
     sample_symbols,
 )
-from blindjam.streams import child_seed, substream
+from blindjam.streams import substream
 
 M = 1
 SEED = 42
@@ -128,19 +124,9 @@ def test_criterion_5_reliability_trend(reliability_rows):
 
 
 def test_criterion_6_eve_decodability_trend():
-    med = []
-    for i, p in enumerate(RELIABILITY_GRID):
-        rates = []
-        for d in range(DRAWS):
-            ch = sample_channel(M, child_seed(SEED, "channel", d))
-            cfg = make_blind_scheme(M, p, RELIABILITY_DELTA, ch.h,
-                                    default_budget(ch, p).c_bar,
-                                    child_seed(SEED, "alphas", d))
-            est = estimate_eve_u_error(cfg, ch, 100_000,
-                                       child_seed(SEED, "eveu", d, i),
-                                       min_errors=100)
-            rates.append(est.rate)
-        med.append(float(np.median(rates)))
+    rows = sweep_ser("Blind", M, RELIABILITY_DELTA, list(RELIABILITY_GRID), DRAWS, SEED,
+                     trials=100_000, min_errors=100, receiver="eve")
+    med = [float(np.median([r.rate for r in rows if r.p == p])) for p in RELIABILITY_GRID]
     ok = all(b < a for a, b in zip(med, med[1:]))
     _verdict("6 (eve decodability given V)", ok,
              f"median conditional error {[round(x, 4) for x in med]} decreasing")

@@ -3,12 +3,13 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from blindjam import cli
+from blindjam import cli, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
-from blindjam.experiments import SweepRow, write_sweep_csv
+from blindjam.experiments import SER_COLUMNS, SweepRow, write_sweep_csv
 from blindjam.schemes import schedule_q
 
 FAST_SWEEP = ["--mi-samples", "200", "--ser-trials", "400", "--min-errors", "5"]
@@ -158,6 +159,7 @@ HELP_FLAGS = {
     "sweep": ("--m --p --kind --delta --draws --seed --workers --mi-samples --ser-trials "
               "--min-errors --no-ser --out"),
     "ser": "--m --p --kind --delta --draws --seed --workers --trials --min-errors --sigma1 --out",
+    "eve": "--m --p --delta --draws --seed --workers --trials --out",
     "leakage": ("--m --p --kind --delta --draws --seed --workers --mi-samples "
                 "--exclude-lowest --out"),
     "dmin": "--m --q --draws --seed --out",
@@ -178,16 +180,53 @@ def test_help_lists_exactly_the_table_row(command, capsys):
     assert {cli._flag(name) for name in cli._COMMANDS[command][1]} == flags
 
 
+def test_readme_config_table_is_the_command_table():
+    # README's `| command | --config keys |` table, row by row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("| command | `--config` keys |\n| --- | --- |\n", 1)[1].splitlines()
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        command, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((command, keys.split(", ")))
+    assert rows == [(command, list(options)) for command, (_, options) in cli._COMMANDS.items()]
+
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "-5"],
     ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "0"],
     ["ser", "--m", "1", "--p", "1e2,1e3,1e4", "--min-errors", "-3"],
+    ["dmin", "--m", "0", "--q", "2,4,8"],
 ])
 def test_workers_and_min_errors_below_range_exit_2(args, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         entrypoint(args + ["--out", str(tmp_path / "out.csv")])
     assert ei.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "ser", "eve", "leakage", "compare"])
+@pytest.mark.parametrize("flag, value", [("--m", "0"), ("--delta", "0.5"), ("--delta", "0")])
+def test_m_and_delta_out_of_range_exit_2(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        entrypoint([command, "--m", "1", "--p", "1e2,1e3,1e4", flag, value,
+                    "--out", str(tmp_path / "o.csv")])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: blindjam {command} [-h]")
+    assert f"error: {flag} must" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refusal_prints_the_usage_of_its_command(capsys):
+    # as argparse's own errors do: the subcommand's usage, not the top level's
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "0"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: blindjam sweep [-h]")
+    assert err.rstrip().endswith("error: --workers must be >= 1")
 
 
 def test_manifest_replays_byte_identically(tmp_path):
@@ -382,18 +421,35 @@ def test_exclusion_leaving_under_3_powers_exits_2_before_the_sweep(command, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_leakage_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, capsys):
-    # at m=2 the cap truncates 1e6 away, so one exclusion leaves 2 powers; the
-    # sweep runs, and its fit fails before the CSV or manifest is written
-    import warnings
+def test_leakage_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, monkeypatch,
+                                                                   capsys):
+    # at m=2 the cap truncates 1e6 away, so one exclusion leaves 2 powers: the
+    # powers the sweep would keep are counted, and no cell runs
+    def unreachable(*a, **k):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "default_budget", unreachable)
     out = tmp_path / "l.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rc = entrypoint(["leakage", "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
-                         "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for command in ("leakage", "compare"):
+        with pytest.raises(SystemExit) as ei:
+            entrypoint([command, "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
+                        "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
+        assert ei.value.code == 2
+        assert "the component cap keeps 3 of the 4 --p powers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
+    out = tmp_path / "eve.csv"
+    assert entrypoint(["eve", "--m", "1", "--p", "1e2,1e3", "--draws", "2", "--delta", "0.25",
+                       "--trials", "2000", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(SER_COLUMNS) and len(lines) == 1 + 2 * 2
+    assert "4 rows" in capsys.readouterr().out
+    assert json.loads((tmp_path / "eve.manifest.json").read_text())["command"] == "eve"
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["eve", "--m", "1", "--p", "1e2,1e3", "--sigma1", "0"])
+    assert ei.value.code == 2
 
 
 def test_report_refuses_rows_of_several_kinds(tmp_path, capsys):

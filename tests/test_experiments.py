@@ -16,6 +16,7 @@ from blindjam.experiments import (
     SerRow,
     SweepRow,
     compare_schemes,
+    feasible_grid,
     fit_dof,
     leakage_slope,
     ols,
@@ -257,6 +258,18 @@ def test_compare_schemes_empty_grid_errors():
         compare_schemes(1, 0.05, [], 1, 0)
 
 
+def test_compare_schemes_fits_every_kind_on_the_same_powers():
+    # at m=2 only Blind's mixture outgrows the cap at 1e6: the grid is cut
+    # there for every kind, not for Blind alone
+    with pytest.warns(RuntimeWarning, match="truncating"):
+        report = compare_schemes(2, 0.05, [1e3, 1e4, 1e5, 1e6], 1, 5, mi_samples=200)
+    for kind in KINDS:
+        assert sorted({r.p for r in report.rows if r.kind == kind}) == [1e3, 1e4, 1e5]
+        assert report.fits[kind].pooled.n == 3
+    assert feasible_grid(["CsiAligned"], 2, 0.05, [1e3, 1e4, 1e5, 1e6]) == [1e3, 1e4, 1e5, 1e6]
+    assert feasible_grid(KINDS, 2, 0.05, [1e3, 1e4, 1e5, 1e6]) == [1e3, 1e4, 1e5]
+
+
 def test_sweep_csv_round_trip(tmp_path):
     rows = sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 2, 11,
                        mi_samples=300, ser_trials=400, min_errors=5)
@@ -298,6 +311,18 @@ def test_sweep_ser_noiseless_and_validation(tmp_path):
         sweep_ser("GaussianJam", 1, 0.25, [1e2, 1e3], 1, 3)
     with pytest.raises(ValueError):
         sweep_ser("Blind", 1, 0.25, [], 1, 3)
+    with pytest.raises(ValueError, match="receiver"):
+        sweep_ser("Blind", 1, 0.25, [1e2], 1, 3, receiver="bob")
+    with pytest.raises(ValueError, match="sigma1"):
+        sweep_ser("Blind", 1, 0.25, [1e2], 1, 3, receiver="eve", sigma1=0.0)
+
+
+def test_eve_sweep_rows_and_worker_invariance():
+    kw = dict(trials=2000, min_errors=None, receiver="eve")
+    rows = sweep_ser("CsiAligned", 1, 0.25, [1e2, 1e3], 2, 3, **kw)
+    assert [(r.draw_id, r.p) for r in rows] == [(0, 1e2), (0, 1e3), (1, 1e2), (1, 1e3)]
+    assert all(r.trials == 2000 and 0 <= r.errors <= r.trials for r in rows)
+    assert sweep_ser("CsiAligned", 1, 0.25, [1e2, 1e3], 2, 3, workers=3, **kw) == rows
 
 
 def test_compare_and_dmin_csv_writers(tmp_path):

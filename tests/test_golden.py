@@ -9,6 +9,7 @@ Regenerate them, after checking that a shift is intended, with
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 from pathlib import Path
@@ -16,6 +17,11 @@ from pathlib import Path
 import pytest
 
 from blindjam import cli
+from blindjam.channel import default_budget, sample_channel
+from blindjam.experiments import SER_COLUMNS, write_rows
+from blindjam.receiver import estimate_eve_u_error
+from blindjam.schemes import make_blind_scheme
+from blindjam.streams import child_seed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +36,7 @@ COMMANDS = {
     "ser": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
     "ser_noiseless": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000 --sigma1 0",
     "ser_m2_csi": "ser --m 2 --kind CsiAligned --p 1e2,1e3,1e4 --draws 2 --trials 20000",
+    "eve": "eve --m 1 --delta 0.25 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
     "leakage": "leakage --kind GaussianJam --m 1 --p 1e2,1e3,1e4 --draws 2 --mi-samples 2000",
     "dmin": "dmin --m 2 --q 4,8,16,32 --draws 5",
 }
@@ -100,6 +107,27 @@ def test_outputs_match_golden(name, tmp_path):
     for fname in _outputs(name):
         if fname.endswith(".csv"):
             _assert_same(GOLDEN / fname, two / fname)
+
+
+def test_eve_golden_matches_the_hand_loop(tmp_path):
+    # each cell built by hand, apart from the sweep's cell runner: the channel
+    # and alphas of draw d, the seed ("eveu", d, i) of acceptance criterion 6
+    cfg = json.loads((GOLDEN / "eve.manifest.json").read_text())
+    rows = []
+    for d in range(cfg["draws"]):
+        ch = sample_channel(cfg["m"], child_seed(cfg["seed"], "channel", d))
+        for i, p in enumerate(cfg["p"]):
+            scheme = make_blind_scheme(cfg["m"], p, cfg["delta"], ch.h,
+                                       default_budget(ch, p).c_bar,
+                                       child_seed(cfg["seed"], "alphas", d))
+            est = estimate_eve_u_error(scheme, ch, cfg["trials"],
+                                       child_seed(cfg["seed"], "eveu", d, i),
+                                       min_errors=100)
+            rows.append(dict(p=p, m=cfg["m"], delta=cfg["delta"], draw_id=d,
+                             trials=est.trials, errors=est.errors, rate=est.rate,
+                             stderr=est.stderr))
+    write_rows(rows, SER_COLUMNS, tmp_path / "hand.csv")
+    _assert_same(GOLDEN / "eve.csv", tmp_path / "hand.csv")
 
 
 if __name__ == "__main__":
