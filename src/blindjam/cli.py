@@ -61,7 +61,8 @@ def parse_p_grid(spec) -> list[float]:
         start, stop, ppd = float(parts[0]), float(parts[1]), int(parts[2])
         if not 0 < start <= stop < math.inf or ppd < 1:
             raise ValueError("grid range must satisfy 0 < start <= stop < inf, ppd >= 1")
-        n = int(round(math.log10(stop / start) * ppd)) + 1
+        # floored, so that no point exceeds stop; the tolerance keeps a decade-aligned stop
+        n = math.floor(math.log10(stop / start) * ppd * (1 + 1e-9)) + 1
         vals = [start * 10.0 ** (k / ppd) for k in range(n)]
     else:
         vals = [float(tok) for tok in str(spec).split(",") if tok.strip()]
@@ -125,20 +126,6 @@ def cmd_eve(params: dict) -> int:
     return cmd_ser(dict(params, kind="Blind", min_errors=100), receiver="eve")
 
 
-def cmd_leakage(params: dict) -> int:
-    """Power sweep and leakage-slope fit."""
-    rows = sweep_power(params["kind"], params["m"], params["delta"], params["p"],
-                       params["draws"], params["seed"],
-                       mi_samples=params["mi_samples"], include_ser=False,
-                       workers=params["workers"])
-    # fitted before anything is written: a grid the cap truncated can fail
-    fit = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
-    write_sweep_csv(rows, params["out"])
-    print(f"{len(rows)} rows -> {params['out']}")
-    print(f"leakage slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
-    return 0
-
-
 def cmd_dmin(params: dict) -> int:
     """Minimum-distance scaling study."""
     study = fit_dmin_exponent(params["m"], params["q"], params["draws"], params["seed"])
@@ -166,18 +153,28 @@ def cmd_compare(params: dict) -> int:
 
 
 def cmd_report(params: dict) -> int:
-    """Slope summary from an existing sweep CSV."""
+    """Bound and leakage slopes of each (kind, m, delta) series of a sweep CSV."""
     rows = read_sweep_csv(params["input"])
-    dof = fit_dof(rows, exclude_lowest=params["exclude_lowest"])
-    leak = leakage_slope(rows, exclude_lowest=params["exclude_lowest"])
-    print(f"bound slope {dof.pooled.slope:.6f} (stderr {dof.pooled.slope_stderr:.6f})")
-    print(f"leakage slope {leak.pooled.slope:.6f} (stderr {leak.pooled.slope_stderr:.6f})")
+    if not rows:
+        raise ValueError(f"{params['input']} holds no rows to fit")
+    fits = []  # every series is fitted before anything is printed or written
+    for key in sorted({(row.kind, row.m, row.delta) for row in rows}):
+        series = [row for row in rows if (row.kind, row.m, row.delta) == key]
+        tag = "{} m={} delta={:g}: ".format(*key)
+        try:
+            fits += [(key, tag, fit(series, params["exclude_lowest"]))
+                     for fit in (fit_dof, leakage_slope)]
+        except ValueError as exc:
+            raise ValueError(tag + str(exc)) from None
+    for _, tag, fit in fits:
+        name = "bound" if fit.column == "bound" else "leakage"
+        print(f"{tag}{name} slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
     out = params.get("out")
     if out:
-        write_rows((dict(vars(fit.pooled), column=fit.column,
-                         excluded_lowest=fit.excluded_lowest) for fit in (dof, leak)),
-                   ["column", "slope", "intercept", "slope_stderr", "n", "excluded_lowest"],
-                   out)
+        write_rows((dict(vars(fit.pooled), column=fit.column, excluded_lowest=fit.excluded_lowest,
+                         kind=kind, m=m, delta=delta) for (kind, m, delta), _, fit in fits),
+                   ["column", "slope", "intercept", "slope_stderr", "n", "excluded_lowest",
+                    "kind", "m", "delta"], out)
         print(f"summary -> {out}")
     return 0
 
@@ -222,9 +219,6 @@ _COMMANDS: dict[str, tuple] = {
     "eve": (cmd_eve, dict(
         m=None, p=None, delta=0.1, draws=10, seed=42, workers=1,
         trials=DEFAULT_SWEEP_SER_TRIALS, out=None)),
-    "leakage": (cmd_leakage, dict(
-        m=None, p=None, kind="Blind", delta=0.05, draws=5, seed=42, workers=1,
-        mi_samples=DEFAULT_SWEEP_MI_SAMPLES, exclude_lowest=0, out=None)),
     "dmin": (cmd_dmin, dict(m=None, q=None, draws=50, seed=42, out=None)),
     "compare": (cmd_compare, dict(
         m=None, p=None, delta=0.05, draws=5, seed=42, workers=1,
@@ -298,7 +292,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if missing:
         parser.error(f"missing required option(s) for {command}: "
                      + ", ".join(map(_flag, missing)))
-    for key, low in (("m", 1), ("workers", 1), ("min_errors", 0), ("exclude_lowest", 0)):
+    for key, low in (("m", 1), ("seed", 0), ("draws", 1), ("workers", 1), ("trials", 1),
+                     ("mi_samples", 2), ("min_errors", 0), ("exclude_lowest", 0)):
         if params.get(key) is not None and params[key] < low:
             parser.error(f"{_flag(key)} must be >= {low}")
     if "delta" in params and not 0 < params["delta"] < 0.5:
@@ -311,9 +306,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
         parser.error(str(exc))
     # a slope needs 3 of the powers the sweep keeps: refused before it, not after
-    if command in ("leakage", "compare"):
-        kept = len(feasible_grid(KINDS if command == "compare" else [params["kind"]],
-                                 params["m"], params["delta"], params["p"]))
+    if command == "compare":
+        kept = len(feasible_grid(KINDS, params["m"], params["delta"], params["p"]))
         if kept - params["exclude_lowest"] < 3:
             parser.error(f"--exclude-lowest {params['exclude_lowest']} leaves fewer than 3 "
                          f"powers to fit: the component cap keeps {kept} of the "

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -21,6 +22,12 @@ def test_parse_p_grid_forms():
     assert parse_p_grid("1e2:1e4:1") == pytest.approx([100.0, 1000.0, 10000.0])
     assert parse_p_grid("1e2:1e3:2") == pytest.approx(
         [100.0, 100.0 * 10**0.5, 1000.0])
+    # a range ends at its last point not above stop
+    assert parse_p_grid("1e2:5e2:1") == [100.0]
+    assert parse_p_grid("1:9:1") == [1.0]
+    assert parse_p_grid("1e2:3e3:2") == pytest.approx([100.0, 100.0 * 10**0.5, 1000.0])
+    assert parse_p_grid("1e2:1e5:3")[-1] == pytest.approx(1e5)
+    assert len(parse_p_grid("1e2:1e5:3")) == 10
     with pytest.raises(ValueError):
         parse_p_grid("1e2:1e4")
     with pytest.raises(ValueError):
@@ -54,6 +61,10 @@ def test_missing_required_flag_exits_2():
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as ei:
         entrypoint(["frobnicate"])
+    assert ei.value.code == 2
+    # the leakage slope is `sweep --no-ser` plus `report`, not a command
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["leakage", "--m", "1", "--p", "1e2,1e3,1e4"])
     assert ei.value.code == 2
 
 
@@ -116,7 +127,7 @@ def _bad_config(tmp_path, text):
     ("sweep", None),  # no such file
     ("sweep", "{bad"),
     ("sweep", "[1, 2]"),
-    ("leakage", json.dumps({"m": "x", "p": "1e2,1e3,1e4"})),
+    ("compare", json.dumps({"m": "x", "p": "1e2,1e3,1e4"})),
     # list entries are not cast: 3.5 is no integer, true no number
     ("dmin", json.dumps({"m": 1, "q": [2, 3.5, 8]})),
     ("dmin", json.dumps({"m": 1, "q": [2, True, 8]})),
@@ -160,8 +171,6 @@ HELP_FLAGS = {
               "--min-errors --no-ser --out"),
     "ser": "--m --p --kind --delta --draws --seed --workers --trials --min-errors --sigma1 --out",
     "eve": "--m --p --delta --draws --seed --workers --trials --out",
-    "leakage": ("--m --p --kind --delta --draws --seed --workers --mi-samples "
-                "--exclude-lowest --out"),
     "dmin": "--m --q --draws --seed --out",
     "compare": "--m --p --delta --draws --seed --workers --mi-samples --exclude-lowest --out",
     "report": "--input --exclude-lowest --out",
@@ -198,15 +207,26 @@ def test_readme_config_table_is_the_command_table():
     ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--workers", "0"],
     ["ser", "--m", "1", "--p", "1e2,1e3,1e4", "--min-errors", "-3"],
     ["dmin", "--m", "0", "--q", "2,4,8"],
+    ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--seed", "-1"],
+    ["dmin", "--m", "1", "--q", "2,4,8", "--seed", "-1"],
+    ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "0"],
+    ["dmin", "--m", "1", "--q", "2,4,8", "--draws", "0"],
+    ["ser", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
+    ["eve", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
+    ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
+    ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
 ])
 def test_workers_and_min_errors_below_range_exit_2(args, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         entrypoint(args + ["--out", str(tmp_path / "out.csv")])
     assert ei.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: blindjam {args[0]} [-h]")
+    assert re.search(r"error: --[a-z-]+ must be >= \d+$", err.rstrip())
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["sweep", "ser", "eve", "leakage", "compare"])
+@pytest.mark.parametrize("command", ["sweep", "ser", "eve", "compare"])
 @pytest.mark.parametrize("flag, value", [("--m", "0"), ("--delta", "0.5"), ("--delta", "0")])
 def test_m_and_delta_out_of_range_exit_2(command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -244,8 +264,8 @@ def test_manifest_replays_byte_identically(tmp_path):
 REPLAY_ARGS = {
     "ser": ["--m", "1", "--p", "1e2,1e3", "--draws", "2", "--delta", "0.25",
             "--trials", "2000", "--min-errors", "20", "--sigma1", "0.5"],
-    "leakage": ["--kind", "CsiAligned", "--m", "1", "--p", "1e2,1e3,1e4,1e5",
-                "--draws", "2", "--mi-samples", "200", "--exclude-lowest", "1"],
+    "sweep": ["--no-ser", "--kind", "CsiAligned", "--m", "1", "--p", "1e2,1e3,1e4,1e5",
+              "--draws", "2", "--mi-samples", "200"],
     "compare": ["--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
                 "--mi-samples", "200", "--workers", "2"],
     "dmin": ["--m", "2", "--q", "2,4,8", "--draws", "2"],
@@ -267,6 +287,8 @@ def test_manifest_replay_is_byte_identical(command, tmp_path):
     again = json.loads((tmp_path / "run2.manifest.json").read_text())
     assert again.pop("out") == str(out2) and first.pop("out") == str(out1)
     assert again == first
+    if command == "sweep":
+        assert again["include_ser"] is False
 
 
 @pytest.mark.parametrize("command,runner,args", [
@@ -329,10 +351,11 @@ def test_ser_noiseless_is_zero(tmp_path):
 
 def test_ser_zero_draws_is_an_error(tmp_path, capsys):
     out = tmp_path / "ser.csv"
-    rc = entrypoint(["ser", "--kind", "Blind", "--m", "1", "--p", "1e2,1e3",
-                     "--draws", "0", "--out", str(out)])
-    assert rc != 0
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["ser", "--kind", "Blind", "--m", "1", "--p", "1e2,1e3",
+                    "--draws", "0", "--out", str(out)])
+    assert ei.value.code == 2
+    assert "error: --draws must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,39 +373,43 @@ def test_compare_emits_row_per_kind(tmp_path, capsys):
 
 
 def test_leakage_prints_slope(tmp_path, capsys):
+    # the leakage slope is a sweep without the reliability estimate, then report
     out = tmp_path / "leak.csv"
-    rc = entrypoint(["leakage", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2",
-                     "--seed", "7", "--mi-samples", "200", "--out", str(out)])
-    assert rc == 0
-    assert "leakage slope" in capsys.readouterr().out
+    assert entrypoint(["sweep", "--no-ser", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2",
+                       "--seed", "7", "--mi-samples", "200", "--out", str(out)]) == 0
+    assert entrypoint(["report", "--input", str(out)]) == 0
+    assert re.search(r"^Blind m=1 delta=0\.05: leakage slope -?\d+\.\d{6} \(stderr ",
+                     capsys.readouterr().out, re.M)
 
 
-def _planted_csv(path, slope=0.5):
+def _planted_rows(kind="Blind", powers=(1e2, 1e3, 1e4, 1e5)):
+    # bound slope 0.5 against (1/2) log2 p, and a constant leakage
     rows = []
     for d in range(2):
-        for p in (1e2, 1e3, 1e4, 1e5):
+        for p in powers:
             q = schedule_q(p, 0.05, 1)
             a = 0.3 * math.sqrt(p) / q
             x = 0.5 * math.log2(p)
-            rows.append(SweepRow(kind="Blind", m=1, delta=0.05, draw_id=d, p=p,
-                                 q=q, a=a, gamma=0.3, i_vy1=slope * x + 1.25,
+            rows.append(SweepRow(kind=kind, m=1, delta=0.05, draw_id=d, p=p,
+                                 q=q, a=a, gamma=0.3, i_vy1=0.5 * x + 1.25,
                                  i_vy1_se=0.0, i_vy2=0.25, i_vy2_se=0.0,
-                                 bound=slope * x + 1.0))
-    write_sweep_csv(rows, path)
+                                 bound=0.5 * x + 1.0))
+    return rows
 
 
 def test_report_recovers_planted_slope(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
-    _planted_csv(csv_path)
+    write_sweep_csv(_planted_rows(), csv_path)
     summary = tmp_path / "summary.csv"
     rc = entrypoint(["report", "--input", str(csv_path), "--out", str(summary)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "bound slope 0.500000" in out
-    assert "leakage slope 0.000000" in out
+    assert "Blind m=1 delta=0.05: bound slope 0.500000" in out
+    assert "Blind m=1 delta=0.05: leakage slope 0.000000" in out
     lines = summary.read_text().splitlines()
-    assert lines[0].startswith("column,slope")
-    assert len(lines) == 3
+    assert lines[0] == "column,slope,intercept,slope_stderr,n,excluded_lowest,kind,m,delta"
+    assert [line.split(",")[0] for line in lines[1:]] == ["bound", "i_vy2"]
+    assert all(line.endswith(",Blind,1,0.05") for line in lines[1:])
 
 
 def test_report_on_a_non_sweep_csv_exits_1(tmp_path, capsys):
@@ -396,12 +423,11 @@ def test_report_on_a_non_sweep_csv_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, args", [
     ("report", ["--input", "sweep.csv"]),
-    ("leakage", ["--m", "1", "--p", "1e2,1e3,1e4"]),
     ("compare", ["--m", "1", "--p", "1e2,1e3,1e4"]),
 ])
 def test_negative_exclude_lowest_exits_2(command, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _planted_csv(tmp_path / "sweep.csv")
+    write_sweep_csv(_planted_rows(), tmp_path / "sweep.csv")
     with pytest.raises(SystemExit) as ei:
         entrypoint([command, "--exclude-lowest", "-3"] + args)
     assert ei.value.code == 2
@@ -409,7 +435,7 @@ def test_negative_exclude_lowest_exits_2(command, args, tmp_path, monkeypatch, c
     assert not (tmp_path / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["leakage", "compare"])
+@pytest.mark.parametrize("command", ["compare"])
 def test_exclusion_leaving_under_3_powers_exits_2_before_the_sweep(command, tmp_path,
                                                                    capsys):
     out = tmp_path / "l.csv"
@@ -421,7 +447,7 @@ def test_exclusion_leaving_under_3_powers_exits_2_before_the_sweep(command, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_leakage_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, monkeypatch,
+def test_compare_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, monkeypatch,
                                                                    capsys):
     # at m=2 the cap truncates 1e6 away, so one exclusion leaves 2 powers: the
     # powers the sweep would keep are counted, and no cell runs
@@ -430,13 +456,12 @@ def test_leakage_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, mon
 
     monkeypatch.setattr(experiments, "default_budget", unreachable)
     out = tmp_path / "l.csv"
-    for command in ("leakage", "compare"):
-        with pytest.raises(SystemExit) as ei:
-            entrypoint([command, "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
-                        "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
-        assert ei.value.code == 2
-        assert "the component cap keeps 3 of the 4 --p powers" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as ei:
+        entrypoint(["compare", "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
+                    "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
+    assert ei.value.code == 2
+    assert "the component cap keeps 3 of the 4 --p powers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
@@ -452,16 +477,42 @@ def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
     assert ei.value.code == 2
 
 
-def test_report_refuses_rows_of_several_kinds(tmp_path, capsys):
-    # a compare rows CSV holds every kind; one line through them all fits none
-    out = tmp_path / "c.csv"
+def test_report_on_compare_rows_reproduces_compare_slopes(tmp_path, capsys):
+    # a compare rows CSV holds one series per kind; report fits each as compare did
+    out, summary = tmp_path / "c.csv", tmp_path / "s.csv"
     assert entrypoint(["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
                        "--mi-samples", "200", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert entrypoint(["report", "--input", str(tmp_path / "c_rows.csv")]) == 1
+    assert entrypoint(["report", "--input", str(tmp_path / "c_rows.csv"),
+                       "--out", str(summary)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    kinds = ["Blind", "CsiAligned", "GaussianJam"]
+    assert [line.split(": ")[0] for line in printed[:-1]] == [
+        f"{kind} m=1 delta=0.05" for kind in kinds for _ in range(2)]
+    assert [line.split(": ")[1].split(" slope")[0] for line in printed[:-1]] == [
+        "bound", "leakage"] * 3
+    with open(out, newline="") as fh:
+        want = {rec["kind"]: rec for rec in csv.DictReader(fh)}
+    with open(summary, newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert [(rec["kind"], rec["column"]) for rec in got] == [
+        (kind, column) for kind in kinds for column in ("bound", "i_vy2")]
+    for rec in got:
+        if rec["column"] == "bound":
+            assert (rec["slope"], rec["slope_stderr"]) == (
+                want[rec["kind"]]["slope"], want[rec["kind"]]["slope_stderr"])
+
+
+def test_report_writes_nothing_when_one_series_is_too_short(tmp_path, capsys):
+    # every series is fitted first: one of 2 powers fails the whole run
+    rows = _planted_rows() + _planted_rows(kind="CsiAligned", powers=(1e2, 1e3))
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    summary = tmp_path / "s.csv"
+    assert entrypoint(["report", "--input", str(tmp_path / "sweep.csv"),
+                       "--out", str(summary)]) == 1
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "kind, m, delta" in captured.err
-    assert "slope" not in captured.out
+    assert "error: CsiAligned m=1 delta=0.05: degenerate grid" in captured.err
+    assert captured.out == "" and not summary.exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

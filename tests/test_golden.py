@@ -37,7 +37,8 @@ COMMANDS = {
     "ser_noiseless": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000 --sigma1 0",
     "ser_m2_csi": "ser --m 2 --kind CsiAligned --p 1e2,1e3,1e4 --draws 2 --trials 20000",
     "eve": "eve --m 1 --delta 0.25 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
-    "leakage": "leakage --kind GaussianJam --m 1 --p 1e2,1e3,1e4 --draws 2 --mi-samples 2000",
+    "sweep_no_ser": ("sweep --kind GaussianJam --m 1 --p 1e2,1e3,1e4 --draws 2 "
+                     "--mi-samples 2000 --no-ser"),
     "dmin": "dmin --m 2 --q 4,8,16,32 --draws 5",
 }
 
@@ -85,12 +86,26 @@ def _column_shifts(want: bytes, got: bytes) -> str:
     return "\n".join(lines) or "  (no value moved: formatting only)"
 
 
+def _dispatch_note() -> str:
+    """Which of numpy's X86_V4/AVX512 dispatch features are on for this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+
+    avx512 = sorted(name for name, on in features.items() if on and name.startswith("AVX512"))
+    return (f"numpy's X86_V4 dispatch is {'on' if features.get('X86_V4') else 'off'}; "
+            f"AVX512 features on: {', '.join(avx512) or 'none'}. The golden files hold the "
+            "X86_V4 (AVX-512) bits of numpy's float64 exp and log, and below it some values "
+            "move by 1 ulp (ROADMAP item 13).")
+
+
 def _assert_same(golden: Path, produced: Path) -> None:
     want, got = golden.read_bytes(), produced.read_bytes()
     if want != got:
         detail = (_column_shifts(want, got) if golden.suffix == ".csv"
                   else got.decode())
-        pytest.fail(f"{golden.name} differs from its golden copy:\n{detail}")
+        pytest.fail(f"{golden.name} differs from its golden copy:\n{detail}\n{_dispatch_note()}")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
