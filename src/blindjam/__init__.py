@@ -35,7 +35,6 @@ from .infometrics import (
     MiEstimate,
     MixtureSpec,
     RateBound,
-    mi_discrete_input,
     mixture_entropy,
     rate_lower_bound,
 )

@@ -296,6 +296,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                      ("mi_samples", 2), ("min_errors", 0), ("exclude_lowest", 0)):
         if params.get(key) is not None and params[key] < low:
             parser.error(f"{_flag(key)} must be >= {low}")
+    if params.get("include_ser") and params["ser_trials"] < 1:  # --no-ser reads no trials
+        parser.error("--ser-trials must be >= 1")
     if "delta" in params and not 0 < params["delta"] < 0.5:
         parser.error("--delta must lie in (0, 0.5)")
     try:

@@ -178,6 +178,15 @@ def _run_cells(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int,
         return list(pool.map(run, cells))
 
 
+def _legit_ser(cfg: SchemeConfig, ch: ChannelRealization, d: int, i: int, seed: int,
+               trials: int, min_errors: int | None):
+    """The legitimate receiver's block SER of cell (cfg.kind, draw d, grid
+    index i): ``sweep``'s reliability columns and ``ser``'s rows."""
+    # looked up as this module's global: perfbench's tracer wraps it here
+    return estimate_ser(cfg, ch, trials, child_seed(seed, "cell", cfg.kind, d, i, "ser"),
+                        min_errors=min_errors)
+
+
 def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, workers: int,
                mi_samples: int, ser_trials: int | None = None,
                min_errors: int | None = None) -> list[SweepRow]:
@@ -203,9 +212,7 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, wor
             i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr, bound=rb.bound,
         )
         if ser_trials is not None and jam_streams(cfg.kind, m):
-            est = estimate_ser(cfg, ch, ser_trials,
-                               child_seed(seed, "cell", cfg.kind, d, i, "ser"),
-                               min_errors=min_errors)
+            est = _legit_ser(cfg, ch, d, i, seed, ser_trials, min_errors)
             row.update(trials=est.trials, errors=est.errors, ser=est.rate,
                        ser_stderr=est.stderr)
         return SweepRow(**row)
@@ -266,8 +273,7 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
 
     def cell(cfg, ch, d, i):
         if receiver == "legit":
-            est = estimate_ser(cfg, ch, trials, child_seed(seed, "cell", kind, d, i, "ser"),
-                               min_errors=min_errors)
+            est = _legit_ser(cfg, ch, d, i, seed, trials, min_errors)
         else:
             est = estimate_eve_u_error(cfg, ch, trials, child_seed(seed, "eveu", d, i),
                                        min_errors=min_errors)

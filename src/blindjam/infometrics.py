@@ -42,7 +42,6 @@ __all__ = [
     "mixture_logpdf",
     "mixture_entropy",
     "symbol_sum_pmf",
-    "mi_discrete_input",
     "rate_lower_bound",
 ]
 
@@ -352,81 +351,6 @@ def _product_mixture(coeffs, symbol_sets, set_weights, sigma) -> MixtureSpec:
     return MixtureSpec(means, np.exp(logw, out=logw), sigma)
 
 
-def _component_count(symbol_sets) -> int:
-    total = 1
-    for vals in symbol_sets:
-        total *= len(np.asarray(vals).ravel())
-    return total
-
-
-def _check_cap(total: int):
-    if total > COMPONENT_CAP:
-        raise ValueError(
-            f"mixture would have {total} components, above the cap {COMPONENT_CAP}; "
-            "reduce q (or the number of streams) until the product of set sizes fits"
-        )
-
-
-def _mi_with_parts(coeffs, symbol_sets, sigma, designated, method="mc",
-                   n_samples=DEFAULT_MC_SAMPLES, seed=0, weights=None):
-    """(MI estimate, h(Y) estimate, h(Y|designated) estimate)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(symbol_sets) != coeffs.shape[0]:
-        raise ValueError("one symbol set per coefficient required")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if weights is None:
-        weights = [None] * len(symbol_sets)
-    if len(weights) != len(symbol_sets):
-        raise ValueError("one weight vector (or None) per symbol set required")
-    designated = sorted(set(int(i) for i in designated))
-    if not designated:
-        raise ValueError("designated input subset must be nonempty")
-    if designated[0] < 0 or designated[-1] >= coeffs.shape[0]:
-        raise ValueError("designated indices out of range")
-    _check_cap(_component_count(symbol_sets))
-
-    if all(len(np.asarray(symbol_sets[i]).ravel()) == 1 for i in designated):
-        return MiEstimate(0.0, 0.0), None, None
-
-    # each mixture lives only while its entropy is estimated
-    h_y = mixture_entropy(_product_mixture(coeffs, symbol_sets, weights, sigma),
-                          method=method, n_samples=n_samples, seed=child_seed(seed, "hy"))
-
-    free = [i for i in range(coeffs.shape[0]) if i not in designated]
-    if free:
-        # translation invariance in the conditioning value: one evaluation
-        # with the designated inputs pinned covers every conditioning value
-        cond = _product_mixture(coeffs[free], [symbol_sets[i] for i in free],
-                                [weights[i] for i in free], sigma)
-        h_cond = mixture_entropy(cond, method=method, n_samples=n_samples,
-                                 seed=child_seed(seed, "hcond"))
-    else:
-        h_cond = MiEstimate(gaussian_entropy(sigma), 0.0)
-
-    value = h_y.value - h_cond.value
-    stderr = math.hypot(h_y.stderr, h_cond.stderr)
-    if method == "quadrature" and value < -3.0 * stderr - 1e-9:
-        # no sampling noise here: a negative information is a defect
-        raise ValueError("mutual information cannot be negative beyond the grid rule's error")
-    return MiEstimate(value=value, stderr=stderr), h_y, h_cond
-
-
-def mi_discrete_input(coeffs, symbol_sets, sigma, designated, method="mc",
-                      n_samples=DEFAULT_MC_SAMPLES, seed=0,
-                      weights=None) -> MiEstimate:
-    """I(S; sum_i coeff_i S_i + N) for independent discrete inputs S_i.
-
-    ``designated`` picks the subset S whose information is measured; the
-    remaining inputs act as interference. ``weights`` optionally gives a
-    pmf per symbol set (default uniform), which is how a pre-convolved sum
-    stream enters as a single set.
-    """
-    mi, _, _ = _mi_with_parts(coeffs, symbol_sets, sigma, designated, method=method,
-                              n_samples=n_samples, seed=seed, weights=weights)
-    return mi
-
-
 @dataclass(frozen=True)
 class RateBound:
     """Secrecy-rate lower bound: I(V;Y1) - I(V;Y2), clamped at zero."""
@@ -438,20 +362,44 @@ class RateBound:
 
 def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, method: str,
                  n_samples: int, seed: int):
-    """``_mi_with_parts`` of the messages at one receiver of ``observation``.
+    """(I(V;Y), h(Y), h(Y|V)) of the messages V at one receiver of ``observation``.
 
+    V is the leading ``cfg.m`` coordinates; h(Y|V) is translation invariant
+    in V's value, so the mixture of the other coordinates alone gives it.
     The legitimate receiver's jamming sum enters as one set weighted by its
     pmf, even of one stream; every other coordinate is one uniform stream,
-    unweighted, so the eavesdropper mixtures keep exactly equal weights.
+    unweighted, so the eavesdropper mixtures keep exactly equal weights. At
+    q = 0 the messages are constant: I = 0 exactly, and both entropies None.
     """
     coeffs, counts, sigma = observation(cfg, ch, receiver)
+    total = math.prod(2 * n * cfg.q + 1 for n in counts)
+    if total > COMPONENT_CAP:
+        raise ValueError(
+            f"mixture would have {total} components, above the cap {COMPONENT_CAP}; "
+            "reduce q (or the number of streams) until the product of set sizes fits"
+        )
+    if cfg.q == 0:
+        return MiEstimate(0.0, 0.0), None, None
     sets, weights = [], []
     for i, n in enumerate(counts):
         vals, pmf = symbol_sum_pmf(n, cfg.q)
         sets.append(cfg.a * vals)
         weights.append(pmf if receiver == "legit" and i >= cfg.m else None)
-    return _mi_with_parts(coeffs, sets, sigma, range(cfg.m), method=method,
-                          n_samples=n_samples, seed=seed, weights=weights)
+    # each mixture lives only while its entropy is estimated
+    h_y = mixture_entropy(_product_mixture(coeffs, sets, weights, sigma), method=method,
+                          n_samples=n_samples, seed=child_seed(seed, "hy"))
+    if len(counts) > cfg.m:
+        cond = _product_mixture(coeffs[cfg.m:], sets[cfg.m:], weights[cfg.m:], sigma)
+        h_cond = mixture_entropy(cond, method=method, n_samples=n_samples,
+                                 seed=child_seed(seed, "hcond"))
+    else:
+        h_cond = MiEstimate(gaussian_entropy(sigma), 0.0)
+    value = h_y.value - h_cond.value
+    stderr = math.hypot(h_y.stderr, h_cond.stderr)
+    if method == "quadrature" and value < -3.0 * stderr - 1e-9:
+        # no sampling noise here: a negative information is a defect
+        raise ValueError("mutual information cannot be negative beyond the grid rule's error")
+    return MiEstimate(value=value, stderr=stderr), h_y, h_cond
 
 
 def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "mc",

@@ -215,6 +215,8 @@ def test_readme_config_table_is_the_command_table():
     ["eve", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
     ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
     ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
+    ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--ser-trials", "0"],
+    ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--ser-trials", "-3"],
 ])
 def test_workers_and_min_errors_below_range_exit_2(args, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -237,6 +239,24 @@ def test_m_and_delta_out_of_range_exit_2(command, flag, value, tmp_path, capsys)
     assert err.startswith(f"usage: blindjam {command} [-h]")
     assert f"error: {flag} must" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_reliability_columns_are_the_ser_rows(tmp_path):
+    # both commands count the legitimate receiver's errors of the same cells
+    grid = ["--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2", "--min-errors", "20"]
+    assert entrypoint(["sweep", *grid, "--mi-samples", "200", "--ser-trials", "3000",
+                       "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert entrypoint(["ser", *grid, "--delta", "0.05", "--trials", "3000",
+                       "--out", str(tmp_path / "ser.csv")]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    with open(tmp_path / "ser.csv", newline="") as fh:
+        ser = list(csv.DictReader(fh))
+    assert len(sweep) == len(ser) == 6
+    assert ([[r[k] for k in ("draw_id", "p", "trials", "errors", "ser", "ser_stderr")]
+             for r in sweep]
+            == [[r[k] for k in ("draw_id", "p", "trials", "errors", "rate", "stderr")]
+                for r in ser])
 
 
 def test_refusal_prints_the_usage_of_its_command(capsys):
@@ -373,10 +393,12 @@ def test_compare_emits_row_per_kind(tmp_path, capsys):
 
 
 def test_leakage_prints_slope(tmp_path, capsys):
-    # the leakage slope is a sweep without the reliability estimate, then report
+    # the leakage slope is a sweep without the reliability estimate, then
+    # report; such a sweep reads no SER trials, so 0 of them is no refusal
     out = tmp_path / "leak.csv"
     assert entrypoint(["sweep", "--no-ser", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "2",
-                       "--seed", "7", "--mi-samples", "200", "--out", str(out)]) == 0
+                       "--seed", "7", "--mi-samples", "200", "--ser-trials", "0",
+                       "--out", str(out)]) == 0
     assert entrypoint(["report", "--input", str(out)]) == 0
     assert re.search(r"^Blind m=1 delta=0\.05: leakage slope -?\d+\.\d{6} \(stderr ",
                      capsys.readouterr().out, re.M)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate, stats
 
 from blindjam import infometrics
 from blindjam.channel import default_budget, sample_channel
+from blindjam.experiments import _make_config
 from blindjam.infometrics import (
     CHUNK_TERMS,
     COMPONENT_CAP,
@@ -18,18 +20,19 @@ from blindjam.infometrics import (
     MixtureSpec,
     _product_mixture,
     gaussian_entropy,
-    mi_discrete_input,
     mixture_entropy,
     mixture_logpdf,
     rate_lower_bound,
     symbol_sum_pmf,
 )
 from blindjam.schemes import (
+    KINDS,
     SchemeConfig,
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
     observation,
+    schedule_q,
 )
 from blindjam.streams import substream
 
@@ -485,23 +488,29 @@ def test_symbol_sum_pmf_oracles():
 
 
 def test_mi_bpsk_literature_value():
-    # unit-energy BPSK in unit AWGN: known 0 dB value
-    mi = mi_discrete_input([1.0], [np.array([-1.0, 1.0])], 1.0, [0],
-                           method="quadrature")
-    assert mi.value == pytest.approx(0.4861, abs=2e-3)
+    # unit-energy BPSK in unit AWGN: known 0 dB value, h(Y) - h(N)
+    h_y = mixture_entropy(MixtureSpec(means=np.array([-1.0, 1.0]), sigma=1.0),
+                          method="quadrature")
+    assert h_y.value - gaussian_entropy(1.0) == pytest.approx(0.4861, abs=2e-3)
 
 
-def test_mi_zero_for_singleton_designated():
-    mi = mi_discrete_input([1.0, 0.7], [np.array([0.0]), np.array([-1.0, 1.0])],
-                           1.0, [0])
-    assert mi.value == 0.0 and mi.stderr == 0.0
+def test_mi_zero_for_singleton_designated(ch1, monkeypatch):
+    # q = 0: every message is the one symbol 0, so no mixture is built
+    cfg = SchemeConfig(kind="Blind", m=1, p=100.0, delta=0.1, gamma=0.5, q=0, a=1.0,
+                       alphas=(0.7,), c_bar=10.0)
+    monkeypatch.setattr(infometrics, "_product_mixture", _no_mixture)
+    for method in ("mc", "quadrature"):
+        rb = rate_lower_bound(cfg, ch1, method=method)
+        for mi in (rb.i_v_y1, rb.i_v_y2):
+            assert mi.value == 0.0 and mi.stderr == 0.0
 
 
 def test_mi_posterior_form_identity():
     # h(Y) - h(Y|V) must equal H(V) - H(V|Y) (tiny case, both by quadrature)
     mus = np.array([-1.0, 1.0])
     sigma = 0.8
-    mi = mi_discrete_input([1.0], [mus], sigma, [0], method="quadrature")
+    h_y = mixture_entropy(MixtureSpec(means=mus, sigma=sigma), method="quadrature")
+    mi = h_y.value - gaussian_entropy(sigma)
 
     def integrand(y):
         dens = 0.5 * (stats.norm.pdf(y, -1.0, sigma) + stats.norm.pdf(y, 1.0, sigma))
@@ -513,44 +522,64 @@ def test_mi_posterior_form_identity():
         return dens * ent
 
     h_v_given_y, _ = integrate.quad(integrand, -12, 12, limit=200)
-    assert mi.value == pytest.approx(1.0 - h_v_given_y, abs=1e-6)
+    assert mi == pytest.approx(1.0 - h_v_given_y, abs=1e-6)
+
+
+def _no_mixture(*args, **kwargs):
+    raise AssertionError("a mixture was built")
+
+
+def _drawn_cell(seed):
+    """A scheme cell: kind from KINDS, m in {1, 2}, the power at which
+    schedule_q gives q in 1..3, random signed gains and sigma1, sigma2
+    log-uniform in [0.05, 3]."""
+    rng = np.random.default_rng(seed)
+    kind = KINDS[int(rng.integers(len(KINDS)))]
+    m, q, delta = int(rng.integers(1, 3)), int(rng.integers(1, 4)), 0.05
+    p = (q + 0.5) ** (2.0 * (m + 1 + delta) / (1.0 - delta))
+    sigma1, sigma2 = np.exp(rng.uniform(math.log(0.05), math.log(3.0), size=2))
+    ch = replace(sample_channel(m, int(rng.integers(2**31))),
+                 sigma1=float(sigma1), sigma2=float(sigma2))
+    cfg = _make_config(kind, m, p, delta, ch, default_budget(ch, p).c_bar, seed)
+    assert cfg.q == schedule_q(p, delta, m) == q
+    return cfg, ch
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_mi_nonnegative_and_capped(seed):
-    # 0 <= I <= min(H(designated), capacity cap) within noise
-    rng = np.random.default_rng(seed)
-    q = int(rng.integers(1, 4))
-    coeffs = rng.uniform(0.3, 1.5, size=2)
-    sets = [np.arange(-q, q + 1, dtype=float), np.arange(-q, q + 1, dtype=float)]
-    sigma = float(rng.uniform(0.5, 2.0))
-    mi = mi_discrete_input(coeffs, sets, sigma, [0], method="mc",
-                           n_samples=4000, seed=int(seed))
-    assert mi.value >= -3.0 * mi.stderr - 1e-9
-    assert mi.value <= math.log2(2 * q + 1) + 3.0 * mi.stderr
-    spec = _product_mixture(coeffs, sets, [None, None], sigma)
-    means, w = spec.means, spec.weights
-    var = float(np.sum(w * means**2) - np.sum(w * means) ** 2)
-    cap = 0.5 * math.log2(1.0 + var / sigma**2)
-    assert mi.value <= cap + 3.0 * mi.stderr + 1e-6
+    # 0 <= I <= min(H(V), capacity cap) within noise, at both receivers
+    cfg, ch = _drawn_cell(seed)
+    rb = rate_lower_bound(cfg, ch, method="mc", n_samples=4000, seed=seed)
+    for receiver, mi in (("legit", rb.i_v_y1), ("eve", rb.i_v_y2)):
+        assert mi.value >= -3.0 * mi.stderr - 1e-9
+        assert mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + 3.0 * mi.stderr
+        coeffs, counts, sigma = observation(cfg, ch, receiver)
+        # a uniform integer on [-q, q] has variance q (q + 1) / 3
+        var = float(np.sum((cfg.a * coeffs) ** 2 * np.asarray(counts))) * cfg.q * (cfg.q + 1) / 3
+        cap = 0.5 * math.log2(1.0 + var / sigma**2)
+        assert mi.value <= cap + 3.0 * mi.stderr + 1e-6
 
 
-def test_mi_input_validation():
-    with pytest.raises(ValueError):
-        mi_discrete_input([1.0], [np.array([0.0, 1.0])], 1.0, [])
-    with pytest.raises(ValueError):
-        mi_discrete_input([1.0], [np.array([0.0, 1.0])], 1.0, [2])
-    with pytest.raises(ValueError):
-        mi_discrete_input([1.0], [np.array([0.0, 1.0])], 0.0, [0])
-    with pytest.raises(ValueError):
-        mi_discrete_input([1.0, 1.0], [np.array([0.0])], 1.0, [0])
+def test_mi_input_validation(ch1):
+    # sigma = 0 is refused by MixtureSpec. The other refusals (set,
+    # coefficient and weight lengths, the designated range) guarded inputs
+    # that observation cannot produce, and went with that interface.
+    cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, default_budget(ch1, 100.0).c_bar, 3)
+    for method in ("mc", "quadrature"):
+        with pytest.raises(ValueError, match="sigma"):
+            rate_lower_bound(cfg, replace(ch1, sigma1=0.0), method=method)
 
 
-def test_component_cap_message_names_q():
-    sets = [np.arange(101, dtype=float)] * 3
-    with pytest.raises(ValueError, match="reduce q"):
-        mi_discrete_input([1.0, 0.9, 0.8], sets, 1.0, [0])
+def test_component_cap_message_names_q(monkeypatch):
+    # Blind M=2 at p=1e10 has q=36: the legitimate mixture, checked first,
+    # would hold 73^2 * 217 components; the refusal comes before any mixture
+    ch = sample_channel(2, 11)
+    cfg = make_blind_scheme(2, 1e10, 0.05, ch.h, default_budget(ch, 1e10).c_bar, 3)
+    assert cfg.q == 36
+    monkeypatch.setattr(infometrics, "_product_mixture", _no_mixture)
+    with pytest.raises(ValueError, match="1156393 components.*reduce q"):
+        rate_lower_bound(cfg, ch, method="quadrature")
 
 
 def test_estimate_validation():
@@ -563,42 +592,37 @@ def test_estimate_validation():
 def test_negative_differential_entropies_are_values():
     # below sigma = 0.41 a Gaussian's differential entropy is negative
     spec = MixtureSpec(means=np.array([0.0, 1.0]), sigma=0.1)
+    # at sigma 0.01 the legitimate h(Y1|V), about -1.6 bits, is negative too
+    channels = [replace(sample_channel(1, 7), sigma1=s, sigma2=s) for s in (0.2, 0.01)]
+    cfg = make_blind_scheme(1, 100.0, 0.1, channels[0].h,
+                            default_budget(channels[0], 100.0).c_bar, 3)
+    h_v = cfg.m * math.log2(2 * cfg.q + 1)
     for method in ("mc", "quadrature"):
         h = mixture_entropy(spec, method=method, n_samples=20_000)
         assert h.value == pytest.approx(1.0 + gaussian_entropy(0.1), abs=0.02)
-        mi = mi_discrete_input([1.0], [np.array([-1.0, 1.0])], 0.2, [0], method=method,
-                               n_samples=20_000)
-        assert mi.value == pytest.approx(1.0, abs=0.02)
+        for ch in channels:
+            rb = rate_lower_bound(cfg, ch, method=method, n_samples=20_000)
+            for mi in (rb.i_v_y1, rb.i_v_y2):
+                assert -3.0 * mi.stderr <= mi.value <= h_v + 3.0 * mi.stderr
 
 
-def test_negative_grid_information_raises(monkeypatch):
+def test_negative_grid_information_raises(ch1, monkeypatch):
     # the trapezoid rule carries no sampling noise: h(Y) < h(Y|V) is a defect
     values = iter([(1.0, 0.0), (2.0, 0.0)])
     monkeypatch.setattr(infometrics, "_entropy_grid", lambda spec: next(values))
+    cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, default_budget(ch1, 100.0).c_bar, 3)
     with pytest.raises(ValueError, match="cannot be negative"):
-        mi_discrete_input([1.0, 1.0], [np.array([-1.0, 1.0])] * 2, 1.0, [0],
-                          method="quadrature")
+        rate_lower_bound(cfg, ch1, method="quadrature")
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.booleans())
-def test_grid_mi_between_zero_and_input_entropy(seed, with_pmf):
-    rng = np.random.default_rng(seed)
-    sets = [np.arange(-q, q + 1, dtype=float) for q in rng.integers(0, 4, size=rng.integers(1, 4))]
-    weights = [None] * len(sets)
-    if with_pmf:
-        vals, pmf = symbol_sum_pmf(int(rng.integers(1, 4)), int(rng.integers(0, 4)))
-        sets.append(vals)
-        weights.append(pmf)
-    coeffs = rng.choice([-1.0, 1.0], size=len(sets)) * rng.uniform(0.2, 2.0, size=len(sets))
-    sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
-    designated = rng.choice(len(sets), size=int(rng.integers(1, len(sets) + 1)), replace=False)
-    mi = mi_discrete_input(coeffs, sets, sigma, designated, method="quadrature",
-                           weights=weights)
-    h_v = sum(math.log2(sets[i].size) if weights[i] is None
-              else -float(np.sum(weights[i] * np.log2(weights[i]))) for i in designated)
-    slack = 3.0 * mi.stderr + 1e-9
-    assert -slack <= mi.value <= h_v + slack
+@given(st.integers(0, 10**6))
+def test_grid_mi_between_zero_and_input_entropy(seed):
+    cfg, ch = _drawn_cell(seed)
+    rb = rate_lower_bound(cfg, ch, method="quadrature")
+    for mi in (rb.i_v_y1, rb.i_v_y2):
+        slack = 3.0 * mi.stderr + 1e-9
+        assert -slack <= mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + slack
 
 
 def test_rate_lower_bound_structure(ch1):
