@@ -31,12 +31,8 @@ from .experiments import (
     read_sweep_csv,
     sweep_power,
     sweep_ser,
-    write_compare_csv,
-    write_dmin_csv,
     write_manifest,
     write_rows,
-    write_ser_csv,
-    write_sweep_csv,
 )
 from .schemes import KINDS
 
@@ -80,20 +76,17 @@ def parse_int_list(spec) -> list[int]:
     return vals
 
 
-def _manifest_path(out: str) -> str:
-    stem, _ = os.path.splitext(out)
-    return stem + ".manifest.json"
-
-
-def _rows_path(out: str) -> str:
-    return os.path.splitext(out)[0] + "_rows.csv"
+def _beside(out: str, suffix: str) -> str:
+    """The file beside ``out``: its stem and ``suffix``."""
+    return os.path.splitext(out)[0] + suffix
 
 
 def _outputs(command: str, out: str) -> list[str]:
     """Every file ``command`` writes for ``--out``."""
     if command == "report":
         return [out]
-    return [out, _manifest_path(out)] + ([_rows_path(out)] if command == "compare" else [])
+    return [out, _beside(out, ".manifest.json")] + (
+        [_beside(out, "_rows.csv")] if command == "compare" else [])
 
 
 def cmd_sweep(params: dict) -> int:
@@ -105,7 +98,7 @@ def cmd_sweep(params: dict) -> int:
                        min_errors=params["min_errors"],
                        include_ser=params["include_ser"],
                        workers=params["workers"])
-    write_sweep_csv(rows, params["out"])
+    write_rows(rows, params["out"])
     print(f"{len(rows)} rows -> {params['out']}")
     return 0
 
@@ -116,7 +109,7 @@ def cmd_ser(params: dict, receiver: str = "legit") -> int:
                      params["draws"], params["seed"], trials=params["trials"],
                      min_errors=params["min_errors"], workers=params["workers"],
                      sigma1=params.get("sigma1"), receiver=receiver)
-    write_ser_csv(rows, params["out"])
+    write_rows(rows, params["out"])
     print(f"{len(rows)} rows -> {params['out']}")
     return 0
 
@@ -129,7 +122,7 @@ def cmd_eve(params: dict) -> int:
 def cmd_dmin(params: dict) -> int:
     """Minimum-distance scaling study."""
     study = fit_dmin_exponent(params["m"], params["q"], params["draws"], params["seed"])
-    write_dmin_csv(study, params["out"])
+    write_rows(study.rows, params["out"])
     print(f"{len(study.rows)} rows -> {params['out']}")
     print(f"median slope {study.median_slope:.6f}, min slope {study.min_slope:.6f}, "
           f"redraws {study.redraws}")
@@ -143,9 +136,9 @@ def cmd_compare(params: dict) -> int:
                              mi_samples=params["mi_samples"],
                              exclude_lowest=params["exclude_lowest"],
                              workers=params["workers"])
-    write_compare_csv(report, params["out"])
-    rows_path = _rows_path(params["out"])
-    write_sweep_csv(report.rows, rows_path)
+    write_rows(report.summary(), params["out"])
+    rows_path = _beside(params["out"], "_rows.csv")
+    write_rows(report.rows, rows_path)
     for rec in report.summary():
         print(f"{rec['kind']}: slope {rec['slope']:.6f} (stderr {rec['slope_stderr']:.6f})")
     print(f"summary -> {params['out']}; rows -> {rows_path}")
@@ -171,10 +164,8 @@ def cmd_report(params: dict) -> int:
         print(f"{tag}{name} slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
     out = params.get("out")
     if out:
-        write_rows((dict(vars(fit.pooled), column=fit.column, excluded_lowest=fit.excluded_lowest,
-                         kind=kind, m=m, delta=delta) for (kind, m, delta), _, fit in fits),
-                   ["column", "slope", "intercept", "slope_stderr", "n", "excluded_lowest",
-                    "kind", "m", "delta"], out)
+        write_rows([dict(column=fit.column, **vars(fit.pooled), excluded_lowest=fit.excluded_lowest,
+                         kind=kind, m=m, delta=delta) for (kind, m, delta), _, fit in fits], out)
         print(f"summary -> {out}")
     return 0
 
@@ -335,7 +326,7 @@ def entrypoint(argv=None) -> int:
                 raise OSError(f"output path {path} is a directory")
         rc = _COMMANDS[args.command][0](params)
         if args.command != "report":  # after the run: a failed one leaves no manifest
-            write_manifest(_manifest_path(out), {"command": args.command, **params})
+            write_manifest(_beside(out, ".manifest.json"), {"command": args.command, **params})
         return rc
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

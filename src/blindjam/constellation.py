@@ -42,11 +42,22 @@ MAX_REDRAWS = 1000  # gain draws per fit_dmin_exponent draw before it gives up
 
 
 class LatticeSizeError(ValueError):
-    """Enumeration refused because it would exceed the point cap."""
+    """A lattice or mixture refused because it would exceed its size cap."""
 
 
 class DegenerateLatticeError(ValueError):
     """Two distinct labels landed on (numerically) the same point."""
+
+
+def check_size(factors, cap: int, what: str) -> None:
+    """Refuse, naming ``cap``, a product of the positive integers ``factors``
+    above it; the product is not formed past the cap, however many factors."""
+    total = 1
+    for f in factors:
+        total *= f
+        if total > cap:
+            raise LatticeSizeError(f"more than {cap} {what} exceed the cap; "
+                                   "reduce q or the number of streams")
 
 
 class BucketTable(NamedTuple):
@@ -136,12 +147,7 @@ def enumerate_sum_lattice(coeffs, radii, a: float = 1.0) -> ReceiverLattice:
         raise ValueError("one radius per coefficient required")
     if a <= 0:
         raise ValueError("spacing a must be positive")
-    total = math.prod(2 * r + 1 for r in radii)
-    if total > POINT_CAP:
-        raise LatticeSizeError(
-            f"lattice enumeration would produce {total} points, above the cap of {POINT_CAP}; "
-            "reduce q or the number of streams"
-        )
+    check_size((2 * r + 1 for r in radii), POINT_CAP, "lattice points")
     axes = [np.arange(-r, r + 1, dtype=np.int32) for r in radii]
     mesh = np.meshgrid(*axes, indexing="ij")
     labels = np.stack([g.ravel() for g in mesh], axis=1)
@@ -183,12 +189,7 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0) -> float:
         raise ValueError("minimum distance needs at least 2 points")
     wide = int(np.argmax(radii))
     head = [i for i in range(len(radii)) if i != wide]
-    total = math.prod(4 * radii[i] + 1 for i in head)
-    if total > POINT_CAP:
-        raise LatticeSizeError(
-            f"difference box would hold {total} terms, above the cap of {POINT_CAP}; "
-            "reduce q or the number of streams"
-        )
+    check_size((4 * radii[i] + 1 for i in head), POINT_CAP, "difference-box terms")
     x = np.zeros(1)
     for i in head:
         x = (x[:, None] + coeffs[i] * np.arange(-2 * radii[i], 2 * radii[i] + 1)).ravel()
@@ -264,16 +265,19 @@ def loglog_slope(qs, values) -> float:
 
 @dataclass(frozen=True)
 class DminRow:
+    """One (draw, q) cell of a d_min study, with the draw's slope: a CSV line."""
+
     draw_id: int
+    m: int
     q: int
     dmin: float
+    slope: float
 
 
 @dataclass(frozen=True)
 class DminStudy:
     """Per-draw minimum distances over a q grid plus fitted log-log slopes."""
 
-    m: int
     rows: tuple[DminRow, ...]
     slopes: np.ndarray
     redraws: int = 0
@@ -327,9 +331,9 @@ def fit_dmin_exponent(
             except DegenerateLatticeError:
                 redraws += 1
                 continue
-            slopes[draw_id] = loglog_slope(q_grid, dmins)
-            rows.extend(DminRow(draw_id, q, d) for q, d in zip(q_grid, dmins))
+            slopes[draw_id] = slope = loglog_slope(q_grid, dmins)
+            rows.extend(DminRow(draw_id, m, q, d, slope) for q, d in zip(q_grid, dmins))
             break
         else:
             raise RuntimeError(f"draw {draw_id} kept colliding after {MAX_REDRAWS} attempts")
-    return DminStudy(m=m, rows=tuple(rows), slopes=slopes, redraws=redraws)
+    return DminStudy(rows=tuple(rows), slopes=slopes, redraws=redraws)

@@ -1,10 +1,10 @@
 """Power sweeps and slope analysis.
 
 A sweep evaluates one or several scheme kinds over a grid of powers and a
-set of independent channel draws, producing flat rows ready for CSV; every
-kind sees the same channels and the same powers. Slope fits regress the rate
-bound (or the leakage term) against half the log power, which is the
-natural abscissa for degrees-of-freedom statements.
+set of independent channel draws, producing rows whose fields, in order, are
+its CSV's columns; every kind sees the same channels and the same powers.
+Slope fits regress the rate bound (or the leakage term) against half the log
+power, which is the natural abscissa for degrees-of-freedom statements.
 
 Determinism contract: every cell of a sweep derives its own RNG substreams
 from (root seed, kind, draw, grid index), cells are computed independently,
@@ -18,7 +18,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -49,16 +49,8 @@ __all__ = [
     "compare_schemes",
     "feasible_grid",
     "ols",
-    "SWEEP_COLUMNS",
-    "SER_COLUMNS",
-    "COMPARE_COLUMNS",
-    "DMIN_COLUMNS",
     "write_rows",
-    "write_sweep_csv",
     "read_sweep_csv",
-    "write_ser_csv",
-    "write_compare_csv",
-    "write_dmin_csv",
     "write_manifest",
 ]
 
@@ -66,9 +58,9 @@ DEFAULT_SWEEP_MI_SAMPLES = 20_000
 DEFAULT_SWEEP_SER_TRIALS = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
-    """One (scheme kind, channel draw, power) cell of a sweep."""
+    """One (scheme kind, channel draw, power) cell of a sweep: a CSV line."""
 
     kind: str
     m: int
@@ -78,15 +70,15 @@ class SweepRow:
     q: int
     a: float
     gamma: float
+    trials: int | None = None
+    errors: int | None = None
+    ser: float | None = None
+    ser_stderr: float | None = None
     i_vy1: float
     i_vy1_se: float
     i_vy2: float
     i_vy2_se: float
     bound: float
-    trials: int | None = None
-    errors: int | None = None
-    ser: float | None = None
-    ser_stderr: float | None = None
 
     def __post_init__(self):
         if schedule_q(self.p, self.delta, self.m) != self.q:
@@ -94,13 +86,6 @@ class SweepRow:
         a_expect = self.gamma * math.sqrt(self.p) / self.q
         if abs(a_expect - self.a) > 1e-9 * max(1.0, abs(self.a)):
             raise ValueError("a inconsistent with gamma*sqrt(p)/q")
-
-
-SWEEP_COLUMNS = [
-    "kind", "m", "delta", "draw_id", "p", "q", "a", "gamma",
-    "trials", "errors", "ser", "ser_stderr",
-    "i_vy1", "i_vy1_se", "i_vy2", "i_vy2_se", "bound",
-]
 
 
 def _fmt(value) -> str:
@@ -128,10 +113,12 @@ def feasible_grid(kinds, m: int, delta: float, p_grid) -> list[float]:
     """The powers of ``p_grid`` before the first at which some kind's
     eavesdropper mixture, the largest one, exceeds the component cap."""
     # the legitimate mixture and lattice hold (2q+1)^m (2 n_jam q + 1) <=
-    # (2q+1)^(m + n_jam) points
+    # (2q+1)^(m + n_jam) points. Any base of 2 or more to the cap's bit length
+    # exceeds the cap, so clamping the exponent there keeps the test exact
     n_jam = max(len(jam_streams(kind, m)) for kind in kinds)
+    e = min(m + n_jam, COMPONENT_CAP.bit_length())
     for k, p in enumerate(p_grid):
-        if (2 * schedule_q(p, delta, m) + 1) ** (m + n_jam) > COMPONENT_CAP:
+        if (2 * schedule_q(p, delta, m) + 1) ** e > COMPONENT_CAP:
             return list(p_grid[:k])
     return list(p_grid)
 
@@ -200,7 +187,8 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, wor
         warnings.warn(f"truncating power grid at p={p:g}: q={schedule_q(p, delta, m)} "
                       "exceeds the component cap", RuntimeWarning)
     if len(kept) < 3:
-        raise ValueError("fewer than 3 feasible grid points after cap truncation")
+        raise ValueError("fewer than 3 feasible grid points under the component cap "
+                         f"{COMPONENT_CAP}")
 
     def cell(cfg, ch, d, i):
         rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
@@ -237,7 +225,7 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
 
 @dataclass(frozen=True)
 class SerRow:
-    """One (channel draw, power) cell of a reliability-only sweep."""
+    """One (channel draw, power) cell of a reliability-only sweep: a CSV line."""
 
     p: float
     m: int
@@ -371,6 +359,7 @@ class ComparisonReport:
     rows: tuple[SweepRow, ...]
 
     def summary(self) -> list[dict]:
+        """``compare.csv``'s rows, one per kind; their keys are its columns."""
         out = []
         for kind in KINDS:
             fit = self.fits[kind]
@@ -392,65 +381,50 @@ def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
     return ComparisonReport(fits=fits, rows=tuple(rows))
 
 
-def write_rows(rows, columns, path) -> None:
-    """Mappings to CSV: a header of ``columns``, then one line per mapping."""
+def write_rows(rows, path) -> None:
+    """Rows to CSV: a header of the columns, a dataclass row's fields or a
+    mapping's keys, in order, then one line per row."""
+    rows = [{f.name: getattr(row, f.name) for f in fields(row)} if is_dataclass(row) else row
+            for row in rows]
+    if not rows:
+        raise ValueError("no rows to write")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+        writer.writerow(rows[0])
+        writer.writerows(map(_fmt, row.values()) for row in rows)
 
 
-def write_sweep_csv(rows, path) -> None:
-    write_rows(map(vars, rows), SWEEP_COLUMNS, path)
+_PARSERS = {"str": str, "int": int, "float": float}
+
+
+def _parse(field, text: str):
+    """A CSV value as ``field``'s declared type; only an optional one may be empty."""
+    if not text:
+        if field.type.endswith(" | None"):
+            return None
+        raise ValueError(f"{field.name} is empty")
+    return _PARSERS[field.type.removesuffix(" | None")](text)
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    """``SweepRow``s from a CSV; ValueError when a sweep column is missing."""
-    rows = []
+    """``SweepRow``s from a CSV. ValueError when a column is missing, or naming
+    the line that holds other than one value per column or a value refused."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in SWEEP_COLUMNS if col not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [f.name for f in fields(SweepRow) if f.name not in header]
         if missing:
             raise ValueError(f"{path} is not a sweep CSV: missing {', '.join(missing)}")
-        for rec in reader:
-            rows.append(SweepRow(
-                kind=rec["kind"], m=int(rec["m"]), delta=float(rec["delta"]),
-                draw_id=int(rec["draw_id"]), p=float(rec["p"]), q=int(rec["q"]),
-                a=float(rec["a"]), gamma=float(rec["gamma"]),
-                trials=int(rec["trials"]) if rec["trials"] else None,
-                errors=int(rec["errors"]) if rec["errors"] else None,
-                ser=float(rec["ser"]) if rec["ser"] else None,
-                ser_stderr=float(rec["ser_stderr"]) if rec["ser_stderr"] else None,
-                i_vy1=float(rec["i_vy1"]), i_vy1_se=float(rec["i_vy1_se"]),
-                i_vy2=float(rec["i_vy2"]), i_vy2_se=float(rec["i_vy2_se"]),
-                bound=float(rec["bound"]),
-            ))
+        rows = []
+        for values in reader:
+            try:
+                if len(values) != len(header):
+                    raise ValueError(f"{len(values)} values for {len(header)} columns")
+                rec = dict(zip(header, values))
+                rows.append(SweepRow(**{f.name: _parse(f, rec[f.name]) for f in fields(SweepRow)}))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return rows
-
-
-SER_COLUMNS = ["p", "m", "delta", "draw_id", "trials", "errors", "rate", "stderr"]
-
-
-def write_ser_csv(rows, path) -> None:
-    """``SerRow``s to CSV, one line per row."""
-    write_rows(map(vars, rows), SER_COLUMNS, path)
-
-
-COMPARE_COLUMNS = ["kind", "slope", "slope_stderr", "n_rows"]
-
-
-def write_compare_csv(report: ComparisonReport, path) -> None:
-    """One row per scheme kind: the fitted rate-bound slope."""
-    write_rows(report.summary(), COMPARE_COLUMNS, path)
-
-
-DMIN_COLUMNS = ["draw_id", "m", "q", "dmin", "slope"]
-
-
-def write_dmin_csv(study, path) -> None:
-    write_rows((dict(vars(row), m=study.m, slope=study.slopes[row.draw_id])
-                for row in study.rows), DMIN_COLUMNS, path)
 
 
 def write_manifest(path, config: dict) -> None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
+from .constellation import check_size
 from .schemes import SchemeConfig, observation
 from .streams import child_seed, substream
 
@@ -372,12 +373,7 @@ def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, metho
     q = 0 the messages are constant: I = 0 exactly, and both entropies None.
     """
     coeffs, counts, sigma = observation(cfg, ch, receiver)
-    total = math.prod(2 * n * cfg.q + 1 for n in counts)
-    if total > COMPONENT_CAP:
-        raise ValueError(
-            f"mixture would have {total} components, above the cap {COMPONENT_CAP}; "
-            "reduce q (or the number of streams) until the product of set sizes fits"
-        )
+    check_size((2 * n * cfg.q + 1 for n in counts), COMPONENT_CAP, "mixture components")
     if cfg.q == 0:
         return MiEstimate(0.0, 0.0), None, None
     sets, weights = [], []

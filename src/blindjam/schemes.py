@@ -103,8 +103,8 @@ def schedule_q(p: float, delta: float, m: int) -> int:
     Clamped to >= 1 so small-p runs stay well defined (a valid but trivial
     constellation, outside the regime where the rate guarantees kick in).
     """
-    if p <= 0:
-        raise ValueError("power p must be positive")
+    if not 0 < p < math.inf:  # NaN too
+        raise ValueError("power p must be positive and finite")
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
     if m < 1:

@@ -28,9 +28,7 @@ from blindjam.experiments import (
     leakage_slope,
     sweep_power,
     sweep_ser,
-    write_compare_csv,
-    write_ser_csv,
-    write_sweep_csv,
+    write_rows,
 )
 from blindjam.infometrics import MixtureSpec, gaussian_entropy, mixture_entropy
 from blindjam.receiver import decode_legit_batch, legit_lattice
@@ -206,7 +204,7 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
                            mi_samples=300, ser_trials=400, min_errors=5,
                            workers=workers)
         path = tmp_path / name
-        write_sweep_csv(rows, path)
+        write_rows(rows, path)
         return path.read_bytes()
 
     sweep_ok = sweep_bytes(1, "s1.csv") == sweep_bytes(1, "s2.csv") == \
@@ -216,7 +214,7 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
         rows = sweep_ser("Blind", 1, RELIABILITY_DELTA, [1e2, 1e3], 2, 11,
                          trials=5000, workers=workers)
         path = tmp_path / name
-        write_ser_csv(rows, path)
+        write_rows(rows, path)
         return path.read_bytes()
 
     ser_ok = ser_bytes(1, "r1.csv") == ser_bytes(2, "r2.csv")
@@ -225,7 +223,7 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
         report = compare_schemes(1, RATE_DELTA, [1e2, 1e3, 1e4], 1, 11,
                                  mi_samples=300, workers=workers)
         path = tmp_path / name
-        write_compare_csv(report, path)
+        write_rows(report.summary(), path)
         return path.read_bytes()
 
     compare_ok = compare_bytes(1, "c1.csv") == compare_bytes(2, "c2.csv")

@@ -4,13 +4,16 @@ import math
 import re
 import subprocess
 import sys
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from blindjam import cli, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
-from blindjam.experiments import SER_COLUMNS, SweepRow, write_sweep_csv
+from blindjam.constellation import DminRow
+from blindjam.experiments import ComparisonReport, SerRow, SweepRow, fit_dof, write_rows
 from blindjam.schemes import schedule_q
 
 FAST_SWEEP = ["--mi-samples", "200", "--ser-trials", "400", "--min-errors", "5"]
@@ -200,6 +203,35 @@ def test_readme_config_table_is_the_command_table():
         command, keys = (cell.strip() for cell in line.strip("|").split("|"))
         rows.append((command, keys.split(", ")))
     assert rows == [(command, list(options)) for command, (_, options) in cli._COMMANDS.items()]
+
+
+def test_readme_csv_schemas_are_the_row_types(tmp_path):
+    # README's "CSV schemas": the sweep table's column groups, in order, are
+    # SweepRow's fields; the ser and dmin lines the row types' fields; the two
+    # summary lines the columns compare and report write
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CSV schemas\n", 1)[1]
+    table = section.split("| column | meaning |\n| --- | --- |\n", 1)[1]
+    groups = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        groups += line.strip("|").split("|")[0].strip().split(", ")
+    assert groups == [f.name for f in fields(SweepRow)]
+
+    def line(name):
+        return re.split(r",\s*", re.search(rf"^{name}: `([^`]*)`", section, re.M).group(1))
+
+    assert line("`ser`") == [f.name for f in fields(SerRow)]
+    assert line("`dmin`") == [f.name for f in fields(DminRow)]
+    rows = _planted_rows()
+    report = ComparisonReport(fits={kind: fit_dof(rows) for kind in cli.KINDS}, rows=())
+    write_rows(report.summary(), tmp_path / "compare.csv")
+    write_rows(rows, tmp_path / "sweep.csv")
+    assert entrypoint(["report", "--input", str(tmp_path / "sweep.csv"),
+                       "--out", str(tmp_path / "report.csv")]) == 0
+    for name, path in (("`compare` summary", "compare.csv"), ("`report` summary", "report.csv")):
+        assert line(name) == (tmp_path / path).read_text().splitlines()[0].split(",")
 
 
 @pytest.mark.parametrize("args", [
@@ -421,7 +453,7 @@ def _planted_rows(kind="Blind", powers=(1e2, 1e3, 1e4, 1e5)):
 
 def test_report_recovers_planted_slope(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
-    write_sweep_csv(_planted_rows(), csv_path)
+    write_rows(_planted_rows(), csv_path)
     summary = tmp_path / "summary.csv"
     rc = entrypoint(["report", "--input", str(csv_path), "--out", str(summary)])
     assert rc == 0
@@ -443,13 +475,57 @@ def test_report_on_a_non_sweep_csv_exits_1(tmp_path, capsys):
     assert "error:" in err and "not a sweep CSV" in err and "kind" in err
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda cols: cols[:-1], "16 values for 17 columns"),
+    (lambda cols: cols + ["0.0"], "18 values for 17 columns"),
+    (lambda cols: cols[:4] + ["inf"] + cols[5:], "power p must be positive and finite"),
+    (lambda cols: cols[:4] + ["nan"] + cols[5:], "power p must be positive and finite"),
+    (lambda cols: [""] + cols[1:], "kind is empty"),
+    (lambda cols: cols[:-1] + [""], "bound is empty"),
+], ids=["short", "long", "inf", "nan", "empty-kind", "empty-bound"])
+def test_report_on_a_malformed_row_exits_1(edit, why, tmp_path, capsys):
+    # the third data row is cut short, runs long, holds a non-finite power or
+    # leaves a required field empty: an error naming its line, no traceback
+    path, summary = tmp_path / "sweep.csv", tmp_path / "s.csv"
+    write_rows(_planted_rows(), path)
+    lines = path.read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    assert entrypoint(["report", "--input", str(path), "--out", str(summary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} line 4: {why}\n"
+    assert captured.out == "" and not summary.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["ser", "--p", "1e2,1e3"],
+    ["eve", "--p", "1e2,1e3"],
+    ["dmin", "--q", "2,4,8"],
+    ["sweep", "--p", "1e2,1e3,1e4"],
+    ["compare", "--p", "1e2,1e3,1e4"],
+], ids=lambda args: args[0])
+@pytest.mark.filterwarnings("ignore:truncating power grid")
+def test_huge_m_is_refused_at_the_cap_within_seconds(args, tmp_path, capsys):
+    # each size test stops multiplying once the product passes its cap, and
+    # names the cap, not a product of some 480,000 digits
+    start = time.perf_counter()
+    try:
+        rc = entrypoint(args + ["--m", "1000000", "--out", str(tmp_path / "x.csv")])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc in (1, 2) and time.perf_counter() - start < 3.0
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(r"error: .*\bcap\b", last) and len(last) < 200
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, args", [
     ("report", ["--input", "sweep.csv"]),
     ("compare", ["--m", "1", "--p", "1e2,1e3,1e4"]),
 ])
 def test_negative_exclude_lowest_exits_2(command, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    write_sweep_csv(_planted_rows(), tmp_path / "sweep.csv")
+    write_rows(_planted_rows(), tmp_path / "sweep.csv")
     with pytest.raises(SystemExit) as ei:
         entrypoint([command, "--exclude-lowest", "-3"] + args)
     assert ei.value.code == 2
@@ -491,7 +567,7 @@ def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
     assert entrypoint(["eve", "--m", "1", "--p", "1e2,1e3", "--draws", "2", "--delta", "0.25",
                        "--trials", "2000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(SER_COLUMNS) and len(lines) == 1 + 2 * 2
+    assert lines[0] == "p,m,delta,draw_id,trials,errors,rate,stderr" and len(lines) == 1 + 2 * 2
     assert "4 rows" in capsys.readouterr().out
     assert json.loads((tmp_path / "eve.manifest.json").read_text())["command"] == "eve"
     with pytest.raises(SystemExit) as ei:
@@ -528,7 +604,7 @@ def test_report_on_compare_rows_reproduces_compare_slopes(tmp_path, capsys):
 def test_report_writes_nothing_when_one_series_is_too_short(tmp_path, capsys):
     # every series is fitted first: one of 2 powers fails the whole run
     rows = _planted_rows() + _planted_rows(kind="CsiAligned", powers=(1e2, 1e3))
-    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    write_rows(rows, tmp_path / "sweep.csv")
     summary = tmp_path / "s.csv"
     assert entrypoint(["report", "--input", str(tmp_path / "sweep.csv"),
                        "--out", str(summary)]) == 1

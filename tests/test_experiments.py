@@ -8,10 +8,6 @@ import pytest
 from blindjam import experiments
 from blindjam.constellation import fit_dmin_exponent
 from blindjam.experiments import (
-    COMPARE_COLUMNS,
-    DMIN_COLUMNS,
-    SER_COLUMNS,
-    SWEEP_COLUMNS,
     ComparisonReport,
     SerRow,
     SweepRow,
@@ -23,11 +19,8 @@ from blindjam.experiments import (
     read_sweep_csv,
     sweep_power,
     sweep_ser,
-    write_compare_csv,
-    write_dmin_csv,
     write_manifest,
-    write_ser_csv,
-    write_sweep_csv,
+    write_rows,
 )
 from blindjam.schemes import KINDS, schedule_q
 
@@ -143,8 +136,8 @@ def test_sweep_power_deterministic_and_worker_invariant(tmp_path):
     rows3 = sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 2, 11, workers=3, **kw)
     assert rows1 == rows2 == rows3
     p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    write_sweep_csv(rows1, p1)
-    write_sweep_csv(rows3, p3)
+    write_rows(rows1, p1)
+    write_rows(rows3, p3)
     assert p1.read_bytes() == p3.read_bytes()
 
 
@@ -274,16 +267,17 @@ def test_sweep_csv_round_trip(tmp_path):
     rows = sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 2, 11,
                        mi_samples=300, ser_trials=400, min_errors=5)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
+    write_rows(rows, path)
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(SWEEP_COLUMNS)
+    assert header == ("kind,m,delta,draw_id,p,q,a,gamma,trials,errors,ser,ser_stderr,"
+                      "i_vy1,i_vy1_se,i_vy2,i_vy2_se,bound")
     assert read_sweep_csv(path) == rows
 
 
 def test_read_sweep_csv_revalidates(tmp_path):
     rows = _planted_rows(0.5, draws=1)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
+    write_rows(rows, path)
     lines = path.read_text().splitlines()
     cols = lines[1].split(",")
     cols[5] = str(int(cols[5]) + 1)  # q column now off-schedule
@@ -296,9 +290,9 @@ def test_ser_csv_accepts_both_row_types(tmp_path):
     ser_rows = [SerRow(p=1e2, m=1, delta=0.1, draw_id=0, trials=100, errors=7,
                        rate=0.07, stderr=0.02)]
     path = tmp_path / "ser.csv"
-    write_ser_csv(ser_rows, path)
+    write_rows(ser_rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(SER_COLUMNS)
+    assert lines[0] == "p,m,delta,draw_id,trials,errors,rate,stderr"
     assert len(lines) == 2
 
 
@@ -328,16 +322,16 @@ def test_eve_sweep_rows_and_worker_invariance():
 def test_compare_and_dmin_csv_writers(tmp_path):
     report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 1, 11, mi_samples=300)
     cpath = tmp_path / "compare.csv"
-    write_compare_csv(report, cpath)
+    write_rows(report.summary(), cpath)
     lines = cpath.read_text().splitlines()
-    assert lines[0] == ",".join(COMPARE_COLUMNS)
+    assert lines[0] == "kind,slope,slope_stderr,n_rows"
     assert len(lines) == 4  # one row per kind
 
     study = fit_dmin_exponent(1, [2, 4, 8], 3, 0)
     dpath = tmp_path / "dmin.csv"
-    write_dmin_csv(study, dpath)
+    write_rows(study.rows, dpath)
     lines = dpath.read_text().splitlines()
-    assert lines[0] == ",".join(DMIN_COLUMNS)
+    assert lines[0] == "draw_id,m,q,dmin,slope"
     assert len(lines) == 1 + 3 * 3
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from blindjam import cli
 from blindjam.channel import default_budget, sample_channel
-from blindjam.experiments import SER_COLUMNS, write_rows
+from blindjam.experiments import write_rows
 from blindjam.receiver import estimate_eve_u_error
 from blindjam.schemes import make_blind_scheme
 from blindjam.streams import child_seed
@@ -141,7 +141,7 @@ def test_eve_golden_matches_the_hand_loop(tmp_path):
             rows.append(dict(p=p, m=cfg["m"], delta=cfg["delta"], draw_id=d,
                              trials=est.trials, errors=est.errors, rate=est.rate,
                              stderr=est.stderr))
-    write_rows(rows, SER_COLUMNS, tmp_path / "hand.csv")
+    write_rows(rows, tmp_path / "hand.csv")
     _assert_same(GOLDEN / "eve.csv", tmp_path / "hand.csv")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -573,12 +574,13 @@ def test_mi_input_validation(ch1):
 
 def test_component_cap_message_names_q(monkeypatch):
     # Blind M=2 at p=1e10 has q=36: the legitimate mixture, checked first,
-    # would hold 73^2 * 217 components; the refusal comes before any mixture
+    # would hold 73^2 * 217 components; the refusal names the cap and comes
+    # before any mixture
     ch = sample_channel(2, 11)
     cfg = make_blind_scheme(2, 1e10, 0.05, ch.h, default_budget(ch, 1e10).c_bar, 3)
     assert cfg.q == 36
     monkeypatch.setattr(infometrics, "_product_mixture", _no_mixture)
-    with pytest.raises(ValueError, match="1156393 components.*reduce q"):
+    with pytest.raises(ValueError, match="more than 1000000 mixture components.*reduce q"):
         rate_lower_bound(cfg, ch, method="quadrature")
 
 
@@ -623,6 +625,31 @@ def test_grid_mi_between_zero_and_input_entropy(seed):
     for mi in (rb.i_v_y1, rb.i_v_y2):
         slack = 3.0 * mi.stderr + 1e-9
         assert -slack <= mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + slack
+
+
+def _enumerated_mi(cfg, ch, receiver):
+    """I(V;Y) at ``receiver`` from every symbol tuple of its single streams:
+    h(Y) over all tuples, h(Y|V) over those whose message symbols are 0."""
+    coeffs, counts, sigma = observation(cfg, ch, receiver)
+    streams = np.repeat(coeffs, counts)  # the messages are the first m streams
+    tuples = np.array(list(itertools.product(range(-cfg.q, cfg.q + 1), repeat=len(streams))))
+    means = cfg.a * (tuples @ streams)
+    cond = means[~tuples[:, :cfg.m].any(axis=1)]
+    h = [mixture_entropy(MixtureSpec(mu, sigma=sigma), "quadrature").value for mu in (means, cond)]
+    return h[0] - h[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_rate_bound_terms_equal_the_enumerated_mixtures(kind, m):
+    # an oracle apart from _receiver_mi's sets, pmf weights and conditioning
+    for p in (1e2, 1e3):
+        for draw in range(2):
+            ch = replace(sample_channel(m, 40 + draw), sigma1=0.7, sigma2=1.3)
+            cfg = _make_config(kind, m, p, 0.05, ch, default_budget(ch, p).c_bar, draw)
+            rb = rate_lower_bound(cfg, ch, method="quadrature")
+            assert rb.i_v_y1.value == pytest.approx(_enumerated_mi(cfg, ch, "legit"), abs=1e-9)
+            assert rb.i_v_y2.value == pytest.approx(_enumerated_mi(cfg, ch, "eve"), abs=1e-9)
 
 
 def test_rate_lower_bound_structure(ch1):
