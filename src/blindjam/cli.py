@@ -6,9 +6,11 @@ command's options and their defaults; the parser, the required-option
 check, the keys a --config file may set and the manifest's starting values
 all come from it. Values come from those defaults, then an optional
 --config JSON file (a key the command does not take is ignored, and not
-recorded), then explicit flags (highest priority). Because the manifest
-stores the resolved configuration and carries no wall-clock data,
-`--config <manifest>` replays a run byte-for-byte.
+recorded), then explicit flags (highest priority). Each option but ``out``
+is a parameter of the same name of the study function its command runs, so
+a runner passes them through. Because the manifest stores the resolved
+configuration and carries no wall-clock data, `--config <manifest>` replays
+a run byte-for-byte.
 
 Output paths default into $BLINDJAM_OUT (or the working directory).
 """
@@ -89,85 +91,66 @@ def _outputs(command: str, out: str) -> list[str]:
         [_beside(out, "_rows.csv")] if command == "compare" else [])
 
 
-def cmd_sweep(params: dict) -> int:
+def _write(rows, out: str) -> None:
+    write_rows(rows, out)
+    print(f"{len(rows)} rows -> {out}")
+
+
+def cmd_sweep(out: str, **options) -> None:
     """Power sweep: SER and rate bound per (draw, p)."""
-    rows = sweep_power(params["kind"], params["m"], params["delta"], params["p"],
-                       params["draws"], params["seed"],
-                       mi_samples=params["mi_samples"],
-                       ser_trials=params["ser_trials"],
-                       min_errors=params["min_errors"],
-                       include_ser=params["include_ser"],
-                       workers=params["workers"])
-    write_rows(rows, params["out"])
-    print(f"{len(rows)} rows -> {params['out']}")
-    return 0
+    _write(sweep_power(**options), out)
 
 
-def cmd_ser(params: dict, receiver: str = "legit") -> int:
+def cmd_ser(out: str, **options) -> None:
     """Reliability-only power sweep: the legitimate receiver's block SER."""
-    rows = sweep_ser(params["kind"], params["m"], params["delta"], params["p"],
-                     params["draws"], params["seed"], trials=params["trials"],
-                     min_errors=params["min_errors"], workers=params["workers"],
-                     sigma1=params.get("sigma1"), receiver=receiver)
-    write_rows(rows, params["out"])
-    print(f"{len(rows)} rows -> {params['out']}")
-    return 0
+    _write(sweep_ser(**options), out)
 
 
-def cmd_eve(params: dict) -> int:
+def cmd_eve(out: str, **options) -> None:
     """The eavesdropper's jamming-symbol error rate when it knows the messages."""
-    return cmd_ser(dict(params, kind="Blind", min_errors=100), receiver="eve")
+    _write(sweep_ser(kind="Blind", min_errors=100, receiver="eve", **options), out)
 
 
-def cmd_dmin(params: dict) -> int:
+def cmd_dmin(out: str, **options) -> None:
     """Minimum-distance scaling study."""
-    study = fit_dmin_exponent(params["m"], params["q"], params["draws"], params["seed"])
-    write_rows(study.rows, params["out"])
-    print(f"{len(study.rows)} rows -> {params['out']}")
+    study = fit_dmin_exponent(**options)
+    _write(study.rows, out)
     print(f"median slope {study.median_slope:.6f}, min slope {study.min_slope:.6f}, "
           f"redraws {study.redraws}")
-    return 0
 
 
-def cmd_compare(params: dict) -> int:
+def cmd_compare(out: str, **options) -> None:
     """Rate-bound slopes of all scheme kinds side by side."""
-    report = compare_schemes(params["m"], params["delta"], params["p"],
-                             params["draws"], params["seed"],
-                             mi_samples=params["mi_samples"],
-                             exclude_lowest=params["exclude_lowest"],
-                             workers=params["workers"])
-    write_rows(report.summary(), params["out"])
-    rows_path = _beside(params["out"], "_rows.csv")
+    report = compare_schemes(**options)
+    write_rows(report.summary(), out)
+    rows_path = _beside(out, "_rows.csv")
     write_rows(report.rows, rows_path)
     for rec in report.summary():
         print(f"{rec['kind']}: slope {rec['slope']:.6f} (stderr {rec['slope_stderr']:.6f})")
-    print(f"summary -> {params['out']}; rows -> {rows_path}")
-    return 0
+    print(f"summary -> {out}; rows -> {rows_path}")
 
 
-def cmd_report(params: dict) -> int:
+def cmd_report(input: str, exclude_lowest: int, out: str | None = None) -> None:
     """Bound and leakage slopes of each (kind, m, delta) series of a sweep CSV."""
-    rows = read_sweep_csv(params["input"])
+    rows = read_sweep_csv(input)
     if not rows:
-        raise ValueError(f"{params['input']} holds no rows to fit")
+        raise ValueError(f"{input} holds no rows to fit")
     fits = []  # every series is fitted before anything is printed or written
     for key in sorted({(row.kind, row.m, row.delta) for row in rows}):
         series = [row for row in rows if (row.kind, row.m, row.delta) == key]
         tag = "{} m={} delta={:g}: ".format(*key)
         try:
-            fits += [(key, tag, fit(series, params["exclude_lowest"]))
+            fits += [(key, tag, fit(series, exclude_lowest))
                      for fit in (fit_dof, leakage_slope)]
         except ValueError as exc:
             raise ValueError(tag + str(exc)) from None
     for _, tag, fit in fits:
         name = "bound" if fit.column == "bound" else "leakage"
         print(f"{tag}{name} slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
-    out = params.get("out")
     if out:
         write_rows([dict(column=fit.column, **vars(fit.pooled), excluded_lowest=fit.excluded_lowest,
                          kind=kind, m=m, delta=delta) for (kind, m, delta), _, fit in fits], out)
         print(f"summary -> {out}")
-    return 0
 
 
 # every option once: its value type, which its flag parses to and a --config
@@ -324,10 +307,10 @@ def entrypoint(argv=None) -> int:
         for path in _outputs(args.command, out) if out else ():
             if os.path.isdir(path):
                 raise OSError(f"output path {path} is a directory")
-        rc = _COMMANDS[args.command][0](params)
+        _COMMANDS[args.command][0](**params)
         if args.command != "report":  # after the run: a failed one leaves no manifest
             write_manifest(_beside(out, ".manifest.json"), {"command": args.command, **params})
-        return rc
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

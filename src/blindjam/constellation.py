@@ -293,8 +293,8 @@ class DminStudy:
 
 def fit_dmin_exponent(
     m: int,
-    q_grid,
-    n_draws: int,
+    q,
+    draws: int,
     seed: int,
 ) -> DminStudy:
     """Empirical scaling exponent of the receiver minimum distance in Q.
@@ -308,18 +308,18 @@ def fit_dmin_exponent(
     lattice collides at any q are redrawn, up to MAX_REDRAWS times; the
     count of redraws is reported.
     """
-    q_grid = tuple(int(q) for q in q_grid)
+    q_grid = tuple(int(x) for x in q)
     if len(q_grid) < 3:
         raise ValueError("q grid must contain at least 3 strictly increasing values")
     if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q grid must be strictly increasing")
-    if m < 1 or n_draws < 1:
-        raise ValueError("m and n_draws must be >= 1")
+    if m < 1 or draws < 1:
+        raise ValueError("m and draws must be >= 1")
 
     rows: list[DminRow] = []
-    slopes = np.empty(n_draws)
+    slopes = np.empty(draws)
     redraws = 0
-    for draw_id in range(n_draws):
+    for draw_id in range(draws):
         for attempt in range(MAX_REDRAWS):
             rng = substream(seed, "dmin", draw_id, attempt)
             h1 = rng.uniform(*GAIN_MAGNITUDES) * (rng.integers(0, 2) * 2 - 1)

@@ -19,10 +19,12 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
+from .constellation import POINT_CAP, check_size
 from .infometrics import COMPONENT_CAP, rate_lower_bound
 from .receiver import estimate_eve_u_error, estimate_ser
 from .schemes import (
@@ -83,6 +85,10 @@ class SweepRow:
     def __post_init__(self):
         if schedule_q(self.p, self.delta, self.m) != self.q:
             raise ValueError("q inconsistent with the (p, delta, m) schedule")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} is not finite")
         a_expect = self.gamma * math.sqrt(self.p) / self.q
         if abs(a_expect - self.a) > 1e-9 * max(1.0, abs(self.a)):
             raise ValueError("a inconsistent with gamma*sqrt(p)/q")
@@ -123,31 +129,28 @@ def feasible_grid(kinds, m: int, delta: float, p_grid) -> list[float]:
     return list(p_grid)
 
 
-def _checked_grid(p_grid, n_draws: int, min_points: int) -> list[float]:
+def _checked_grid(p_grid, draws: int, min_points: int) -> list[float]:
     p_grid = [float(p) for p in p_grid]
     if len(p_grid) < min_points:
         raise ValueError(f"power grid needs at least {min_points} point(s)")
     if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("power grid must be strictly increasing")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     return p_grid
 
 
-def _run_cells(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int,
-               workers: int, cell, sigma1: float | None = None) -> list:
+def _run_cells(kinds, m: int, delta: float, p_grid, draws: int, seed: int,
+               workers: int, cell) -> list:
     """``cell(cfg, ch, d, i)`` for every (kind, draw d, grid index i), in that
     order, serially or on one thread pool.
 
     Each channel is drawn once, from (seed, draw index) alone, so every kind
-    sees identical channels. ``sigma1`` overrides the legitimate receiver's
-    noise level when given.
+    sees identical channels.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(n_draws)]
-    if sigma1 is not None:
-        channels = [replace(ch, sigma1=sigma1) for ch in channels]
+    channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(draws)]
 
     def run(kind_d_i):
         kind, d, i = kind_d_i
@@ -157,7 +160,7 @@ def _run_cells(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int,
         cfg = _make_config(kind, m, p_grid[i], delta, ch, c_bar, child_seed(seed, "alphas", d))
         return cell(cfg, ch, d, i)
 
-    cells = [(kind, d, i) for kind in kinds for d in range(n_draws) for i in range(len(p_grid))]
+    cells = [(kind, d, i) for kind in kinds for d in range(draws) for i in range(len(p_grid))]
     workers = min(workers, len(cells))  # a thread per cell at most
     if workers == 1:
         return [run(c) for c in cells]
@@ -174,13 +177,13 @@ def _legit_ser(cfg: SchemeConfig, ch: ChannelRealization, d: int, i: int, seed: 
                         min_errors=min_errors)
 
 
-def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, workers: int,
+def _rate_rows(kinds, m: int, delta: float, p_grid, draws: int, seed: int, workers: int,
                mi_samples: int, ser_trials: int | None = None,
                min_errors: int | None = None) -> list[SweepRow]:
     """Rate-bound rows of every (kind, draw, power) cell, with the SER columns
     where ``ser_trials`` is given and the kind sends lattice jamming. The
     grid is cut once for all kinds, so their slopes share the same powers."""
-    p_grid = _checked_grid(p_grid, n_draws, 3)
+    p_grid = _checked_grid(p_grid, draws, 3)
     kept = feasible_grid(kinds, m, delta, p_grid)
     if len(kept) < len(p_grid):
         p = p_grid[len(kept)]
@@ -205,10 +208,10 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, n_draws: int, seed: int, wor
                        ser_stderr=est.stderr)
         return SweepRow(**row)
 
-    return _run_cells(kinds, m, delta, kept, n_draws, seed, workers, cell)
+    return _run_cells(kinds, m, delta, kept, draws, seed, workers, cell)
 
 
-def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, *,
+def sweep_power(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
                 mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
                 ser_trials: int = DEFAULT_SWEEP_SER_TRIALS,
                 min_errors: int | None = 100,
@@ -219,7 +222,7 @@ def sweep_power(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int
     The reliability columns stay empty when ``include_ser`` is off or the
     kind has no lattice jamming.
     """
-    return _rate_rows((kind,), m, delta, p_grid, n_draws, seed, workers, mi_samples,
+    return _rate_rows((kind,), m, delta, p, draws, seed, workers, mi_samples,
                       ser_trials if include_ser else None, min_errors)
 
 
@@ -237,7 +240,7 @@ class SerRow:
     stderr: float
 
 
-def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, *,
+def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
               trials: int = DEFAULT_SWEEP_SER_TRIALS,
               min_errors: int | None = 100,
               workers: int = 1,
@@ -251,16 +254,21 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
     jamming-symbol errors when it knows the messages, the step that caps the
     leakage (``estimate_eve_u_error``).
     """
-    p_grid = _checked_grid(p_grid, n_draws, 1)
+    p_grid = _checked_grid(p, draws, 1)
     if not jam_streams(kind, m):
         raise ValueError("reliability sweeps need a lattice scheme kind")
     if receiver not in ("legit", "eve"):
         raise ValueError(f"receiver must be 'legit' or 'eve', not {receiver!r}")
     if receiver == "eve" and sigma1 is not None:
         raise ValueError("sigma1 sets the legitimate receiver's noise: an eve sweep takes none")
+    # either decoder's lattice holds at least the (2q+1)^m message points of
+    # the top power: an oversize one is refused before any channel is drawn
+    check_size(repeat(2 * schedule_q(p_grid[-1], delta, m) + 1, m), POINT_CAP, "lattice points")
 
     def cell(cfg, ch, d, i):
         if receiver == "legit":
+            if sigma1 is not None:
+                ch = replace(ch, sigma1=sigma1)
             est = _legit_ser(cfg, ch, d, i, seed, trials, min_errors)
         else:
             est = estimate_eve_u_error(cfg, ch, trials, child_seed(seed, "eveu", d, i),
@@ -268,7 +276,7 @@ def sweep_ser(kind: str, m: int, delta: float, p_grid, n_draws: int, seed: int, 
         return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
                       errors=est.errors, rate=est.rate, stderr=est.stderr)
 
-    return _run_cells((kind,), m, delta, p_grid, n_draws, seed, workers, cell, sigma1)
+    return _run_cells((kind,), m, delta, p_grid, draws, seed, workers, cell)
 
 
 @dataclass(frozen=True)
@@ -369,13 +377,13 @@ class ComparisonReport:
         return out
 
 
-def compare_schemes(m: int, delta: float, p_grid, n_draws: int, seed: int, *,
+def compare_schemes(m: int, delta: float, p, draws: int, seed: int, *,
                     mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
                     exclude_lowest: int = 0,
                     workers: int = 1) -> ComparisonReport:
     """Fit the rate-bound slope for each kind on identical channel draws and
     powers, all cells in one pass."""
-    rows = _rate_rows(KINDS, m, delta, p_grid, n_draws, seed, workers, mi_samples)
+    rows = _rate_rows(KINDS, m, delta, p, draws, seed, workers, mi_samples)
     fits = {kind: fit_dof([row for row in rows if row.kind == kind], exclude_lowest)
             for kind in KINDS}
     return ComparisonReport(fits=fits, rows=tuple(rows))

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from blindjam import cli, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
-from blindjam.constellation import DminRow
+from blindjam.constellation import DminRow, fit_dmin_exponent
 from blindjam.experiments import ComparisonReport, SerRow, SweepRow, fit_dof, write_rows
 from blindjam.schemes import schedule_q
 
@@ -482,9 +483,16 @@ def test_report_on_a_non_sweep_csv_exits_1(tmp_path, capsys):
     (lambda cols: cols[:4] + ["nan"] + cols[5:], "power p must be positive and finite"),
     (lambda cols: [""] + cols[1:], "kind is empty"),
     (lambda cols: cols[:-1] + [""], "bound is empty"),
-], ids=["short", "long", "inf", "nan", "empty-kind", "empty-bound"])
+    # columns 6, 7, 10, 14 and 16: a, gamma, ser, i_vy2 and bound
+    (lambda cols: cols[:6] + ["nan"] + cols[7:], "a is not finite"),
+    (lambda cols: cols[:7] + ["inf"] + cols[8:], "gamma is not finite"),
+    (lambda cols: cols[:10] + ["nan"] + cols[11:], "ser is not finite"),
+    (lambda cols: cols[:14] + ["-inf"] + cols[15:], "i_vy2 is not finite"),
+    (lambda cols: cols[:16] + ["nan"], "bound is not finite"),
+], ids=["short", "long", "inf", "nan", "empty-kind", "empty-bound", "nan-a", "inf-gamma",
+        "nan-ser", "inf-i_vy2", "nan-bound"])
 def test_report_on_a_malformed_row_exits_1(edit, why, tmp_path, capsys):
-    # the third data row is cut short, runs long, holds a non-finite power or
+    # the third data row is cut short, runs long, holds a non-finite value or
     # leaves a required field empty: an error naming its line, no traceback
     path, summary = tmp_path / "sweep.csv", tmp_path / "s.csv"
     write_rows(_planted_rows(), path)
@@ -517,6 +525,35 @@ def test_huge_m_is_refused_at_the_cap_within_seconds(args, tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert re.search(r"error: .*\bcap\b", last) and len(last) < 200
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ser", "eve"])
+def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(command, tmp_path,
+                                                               monkeypatch, capsys):
+    def unreachable(*a, **k):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(experiments, "sample_channel", unreachable)
+    assert entrypoint([command, "--m", "1000000", "--p", "1e2,1e3",
+                       "--out", str(tmp_path / "x.csv")]) == 1
+    assert re.search(r"^error: more than 10000000 lattice points exceed the cap",
+                     capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+STUDIES = {"sweep": experiments.sweep_power, "ser": experiments.sweep_ser,
+           "eve": experiments.sweep_ser, "compare": experiments.compare_schemes,
+           "dmin": fit_dmin_exponent}
+
+
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_each_commands_options_are_its_studys_parameters(command):
+    # a runner passes its options through by name: a renamed parameter would
+    # break the command, so it breaks this test first
+    options = {k: v for k, v in cli._COMMANDS[command][1].items() if k != "out"}
+    if command == "eve":  # the three values eve fixes
+        options.update(kind="Blind", min_errors=100, receiver="eve")
+    inspect.signature(STUDIES[command]).bind(**options)
 
 
 @pytest.mark.parametrize("command, args", [
