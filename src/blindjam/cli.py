@@ -27,7 +27,6 @@ from .experiments import (
     DEFAULT_SWEEP_MI_SAMPLES,
     DEFAULT_SWEEP_SER_TRIALS,
     compare_schemes,
-    feasible_grid,
     fit_dof,
     leakage_slope,
     read_sweep_csv,
@@ -281,13 +280,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             params["q"] = parse_int_list(params["q"])
     except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
         parser.error(str(exc))
-    # a slope needs 3 of the powers the sweep keeps: refused before it, not after
-    if command == "compare":
-        kept = len(feasible_grid(KINDS, params["m"], params["delta"], params["p"]))
-        if kept - params["exclude_lowest"] < 3:
-            parser.error(f"--exclude-lowest {params['exclude_lowest']} leaves fewer than 3 "
-                         f"powers to fit: the component cap keeps {kept} of the "
-                         f"{len(params['p'])} --p powers")
+    # a slope needs 3 powers: refused before the sweep, not after it
+    if command == "compare" and len(params["p"]) - params["exclude_lowest"] < 3:
+        parser.error(f"--exclude-lowest {params['exclude_lowest']} leaves fewer than 3 of "
+                     f"the {len(params['p'])} --p powers to fit")
     if params.get("out") is None and command != "report":
         out_dir = os.environ.get("BLINDJAM_OUT", ".")
         params["out"] = os.path.join(out_dir, f"{command}.csv")

@@ -16,10 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .schemes import (
     make_csi_scheme,
     make_gaussian_jam_scheme,
     schedule_q,
+    stream_counts,
 )
 from .streams import child_seed
 
@@ -49,7 +48,6 @@ __all__ = [
     "fit_dof",
     "leakage_slope",
     "compare_schemes",
-    "feasible_grid",
     "ols",
     "write_rows",
     "read_sweep_csv",
@@ -115,21 +113,11 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def feasible_grid(kinds, m: int, delta: float, p_grid) -> list[float]:
-    """The powers of ``p_grid`` before the first at which some kind's
-    eavesdropper mixture, the largest one, exceeds the component cap."""
-    # the legitimate mixture and lattice hold (2q+1)^m (2 n_jam q + 1) <=
-    # (2q+1)^(m + n_jam) points. Any base of 2 or more to the cap's bit length
-    # exceeds the cap, so clamping the exponent there keeps the test exact
-    n_jam = max(len(jam_streams(kind, m)) for kind in kinds)
-    e = min(m + n_jam, COMPONENT_CAP.bit_length())
-    for k, p in enumerate(p_grid):
-        if (2 * schedule_q(p, delta, m) + 1) ** e > COMPONENT_CAP:
-            return list(p_grid[:k])
-    return list(p_grid)
-
-
-def _checked_grid(p_grid, draws: int, min_points: int) -> list[float]:
+def _checked_grid(p_grid, draws: int, min_points: int, delta: float, m: int,
+                  sums, cap: int, what: str) -> list[float]:
+    """The grid as floats, refused unless it is strictly increasing and each
+    of ``sums`` (``stream_counts``) holds at most ``cap`` points at its top
+    power, so at every power: a grid is run whole, or refused before a draw."""
     p_grid = [float(p) for p in p_grid]
     if len(p_grid) < min_points:
         raise ValueError(f"power grid needs at least {min_points} point(s)")
@@ -137,6 +125,9 @@ def _checked_grid(p_grid, draws: int, min_points: int) -> list[float]:
         raise ValueError("power grid must be strictly increasing")
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    q = schedule_q(p_grid[-1], delta, m)
+    for counts in sums:
+        check_size((2 * n * q + 1 for n in counts), cap, what)
     return p_grid
 
 
@@ -181,17 +172,11 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, draws: int, seed: int, worke
                mi_samples: int, ser_trials: int | None = None,
                min_errors: int | None = None) -> list[SweepRow]:
     """Rate-bound rows of every (kind, draw, power) cell, with the SER columns
-    where ``ser_trials`` is given and the kind sends lattice jamming. The
-    grid is cut once for all kinds, so their slopes share the same powers."""
-    p_grid = _checked_grid(p_grid, draws, 3)
-    kept = feasible_grid(kinds, m, delta, p_grid)
-    if len(kept) < len(p_grid):
-        p = p_grid[len(kept)]
-        warnings.warn(f"truncating power grid at p={p:g}: q={schedule_q(p, delta, m)} "
-                      "exceeds the component cap", RuntimeWarning)
-    if len(kept) < 3:
-        raise ValueError("fewer than 3 feasible grid points under the component cap "
-                         f"{COMPONENT_CAP}")
+    where ``ser_trials`` is given and the kind sends lattice jamming. A grid
+    on which any kind's mixture exceeds the cap is refused whole, so every
+    kind runs on every power; the SER lattice is no larger than a mixture."""
+    sums = (stream_counts(kind, m, receiver) for kind in kinds for receiver in ("legit", "eve"))
+    p_grid = _checked_grid(p_grid, draws, 3, delta, m, sums, COMPONENT_CAP, "mixture components")
 
     def cell(cfg, ch, d, i):
         rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
@@ -208,7 +193,7 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, draws: int, seed: int, worke
                        ser_stderr=est.stderr)
         return SweepRow(**row)
 
-    return _run_cells(kinds, m, delta, kept, draws, seed, workers, cell)
+    return _run_cells(kinds, m, delta, p_grid, draws, seed, workers, cell)
 
 
 def sweep_power(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
@@ -254,16 +239,14 @@ def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
     jamming-symbol errors when it knows the messages, the step that caps the
     leakage (``estimate_eve_u_error``).
     """
-    p_grid = _checked_grid(p, draws, 1)
     if not jam_streams(kind, m):
         raise ValueError("reliability sweeps need a lattice scheme kind")
-    if receiver not in ("legit", "eve"):
-        raise ValueError(f"receiver must be 'legit' or 'eve', not {receiver!r}")
     if receiver == "eve" and sigma1 is not None:
         raise ValueError("sigma1 sets the legitimate receiver's noise: an eve sweep takes none")
-    # either decoder's lattice holds at least the (2q+1)^m message points of
-    # the top power: an oversize one is refused before any channel is drawn
-    check_size(repeat(2 * schedule_q(p_grid[-1], delta, m) + 1, m), POINT_CAP, "lattice points")
+    # the decoder's lattice: every coordinate the legitimate receiver sums, the
+    # eavesdropper's jamming coordinates alone
+    counts = stream_counts(kind, m, receiver)[0 if receiver == "legit" else m:]
+    p_grid = _checked_grid(p, draws, 1, delta, m, [counts], POINT_CAP, "lattice points")
 
     def cell(cfg, ch, d, i):
         if receiver == "legit":
@@ -328,14 +311,10 @@ def _fit_column(rows, column: str, exclude_lowest: int) -> DofFit:
     if len(series) > 1:
         raise ValueError("rows of several (kind, m, delta) do not share one slope: "
                          + ", ".join(f"{k} m={m} delta={d:g}" for k, m, d in series))
-    ps = sorted({row.p for row in rows})
-    if exclude_lowest:
-        if len(ps) - exclude_lowest < 3:
-            raise ValueError("degenerate grid: fewer than 3 distinct powers after exclusion")
-        ps = ps[exclude_lowest:]
-    keep = [row for row in rows if row.p in set(ps)]
-    if len(set(row.p for row in keep)) < 3:
-        raise ValueError("degenerate grid: fewer than 3 distinct powers")
+    kept = set(sorted({row.p for row in rows})[exclude_lowest:])
+    if len(kept) < 3:
+        raise ValueError("degenerate grid: fewer than 3 distinct powers left to fit")
+    keep = [row for row in rows if row.p in kept]
 
     def fit(sub) -> OlsFit:
         return ols([0.5 * math.log2(row.p) for row in sub], [getattr(row, column) for row in sub])

@@ -13,9 +13,10 @@ Three scheme kinds share one config shape:
   the classical unstructured baseline.
 
 The kinds differ in which transmitters send a lattice jamming symbol;
-``jam_streams`` is the one place that says which, and ``observation`` the one
-place that says what each receiver then sums. The encoder, the decoders, the
-information measures and the sweeps all derive from these two.
+``jam_streams`` is the one place that says which, ``stream_counts`` the one
+place that says how many symbols each receiver then sums per coordinate, and
+``observation`` on which coefficients. The encoder, the decoders, the
+information measures, the sweeps and their size checks all derive from these.
 
 The power schedule is shared: q grows like a fractional power of p, the
 spacing aims the constellation at the power budget, and gamma is set to the
@@ -40,6 +41,7 @@ __all__ = [
     "make_csi_scheme",
     "make_gaussian_jam_scheme",
     "jam_streams",
+    "stream_counts",
     "observation",
     "encode",
     "sample_symbols",
@@ -64,6 +66,21 @@ def jam_streams(kind: str, m: int) -> range:
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
+def stream_counts(kind: str, m: int, receiver: str) -> tuple[int, ...]:
+    """How many i.i.d. uniform symbols each coordinate of ``observation``
+    sums at receiver ``"legit"`` or ``"eve"``; no gain enters.
+
+    One per message stream, first. The legitimate receiver adds one
+    coordinate holding every jamming stream, the eavesdropper one per stream.
+    """
+    jam = len(jam_streams(kind, m))
+    if receiver == "legit":
+        return (1,) * m + ((jam,) if jam else ())
+    if receiver == "eve":
+        return (1,) * (m + jam)
+    raise ValueError(f"unknown receiver {receiver!r}")
+
+
 def observation(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
     """What receiver ``"legit"`` or ``"eve"`` sums: (coeffs, counts, sigma).
 
@@ -77,23 +94,16 @@ def observation(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
     """
     if ch.m != cfg.m:
         raise ValueError("channel and scheme disagree on helper count")
-    if receiver == "legit":
-        gains, sigma = ch.h, ch.sigma1
-    elif receiver == "eve":
-        gains, sigma = ch.g, ch.sigma2
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}")
+    counts = stream_counts(cfg.kind, cfg.m, receiver)
+    gains, sigma = (ch.h, ch.sigma1) if receiver == "legit" else (ch.g, ch.sigma2)
     jam = jam_streams(cfg.kind, cfg.m)
     coeffs = gains[0] * np.asarray(cfg.alphas)
-    counts = (1,) * cfg.m
     if cfg.kind == "GaussianJam":
         sigma = math.sqrt(sigma ** 2 + cfg.p * float(np.sum(gains[1:] ** 2)))
     elif receiver == "legit":
         coeffs = np.append(coeffs, 1.0)
-        counts += (len(jam),)
     else:
         coeffs = np.concatenate([coeffs, gains[jam] / ch.h[jam]])
-        counts += (1,) * len(jam)
     return coeffs, counts, sigma
 
 

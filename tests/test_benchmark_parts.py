@@ -50,6 +50,31 @@ def test_traced_tiny_rate_unit_counts(tmp_path):
         "infometrics.entropy_calls": 54, "infometrics.logpdf_queries": 27_000}
 
 
+class CellsReached(Exception):
+    """Raised by the cell runner in place of the cells. It is no ValueError,
+    so the CLI cannot report it as a refusal."""
+
+
+def test_full_size_grids_pass_every_size_check(tmp_path, monkeypatch):
+    # each full-size sweep is let through to its cells: no benchmark grid
+    # reaches a size cap, which refuses a grid whole before its first draw
+    from blindjam import cli, experiments
+
+    def run_cells(*a, **k):
+        raise CellsReached
+
+    monkeypatch.setattr(experiments, "_run_cells", run_cells)
+    wl = _load("workloads")
+    seed, full = 1, wl.SIZES["full"]
+    with pytest.raises(CellsReached):
+        cli.entrypoint(wl.RateM1(seed, full["rate_m1"], str(tmp_path)).argv)
+    assert [type(r) for r in wl.RateM2(seed, full["rate_m2"], str(tmp_path)).run()] == [
+        CellsReached] * 2
+    decode = wl.Decode(seed, full["decode"], str(tmp_path))
+    decode.eve_cells = []  # built by hand, outside the sweeps
+    assert [type(r) for r in decode.run()[:-1]] == [CellsReached] * 4
+
+
 @pytest.mark.xfail(strict=True, raises=TypeError, reason=(
     "perfbench's tracer closes a pool thread's last cell span only when a sweep_power "
     "or sweep_ser span ends, and compare_schemes runs its cells outside both: each "

@@ -512,7 +512,6 @@ def test_report_on_a_malformed_row_exits_1(edit, why, tmp_path, capsys):
     ["sweep", "--p", "1e2,1e3,1e4"],
     ["compare", "--p", "1e2,1e3,1e4"],
 ], ids=lambda args: args[0])
-@pytest.mark.filterwarnings("ignore:truncating power grid")
 def test_huge_m_is_refused_at_the_cap_within_seconds(args, tmp_path, capsys):
     # each size test stops multiplying once the product passes its cap, and
     # names the cap, not a product of some 480,000 digits
@@ -527,17 +526,32 @@ def test_huge_m_is_refused_at_the_cap_within_seconds(args, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["ser", "eve"])
-def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(command, tmp_path,
+LATTICE_CAP = "more than 10000000 lattice points exceed the cap"
+MIXTURE_CAP = "more than 1000000 mixture components exceed the cap"
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["ser", "--m", "1000000", "--p", "1e2,1e3"], LATTICE_CAP, id="ser"),
+    pytest.param(["eve", "--m", "1000000", "--p", "1e2,1e3"], LATTICE_CAP, id="eve"),
+    # the message points alone fit here, the whole decoder lattice does not
+    pytest.param(["ser", "--m", "1", "--p", "1e15"], LATTICE_CAP, id="ser-m1"),
+    pytest.param(["eve", "--m", "2", "--p", "1e16"], LATTICE_CAP, id="eve-m2"),
+    # Blind's eavesdropper mixture outgrows the cap at the top power alone
+    pytest.param(["sweep", "--no-ser", "--m", "2", "--p", "1e3,1e4,1e5,1e6"], MIXTURE_CAP,
+                 id="sweep"),
+    pytest.param(["compare", "--m", "2", "--p", "1e3,1e4,1e5,1e6"], MIXTURE_CAP, id="compare"),
+])
+def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(args, message, tmp_path,
                                                                monkeypatch, capsys):
+    # every sweep command checks its sizes exactly at the top power: an
+    # oversize grid is refused whole before any channel is drawn, never cut
     def unreachable(*a, **k):
         raise AssertionError("a channel was drawn")
 
     monkeypatch.setattr(experiments, "sample_channel", unreachable)
-    assert entrypoint([command, "--m", "1000000", "--p", "1e2,1e3",
-                       "--out", str(tmp_path / "x.csv")]) == 1
-    assert re.search(r"^error: more than 10000000 lattice points exceed the cap",
-                     capsys.readouterr().err)
+    assert entrypoint(args + ["--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}; reduce q or the number of streams\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -584,19 +598,18 @@ def test_exclusion_leaving_under_3_powers_exits_2_before_the_sweep(command, tmp_
 
 def test_compare_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, monkeypatch,
                                                                    capsys):
-    # at m=2 the cap truncates 1e6 away, so one exclusion leaves 2 powers: the
-    # powers the sweep would keep are counted, and no cell runs
+    # at m=2 Blind's mixture outgrows the cap at 1e6: the grid is refused
+    # whole at run time, not cut to the 3 powers below it, and no cell runs
     def unreachable(*a, **k):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(experiments, "default_budget", unreachable)
     out = tmp_path / "l.csv"
-    with pytest.raises(SystemExit) as ei:
-        entrypoint(["compare", "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
-                    "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)])
-    assert ei.value.code == 2
-    assert "the component cap keeps 3 of the 4 --p powers" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert entrypoint(["compare", "--m", "2", "--p", "1e3,1e4,1e5,1e6", "--draws", "1",
+                       "--mi-samples", "200", "--exclude-lowest", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {MIXTURE_CAP}; reduce q or the number of streams\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
@@ -657,12 +670,9 @@ def test_missing_input_exits_1(tmp_path, capsys):
 
 
 def test_infeasible_grid_exits_1(tmp_path, capsys):
-    import warnings
     out = tmp_path / "sweep.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rc = entrypoint(["sweep", "--m", "2", "--p", "1e6,2e6,4e6",
-                         "--draws", "1", "--out", str(out)] + FAST_SWEEP)
+    rc = entrypoint(["sweep", "--m", "2", "--p", "1e6,2e6,4e6",
+                     "--draws", "1", "--out", str(out)] + FAST_SWEEP)
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 

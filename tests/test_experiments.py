@@ -1,18 +1,16 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from blindjam import experiments
-from blindjam.constellation import fit_dmin_exponent
+from blindjam.constellation import LatticeSizeError, fit_dmin_exponent
 from blindjam.experiments import (
     ComparisonReport,
     SerRow,
     SweepRow,
     compare_schemes,
-    feasible_grid,
     fit_dof,
     leakage_slope,
     ols,
@@ -193,20 +191,34 @@ def test_sweep_power_validation():
                     mi_samples=300)
 
 
-def test_sweep_power_truncates_infeasible_grid():
-    # at m=2 the eavesdropper mixture outgrows the component cap by 1e6
-    with pytest.warns(RuntimeWarning, match="truncating"):
-        rows = sweep_power("Blind", 2, 0.05, [1e2, 1e3, 1e4, 1e5, 1e6], 1, 5,
-                           mi_samples=200, include_ser=False)
-    assert sorted({r.p for r in rows}) == [1e2, 1e3, 1e4, 1e5]
+MIXTURE_CAP = "^more than 1000000 mixture components exceed the cap"
 
 
-def test_sweep_power_errors_when_nothing_feasible():
-    with pytest.raises(ValueError, match="feasible"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sweep_power("Blind", 2, 0.05, [1e6, 2e6, 4e6], 1, 5,
-                        mi_samples=200, include_ser=False)
+class CellsReached(Exception):
+    """Raised by the cell runner in place of the cells: the grid was let through."""
+
+
+def _no_channel_drawn(monkeypatch):
+    def unreachable(*a, **k):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(experiments, "sample_channel", unreachable)
+
+
+def test_sweep_power_refuses_an_oversize_grid_before_drawing(monkeypatch):
+    # at m=2 the eavesdropper mixture outgrows the component cap by 1e6: the
+    # grid is refused whole, not cut there
+    _no_channel_drawn(monkeypatch)
+    with pytest.raises(LatticeSizeError, match=MIXTURE_CAP):
+        sweep_power("Blind", 2, 0.05, [1e2, 1e3, 1e4, 1e5, 1e6], 1, 5,
+                    mi_samples=200, include_ser=False)
+
+
+def test_sweep_power_errors_when_nothing_feasible(monkeypatch):
+    _no_channel_drawn(monkeypatch)
+    with pytest.raises(LatticeSizeError, match=MIXTURE_CAP):
+        sweep_power("Blind", 2, 0.05, [1e6, 2e6, 4e6], 1, 5,
+                    mi_samples=200, include_ser=False)
 
 
 def test_slope_stderr_shrinks_with_draws():
@@ -251,16 +263,25 @@ def test_compare_schemes_empty_grid_errors():
         compare_schemes(1, 0.05, [], 1, 0)
 
 
-def test_compare_schemes_fits_every_kind_on_the_same_powers():
-    # at m=2 only Blind's mixture outgrows the cap at 1e6: the grid is cut
-    # there for every kind, not for Blind alone
-    with pytest.warns(RuntimeWarning, match="truncating"):
-        report = compare_schemes(2, 0.05, [1e3, 1e4, 1e5, 1e6], 1, 5, mi_samples=200)
-    for kind in KINDS:
-        assert sorted({r.p for r in report.rows if r.kind == kind}) == [1e3, 1e4, 1e5]
-        assert report.fits[kind].pooled.n == 3
-    assert feasible_grid(["CsiAligned"], 2, 0.05, [1e3, 1e4, 1e5, 1e6]) == [1e3, 1e4, 1e5, 1e6]
-    assert feasible_grid(KINDS, 2, 0.05, [1e3, 1e4, 1e5, 1e6]) == [1e3, 1e4, 1e5]
+def test_compare_schemes_fits_every_kind_on_the_same_powers(monkeypatch):
+    # at m=2 only Blind's mixture outgrows the cap at 1e6, and CsiAligned
+    # alone runs that grid: compare refuses it for every kind rather than cut
+    # it for one, and runs every kind on every power of a grid that fits
+    runs = []
+
+    def run_cells(kinds, m, delta, p_grid, *rest):
+        runs.append((kinds, p_grid))
+        raise CellsReached
+
+    monkeypatch.setattr(experiments, "_run_cells", run_cells)
+    grid = [1e3, 1e4, 1e5, 1e6]
+    with pytest.raises(LatticeSizeError, match=MIXTURE_CAP):
+        compare_schemes(2, 0.05, grid, 1, 5, mi_samples=200)
+    with pytest.raises(CellsReached):
+        sweep_power("CsiAligned", 2, 0.05, grid, 1, 5, mi_samples=200, include_ser=False)
+    with pytest.raises(CellsReached):
+        compare_schemes(2, 0.05, grid[:3], 1, 5, mi_samples=200)
+    assert runs == [(("CsiAligned",), grid), (KINDS, grid[:3])]
 
 
 def test_sweep_csv_round_trip(tmp_path):

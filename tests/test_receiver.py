@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from blindjam.schemes import (
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
+    observation,
     sample_symbols,
+    stream_counts,
 )
 from blindjam.channel import eve_output, legit_output
 
@@ -56,6 +59,22 @@ def test_legit_lattice_sizes(ch1):
     # a hand-built q = 0 is a valid config, but no constellation to decode on
     with pytest.raises(ValueError, match="q must be >= 1"):
         legit_lattice(dataclasses.replace(blind, q=0), ch1)
+
+
+@pytest.mark.parametrize("p", [1e2, 1e4])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["Blind", "CsiAligned"])
+def test_stream_counts_give_each_lattice_size_exactly(kind, m, p):
+    # the sizes a sweep checks before it draws, from (kind, m) and q alone:
+    # prod (2 n q + 1) over the receiver's stream counts n, the eavesdropper's
+    # jamming coordinates alone for its decoder
+    ch = sample_channel(m, 5)
+    cfg = (make_csi_scheme(m, p, 0.1, ch.h, ch.g) if kind == "CsiAligned"
+           else make_blind_scheme(m, p, 0.1, ch.h, 4.0, 3))
+    legit, eve = stream_counts(kind, m, "legit"), stream_counts(kind, m, "eve")
+    assert (legit, eve) == (observation(cfg, ch, "legit")[1], observation(cfg, ch, "eve")[1])
+    assert math.prod(2 * n * cfg.q + 1 for n in legit) == len(legit_lattice(cfg, ch))
+    assert math.prod(2 * n * cfg.q + 1 for n in eve[m:]) == len(eve_u_lattice(cfg, ch))
 
 
 def test_decode_matches_exhaustive_search():
