@@ -26,8 +26,7 @@ from .experiments import (
     ComparisonReport,
     SweepRow,
     compare_schemes,
-    fit_dof,
-    leakage_slope,
+    fit_slopes,
     sweep_power,
     sweep_ser,
 )

@@ -27,8 +27,7 @@ from .experiments import (
     DEFAULT_SWEEP_MI_SAMPLES,
     DEFAULT_SWEEP_SER_TRIALS,
     compare_schemes,
-    fit_dof,
-    leakage_slope,
+    fit_slopes,
     read_sweep_csv,
     sweep_power,
     sweep_ser,
@@ -132,23 +131,16 @@ def cmd_compare(out: str, **options) -> None:
 def cmd_report(input: str, exclude_lowest: int, out: str | None = None) -> None:
     """Bound and leakage slopes of each (kind, m, delta) series of a sweep CSV."""
     rows = read_sweep_csv(input)
-    if not rows:
-        raise ValueError(f"{input} holds no rows to fit")
-    fits = []  # every series is fitted before anything is printed or written
-    for key in sorted({(row.kind, row.m, row.delta) for row in rows}):
-        series = [row for row in rows if (row.kind, row.m, row.delta) == key]
-        tag = "{} m={} delta={:g}: ".format(*key)
-        try:
-            fits += [(key, tag, fit(series, exclude_lowest))
-                     for fit in (fit_dof, leakage_slope)]
-        except ValueError as exc:
-            raise ValueError(tag + str(exc)) from None
-    for _, tag, fit in fits:
+    # every series is fitted before anything is printed or written
+    bound, leakage = (fit_slopes(rows, column, exclude_lowest) for column in ("bound", "i_vy2"))
+    fits = [(series, fit) for series in bound for fit in (bound[series], leakage[series])]
+    for series, fit in fits:
         name = "bound" if fit.column == "bound" else "leakage"
-        print(f"{tag}{name} slope {fit.pooled.slope:.6f} (stderr {fit.pooled.slope_stderr:.6f})")
+        print(f"{series}: {name} slope {fit.pooled.slope:.6f} "
+              f"(stderr {fit.pooled.slope_stderr:.6f})")
     if out:
         write_rows([dict(column=fit.column, **vars(fit.pooled), excluded_lowest=fit.excluded_lowest,
-                         kind=kind, m=m, delta=delta) for (kind, m, delta), _, fit in fits], out)
+                         **series._asdict()) for series, fit in fits], out)
         print(f"summary -> {out}")
 
 
@@ -307,8 +299,8 @@ def entrypoint(argv=None) -> int:
         if args.command != "report":  # after the run: a failed one leaves no manifest
             write_manifest(_beside(out, ".manifest.json"), {"command": args.command, **params})
         return 0
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "min_distance",
     "sum_lattice_min_distance",
     "nearest_index",
-    "loglog_slope",
     "fit_dmin_exponent",
     "DminStudy",
 ]
@@ -252,17 +251,6 @@ def nearest_index(lat: ReceiverLattice, y) -> np.ndarray:
     return idx[0] if scalar else idx
 
 
-def loglog_slope(qs, values) -> float:
-    """Least-squares slope of log(values) against log(qs)."""
-    qs = np.asarray(qs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if qs.shape[0] != values.shape[0]:
-        raise ValueError("qs and values must have equal length")
-    if qs.shape[0] < 2:
-        raise ValueError("cannot fit a slope from fewer than 2 points")
-    return float(np.polyfit(np.log(qs), np.log(values), 1)[0])
-
-
 @dataclass(frozen=True)
 class DminRow:
     """One (draw, q) cell of a d_min study, with the draw's slope: a CSV line."""
@@ -308,6 +296,11 @@ def fit_dmin_exponent(
     lattice collides at any q are redrawn, up to MAX_REDRAWS times; the
     count of redraws is reported.
     """
+    from .experiments import ols  # experiments imports this module
+
+    # as --q and --config refuse them: JSON true is no integer, 2.7 none either
+    if any(isinstance(x, (bool, np.bool_)) or not float(x).is_integer() for x in q):
+        raise ValueError(f"q grid {list(q)} holds an entry that is not an integer")
     q_grid = tuple(int(x) for x in q)
     if len(q_grid) < 3:
         raise ValueError("q grid must contain at least 3 strictly increasing values")
@@ -331,7 +324,7 @@ def fit_dmin_exponent(
             except DegenerateLatticeError:
                 redraws += 1
                 continue
-            slopes[draw_id] = slope = loglog_slope(q_grid, dmins)
+            slopes[draw_id] = slope = ols(np.log(q_grid), np.log(dmins)).slope
             rows.extend(DminRow(draw_id, m, q, d, slope) for q, d in zip(q_grid, dmins))
             break
         else:

@@ -18,6 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +42,12 @@ __all__ = [
     "SweepRow",
     "SerRow",
     "OlsFit",
+    "Series",
     "DofFit",
     "ComparisonReport",
     "sweep_power",
     "sweep_ser",
-    "fit_dof",
-    "leakage_slope",
+    "fit_slopes",
     "compare_schemes",
     "ols",
     "write_rows",
@@ -292,6 +293,17 @@ def ols(x, y) -> OlsFit:
     return OlsFit(slope=slope, intercept=intercept, slope_stderr=stderr, n=n)
 
 
+class Series(NamedTuple):
+    """The (kind, m, delta) of a sweep row: the rows that share one slope."""
+
+    kind: str
+    m: int
+    delta: float
+
+    def __str__(self) -> str:
+        return f"{self.kind} m={self.m} delta={self.delta:g}"
+
+
 @dataclass(frozen=True)
 class DofFit:
     """Slope of a sweep column against (1/2) log2 p, pooled and per draw."""
@@ -302,40 +314,34 @@ class DofFit:
     excluded_lowest: int
 
 
-def _fit_column(rows, column: str, exclude_lowest: int) -> DofFit:
+def fit_slopes(rows, column: str = "bound", exclude_lowest: int = 0) -> dict[Series, DofFit]:
+    """Slope of ``column`` against (1/2) log2 p for each ``Series`` of the
+    rows in sorted order, pooled and per draw of 2 powers or more: ``bound``
+    gives the degrees of freedom, ``i_vy2`` the leakage. A series keeps all
+    but its ``exclude_lowest`` lowest powers, and is refused under 3."""
     if not rows:
         raise ValueError("no rows to fit")
     if exclude_lowest < 0:
         raise ValueError("exclude_lowest must be >= 0")
-    series = sorted({(row.kind, row.m, row.delta) for row in rows})
-    if len(series) > 1:
-        raise ValueError("rows of several (kind, m, delta) do not share one slope: "
-                         + ", ".join(f"{k} m={m} delta={d:g}" for k, m, d in series))
-    kept = set(sorted({row.p for row in rows})[exclude_lowest:])
-    if len(kept) < 3:
-        raise ValueError("degenerate grid: fewer than 3 distinct powers left to fit")
-    keep = [row for row in rows if row.p in kept]
 
     def fit(sub) -> OlsFit:
         return ols([0.5 * math.log2(row.p) for row in sub], [getattr(row, column) for row in sub])
 
-    per_draw = []
-    for d in sorted({row.draw_id for row in keep}):
-        sub = [row for row in keep if row.draw_id == d]
-        if len(sub) >= 2:
-            per_draw.append((d, fit(sub).slope))
-    return DofFit(pooled=fit(keep), per_draw=tuple(per_draw), column=column,
-                  excluded_lowest=exclude_lowest)
-
-
-def fit_dof(rows, exclude_lowest: int = 0) -> DofFit:
-    """Degrees-of-freedom fit: rate bound against (1/2) log2 p."""
-    return _fit_column(rows, "bound", exclude_lowest)
-
-
-def leakage_slope(rows, exclude_lowest: int = 0) -> DofFit:
-    """Leakage fit: eavesdropper information against (1/2) log2 p."""
-    return _fit_column(rows, "i_vy2", exclude_lowest)
+    fits = {}
+    for series in sorted({Series(row.kind, row.m, row.delta) for row in rows}):
+        in_series = [row for row in rows if (row.kind, row.m, row.delta) == series]
+        kept = set(sorted({row.p for row in in_series})[exclude_lowest:])
+        if len(kept) < 3:
+            raise ValueError(f"{series}: degenerate grid: fewer than 3 distinct powers left to fit")
+        keep = [row for row in in_series if row.p in kept]
+        per_draw = []
+        for d in sorted({row.draw_id for row in keep}):
+            sub = [row for row in keep if row.draw_id == d]
+            if len({row.p for row in sub}) >= 2:  # as ols needs: no refusal is left
+                per_draw.append((d, fit(sub).slope))
+        fits[series] = DofFit(pooled=fit(keep), per_draw=tuple(per_draw), column=column,
+                              excluded_lowest=exclude_lowest)
+    return fits
 
 
 @dataclass(frozen=True)
@@ -363,8 +369,7 @@ def compare_schemes(m: int, delta: float, p, draws: int, seed: int, *,
     """Fit the rate-bound slope for each kind on identical channel draws and
     powers, all cells in one pass."""
     rows = _rate_rows(KINDS, m, delta, p, draws, seed, workers, mi_samples)
-    fits = {kind: fit_dof([row for row in rows if row.kind == kind], exclude_lowest)
-            for kind in KINDS}
+    fits = {series.kind: fit for series, fit in fit_slopes(rows, "bound", exclude_lowest).items()}
     return ComparisonReport(fits=fits, rows=tuple(rows))
 
 

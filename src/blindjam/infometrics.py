@@ -224,10 +224,16 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     equal weights, when its window is empty; otherwise when neither mean
     beside it has ln w_j - d_j^2 / 2 >= ln w_max - 49 (d_j its distance in
     deviations), a kept term e^49 times each dropped one. An equal-weight
-    mixture adds its one log-weight to each query's log-sum.
+    mixture adds its one log-weight to each query's log-sum. A query whose
+    squared distance to every mean, in deviations, overflows has a density
+    below the double range: -inf.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _logpdf_sorted(y, spec.means, spec._logw, spec.sigma)
+    # such a query's terms are all -inf, and shifted by their maximum, NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _logpdf_sorted(y, spec.means, spec._logw, spec.sigma)
+    out[np.isnan(out) & ~np.isnan(y)] = -np.inf
+    return out
 
 
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, float]:

@@ -24,8 +24,9 @@ import pytest
 from blindjam.channel import ChannelRealization, sample_channel
 from blindjam.constellation import fit_dmin_exponent, min_distance
 from blindjam.experiments import (
+    Series,
     compare_schemes,
-    leakage_slope,
+    fit_slopes,
     sweep_power,
     sweep_ser,
     write_rows,
@@ -86,8 +87,7 @@ def test_criterion_1_rate_bound_slope(comparison):
 
 
 def test_criterion_2_leakage_slope(comparison):
-    blind_rows = [r for r in comparison.rows if r.kind == "Blind"]
-    slope = leakage_slope(blind_rows).pooled.slope
+    slope = fit_slopes(comparison.rows, "i_vy2")[Series("Blind", M, RATE_DELTA)].pooled.slope
     ok = slope <= LEAK_LIMIT
     _verdict("2 (leakage slope)", ok,
              f"I(V;Y2) slope {slope:.4f} <= limit {LEAK_LIMIT:.4f}")

@@ -14,7 +14,7 @@ import pytest
 from blindjam import cli, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
 from blindjam.constellation import DminRow, fit_dmin_exponent
-from blindjam.experiments import ComparisonReport, SerRow, SweepRow, fit_dof, write_rows
+from blindjam.experiments import ComparisonReport, SerRow, SweepRow, fit_slopes, write_rows
 from blindjam.schemes import schedule_q
 
 FAST_SWEEP = ["--mi-samples", "200", "--ser-trials", "400", "--min-errors", "5"]
@@ -226,7 +226,8 @@ def test_readme_csv_schemas_are_the_row_types(tmp_path):
     assert line("`ser`") == [f.name for f in fields(SerRow)]
     assert line("`dmin`") == [f.name for f in fields(DminRow)]
     rows = _planted_rows()
-    report = ComparisonReport(fits={kind: fit_dof(rows) for kind in cli.KINDS}, rows=())
+    (fit,) = fit_slopes(rows).values()
+    report = ComparisonReport(fits={kind: fit for kind in cli.KINDS}, rows=())
     write_rows(report.summary(), tmp_path / "compare.csv")
     write_rows(rows, tmp_path / "sweep.csv")
     assert entrypoint(["report", "--input", str(tmp_path / "sweep.csv"),
@@ -553,6 +554,22 @@ def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(args, message, tm
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}; reduce q or the number of streams\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_exits_1_with_an_error_line(message, tmp_path, monkeypatch, capsys):
+    # raised, not allocated: whether a huge request fails at once depends on
+    # the machine's overcommit policy
+    def exhausted(**options):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sweep_power", exhausted)
+    assert entrypoint(["sweep", "--m", "1", "--p", "1e2,1e3,1e4",
+                       "--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
+    assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
 
 
 STUDIES = {"sweep": experiments.sweep_power, "ser": experiments.sweep_ser,

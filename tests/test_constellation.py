@@ -16,11 +16,11 @@ from blindjam.constellation import (
     ReceiverLattice,
     enumerate_sum_lattice,
     fit_dmin_exponent,
-    loglog_slope,
     min_distance,
     nearest_index,
     sum_lattice_min_distance,
 )
+from blindjam.experiments import ols
 from blindjam.streams import substream
 
 
@@ -198,11 +198,16 @@ def test_bucket_table_at_most_doubles_points(coeffs, radii):
 
 
 def test_loglog_slope_recovers_planted_exponent():
+    # fit_dmin_exponent's slope: ols of log d_min against log q
     qs = np.array([2.0, 4.0, 8.0, 16.0])
     vals = 3.7 * qs ** -1.5
-    assert loglog_slope(qs, vals) == pytest.approx(-1.5, abs=1e-12)
+    assert ols(np.log(qs), np.log(vals)).slope == pytest.approx(-1.5, abs=1e-12)
     with pytest.raises(ValueError):
-        loglog_slope([2.0], [1.0])
+        ols(np.log([2.0]), np.log([1.0]))
+    study = fit_dmin_exponent(1, [2, 4, 8], 3, 42)
+    for d, slope in enumerate(study.slopes):
+        rows = [row for row in study.rows if row.draw_id == d]
+        assert slope == ols(np.log([row.q for row in rows]), np.log([row.dmin for row in rows])).slope
 
 
 def test_fit_dmin_exponent_shape_and_determinism():
@@ -223,6 +228,16 @@ def test_fit_dmin_exponent_validation():
         fit_dmin_exponent(1, [4, 2, 8], 5, 0)
     with pytest.raises(ValueError):
         fit_dmin_exponent(0, [2, 4, 8], 5, 0)
+    # an integral float is its integer, as in a --config list
+    assert [row.q for row in fit_dmin_exponent(1, [2.0, 4.0, 8.0], 1, 1).rows] == [2, 4, 8]
+
+
+@pytest.mark.parametrize("q", [[2.7, 4.2, 8.9], [True, 4, 8], [2, 4, np.bool_(True)],
+                               [2, 4, np.inf], [2, 4, np.nan]])
+def test_fit_dmin_exponent_refuses_a_non_integral_q(q):
+    # truncated, 2.7 would run as 2 and True as 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        fit_dmin_exponent(1, q, 1, 1)
 
 
 def test_collision_tolerance_scales_with_spacing():

@@ -10,9 +10,9 @@ from blindjam.experiments import (
     ComparisonReport,
     SerRow,
     SweepRow,
+    Series,
     compare_schemes,
-    fit_dof,
-    leakage_slope,
+    fit_slopes,
     ols,
     read_sweep_csv,
     sweep_power,
@@ -75,9 +75,14 @@ def test_sweep_row_revalidates_schedule():
                  bound=1.0)
 
 
-def test_fit_dof_recovers_planted_slope():
+BLIND = Series("Blind", 1, 0.05)
+
+
+def test_fit_slopes_recovers_planted_slope():
     rows = _planted_rows(0.5)
-    fit = fit_dof(rows)
+    fits = fit_slopes(rows)
+    assert list(fits) == [BLIND] and str(BLIND) == "Blind m=1 delta=0.05"
+    fit = fits[BLIND]
     assert fit.pooled.slope == pytest.approx(0.5, abs=1e-10)
     assert fit.column == "bound"
     assert fit.excluded_lowest == 0
@@ -86,32 +91,48 @@ def test_fit_dof_recovers_planted_slope():
 
 
 def test_leakage_slope_constant_column_is_zero():
-    fit = leakage_slope(_planted_rows(0.5))
+    fit = fit_slopes(_planted_rows(0.5), "i_vy2")[BLIND]
     assert fit.pooled.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.column == "i_vy2"
 
 
 def test_fit_exclusion_rules():
     rows = _planted_rows(0.5)
-    fit = fit_dof(rows, exclude_lowest=1)
+    fit = fit_slopes(rows, exclude_lowest=1)[BLIND]
     assert fit.excluded_lowest == 1
     assert fit.pooled.n == 2 * 3
-    with pytest.raises(ValueError, match="degenerate"):
-        fit_dof(rows, exclude_lowest=2)
+    with pytest.raises(ValueError, match="^Blind m=1 delta=0.05: degenerate"):
+        fit_slopes(rows, exclude_lowest=2)
     # a negative count would keep the top three powers of four instead
     with pytest.raises(ValueError, match="exclude_lowest"):
-        leakage_slope(rows, exclude_lowest=-3)
+        fit_slopes(rows, "i_vy2", exclude_lowest=-3)
     with pytest.raises(ValueError):
-        fit_dof([])
+        fit_slopes([])
+    # a draw of one power has no slope of its own, and refuses nothing
+    one_power = _planted_rows(0.5, p_grid=(1e3, 1e3), draws=3)[4:]
+    fit = fit_slopes(rows + one_power)[BLIND]
+    assert [d for d, _ in fit.per_draw] == [0, 1] and fit.pooled.n == 10
 
 
 @pytest.mark.parametrize("other", [dict(kind="CsiAligned"), dict(m=2), dict(delta=0.1)])
-def test_fit_refuses_rows_of_several_series(other):
-    # one line through several (kind, m, delta) series is no slope of any
-    rows = _planted_rows(0.5) + _planted_rows(0.1, **other)
-    for fit in (fit_dof, leakage_slope):
-        with pytest.raises(ValueError, match="kind, m, delta"):
-            fit(rows)
+def test_fit_slopes_fits_each_series_apart(other):
+    # one line through several (kind, m, delta) series is no slope of any:
+    # each series gets its own, in sorted order
+    rows = _planted_rows(0.1, **other) + _planted_rows(0.5)
+    series = Series(**{**BLIND._asdict(), **other})
+    for column, want in (("bound", {BLIND: 0.5, series: 0.1}), ("i_vy2", {BLIND: 0.0, series: 0.0})):
+        fits = fit_slopes(rows, column)
+        assert list(fits) == sorted(want)
+        for key, fit in fits.items():
+            assert fit.pooled.slope == pytest.approx(want[key], abs=1e-10)
+            assert fit.pooled.n == 8 and len(fit.per_draw) == 2
+
+
+def test_fit_slopes_names_the_series_it_refuses():
+    # the other series has 2 powers; the Blind one, sorted first, fits
+    rows = _planted_rows(0.5) + _planted_rows(0.1, p_grid=(1e2, 1e3), kind="CsiAligned")
+    with pytest.raises(ValueError, match="^CsiAligned m=1 delta=0.05: degenerate grid"):
+        fit_slopes(rows)
 
 
 def test_sweep_power_rows_and_order():
@@ -223,8 +244,8 @@ def test_sweep_power_errors_when_nothing_feasible(monkeypatch):
 
 def test_slope_stderr_shrinks_with_draws():
     kw = dict(mi_samples=500, include_ser=False)
-    few = fit_dof(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 5, 3, **kw))
-    many = fit_dof(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 20, 3, **kw))
+    few = fit_slopes(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 5, 3, **kw))[BLIND]
+    many = fit_slopes(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 20, 3, **kw))[BLIND]
     assert many.pooled.slope_stderr < few.pooled.slope_stderr
 
 
@@ -233,9 +254,8 @@ def test_gaussian_jam_leakage_tracks_legit_rate():
     # (or stall) together, so their fitted slopes agree
     rows = sweep_power("GaussianJam", 1, 0.05, [1e2, 1e3, 1e4], 4, 11,
                        mi_samples=4000, include_ser=False)
-    from blindjam.experiments import _fit_column
-    s1 = _fit_column(rows, "i_vy1", 0).pooled.slope
-    s2 = _fit_column(rows, "i_vy2", 0).pooled.slope
+    s1, s2 = (fit_slopes(rows, column)[Series("GaussianJam", 1, 0.05)].pooled.slope
+              for column in ("i_vy1", "i_vy2"))
     assert abs(s1 - s2) <= 0.1
 
 

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_windowed_logpdf_equals_brute_force(seed, weighting):
         y = means[rng.integers(0, means.size, size=300)] + rng.uniform(-5, 5, size=300) * sigma
     got = mixture_logpdf(y, spec)
     assert np.max(np.abs(got - _brute_logpdf(y, means, w, sigma))) < 1e-12
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+@pytest.mark.parametrize("sigma", [1.0, 1e-100])
+def test_query_beyond_the_double_range_is_minus_inf(weights, sigma):
+    # each squared distance, in deviations, overflows: the density is below
+    # the double range, and its log -inf without a warning; NaN stays NaN
+    spec = MixtureSpec(means=[0.0, 1.0], weights=weights, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mixture_logpdf([1e300, -1e160, np.inf, -np.inf, np.nan, 1e150, 0.5], spec)
+    assert np.array_equal(got[:4], [-np.inf] * 4)
+    assert np.isnan(got[4]) and np.isfinite(got[6])
+    # 1e150 squared is still a double
+    assert got[5] == (pytest.approx(-0.5e300, rel=1e-12) if sigma == 1.0 else -np.inf)
 
 
 def test_mc_draws_match_per_component_weights(monkeypatch):
