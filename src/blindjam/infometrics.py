@@ -4,10 +4,12 @@ Every receiver observation in this library is a finite equal-variance
 Gaussian mixture: the sums of ``schemes.observation``, one symbol set per
 coordinate, plus Gaussian noise. Its log-density at a query sums only the
 components within WINDOW_SIGMAS noise deviations, unless a heavier component
-beyond them could outweigh those. A mixture whose weights are all equal
-(every eavesdropper mixture, whose streams are all uniform) keeps one
-log-weight, which leaves its log-sum as a constant, and no weight array: it
-is its sorted means alone. A weighted one (the legitimate receiver's jamming
+beyond them could outweigh those. Queries are taken in order of value, in
+blocks of rows times the widest window; each row is one contiguous run of
+the sorted means, so the means are neither copied nor gathered term by term.
+A mixture whose weights are all equal (every eavesdropper mixture, whose
+streams are all uniform) keeps one log-weight, which leaves its log-sum as a
+constant, and no weight array: it is its sorted means alone. A weighted one (the legitimate receiver's jamming
 sum) also keeps its sorted weights and their logs. Each mixture lives only
 while its entropy is estimated, so one is held at a time. Entropies have no closed
 form, so two estimators are provided on that log-density: Monte Carlo, and
@@ -53,8 +55,8 @@ LOG2E = math.log2(math.e)
 # components beyond this many noise deviations from a sample contribute
 # less than exp(-98) of the density and are dropped from the log-sum
 WINDOW_SIGMAS = 14.0
-# window terms per chunk of queries: 512 KiB per float64 array, so the
-# chunk's few arrays stay within a 2 MiB L2 cache
+# cells per block of queries, rows x widest window: 512 KiB of float64, so
+# the block's one or two arrays stay within a 2 MiB L2 cache
 CHUNK_TERMS = 1 << 16
 # trapezoid grid step in noise deviations: at sigma/4, two-component mixtures
 # 2 to 30 sigma apart already differ from adaptive quadrature by 1.3e-9 bits
@@ -80,7 +82,8 @@ class MixtureSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float).reshape(-1)
+        # contiguous, so the log-density reads rows of it without a copy
+        means = np.ascontiguousarray(self.means, dtype=float).reshape(-1)
         if means.size == 0 or not np.all(np.isfinite(means)):
             raise ValueError("mixture needs at least one component, all means finite")
         # sigma**2 is then a normal double, and so is its reciprocal
@@ -144,11 +147,23 @@ def gaussian_entropy(sigma: float) -> float:
     return GAUSSIAN_ENTROPY_BITS + math.log2(sigma)
 
 
+def _windows(a, width):
+    """Read-only rows ``a[i:i + width]``, i = 0 .. len(a) - width, of the
+    contiguous array ``a``, without a copy."""
+    rows = np.ndarray((a.shape[0] - width + 1, width), a.dtype, a, 0, a.strides * 2)
+    rows.flags.writeable = False
+    return rows
+
+
 def _logpdf_sorted(y, means, logw, sigma):
     """Log density at y of the mixture with sorted means and log-weights.
 
     ``logw`` is one log-weight per mean, or a single float shared by all.
     """
+    # rows in query order: the searches run on sorted keys, and neighbouring
+    # rows have windows of nearly equal width
+    order = np.argsort(y)
+    y = y[order]
     half = WINDOW_SIGMAS * sigma
     lo = np.searchsorted(means, y - half, side="left")
     hi = np.searchsorted(means, y + half, side="right")
@@ -173,7 +188,7 @@ def _logpdf_sorted(y, means, logw, sigma):
     # lower term. A window's terms are at least the lightest log-weight - 98;
     # a far row's, that log-weight less half the squared distance to the
     # farther end of the means. Decided from the row alone, a row's value
-    # does not depend on the rows that share its chunk.
+    # does not depend on the rows that share its block.
     floor = logw.min() if gather else 0.0
     if floor - 0.5 * WINDOW_SIGMAS ** 2 < -700.0:
         shift = np.ones_like(far)
@@ -181,35 +196,47 @@ def _logpdf_sorted(y, means, logw, sigma):
         shift = far & (floor + scale * np.maximum(y - means[0], means[-1] - y) ** 2 < -700.0)
     if not gather:
         norm -= logw  # an equal weight leaves the log-sum as a constant
+    if far.any():
+        # far rows read every mean: last, so the others share narrow blocks
+        last = np.argsort(far, kind="stable")
+        order, y, lo, hi, shift = order[last], y[last], lo[last], hi[last], shift[last]
     width = hi - lo
-    ends = np.cumsum(width)
-    # index offsets 0, 1, .. for the longest chunk, built once per call
-    ramp = np.arange(min(int(ends[-1]), max(CHUNK_TERMS, int(width.max()))))
-    out = np.empty(y.shape[0])
+    n, rows = len(means), y.shape[0]
+    count = np.arange(1, min(rows, CHUNK_TERMS) + 1)  # rows in a block so far
+    out = np.empty(rows)
     a = 0
-    while a < y.shape[0]:
-        # whole rows holding about CHUNK_TERMS window terms, at least one row
-        done = ends[a] - width[a]
-        b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_TERMS, side="right")))
-        w = width[a:b]
-        starts = ends[a:b] - w - done
-        # ragged gather: component index lo_i, lo_i + 1, .., hi_i - 1 per row
-        idx = np.repeat(lo[a:b] - starts, w)
-        idx += ramp[:idx.shape[0]]
-        z = np.repeat(y[a:b], w)
-        z -= means[idx]
-        np.square(z, out=z)
+    while a < rows:
+        # a block of rows x its widest window within CHUNK_TERMS, at least one row
+        widest = np.maximum.accumulate(width[a:a + max(1, CHUNK_TERMS // width[a])])
+        b = a + max(1, int(np.count_nonzero(widest * count[:widest.shape[0]] <= CHUNK_TERMS)))
+        w = int(widest[b - a - 1])
+        # row i reads the w means from its window's start, or from n - w near
+        # the end, so mean j is cell base_i + j of the block. reduceat sums
+        # each row's window, cells[2i]:cells[2i + 1], and between rows sums
+        # that are discarded; the last window may end the block.
+        start = np.minimum(lo[a:b], n - w)
+        base = np.arange(0, (b - a) * w, w) - start
+        cells = np.empty(2 * (b - a), dtype=np.intp)
+        cells[0::2], cells[1::2] = base + lo[a:b], base + hi[a:b]
+        cells = cells[:-1] if cells[-1] == (b - a) * w else cells
+        z = _windows(means, w)[start]
+        z -= y[a:b, None]  # (mu - y)^2 has the bits of (y - mu)^2
+        # a cell beyond its row's window may square past the double range:
+        # its -inf term enters only a discarded sum
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
         z *= scale
         if gather:
-            z += logw[idx]
+            z += _windows(logw, w)[start]
+        flat = z.reshape(-1)
         if shift[a:b].any():
-            zmax = np.maximum.reduceat(z, starts)
+            zmax = np.maximum.reduceat(flat, cells)[::2]
             zmax[~shift[a:b]] = 0.0
-            z -= np.repeat(zmax, w)
+            z -= zmax[:, None]
         else:
             zmax = 0.0
         np.exp(z, out=z)
-        out[a:b] = zmax + np.log(np.add.reduceat(z, starts)) - norm
+        out[order[a:b]] = zmax + np.log(np.add.reduceat(flat, cells)[::2]) - norm
         a = b
     return out
 

@@ -129,7 +129,8 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
 
 
 def _noisy(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    return y + rng.normal(0.0, sigma, size=y.shape[0]) if sigma > 0 else y
+    # rng.normal(0.0, sigma)'s draws, without adding its zero mean
+    return y + sigma * rng.standard_normal(y.shape[0]) if sigma > 0 else y
 
 
 def estimate_ser(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
