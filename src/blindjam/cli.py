@@ -38,6 +38,8 @@ from .schemes import KINDS
 
 __all__ = ["parse_p_grid", "parse_int_list", "build_parser", "entrypoint", "main"]
 
+MAX_RANGE_POWERS = 10_000  # most powers a start:stop:ppd range may hold
+
 
 def _entry(x, integral: bool = False):
     """One entry of a --config list: JSON true is no number, 3.5 no integer."""
@@ -47,7 +49,8 @@ def _entry(x, integral: bool = False):
 
 
 def parse_p_grid(spec) -> list[float]:
-    """Power grid: explicit list "1e2,1e3,1e4" or "start:stop:points-per-decade"."""
+    """Power grid: explicit list "1e2,1e3,1e4" or "start:stop:points-per-decade"
+    range, refused before it is built if it holds over MAX_RANGE_POWERS points."""
     if isinstance(spec, (list, tuple)):
         vals = [float(_entry(x)) for x in spec]
     elif ":" in str(spec):
@@ -59,6 +62,8 @@ def parse_p_grid(spec) -> list[float]:
             raise ValueError("grid range must satisfy 0 < start <= stop < inf, ppd >= 1")
         # floored, so that no point exceeds stop; the tolerance keeps a decade-aligned stop
         n = math.floor(math.log10(stop / start) * ppd * (1 + 1e-9)) + 1
+        if n > MAX_RANGE_POWERS:
+            raise ValueError(f"grid range of {n} powers exceeds the cap of {MAX_RANGE_POWERS}")
         vals = [start * 10.0 ** (k / ppd) for k in range(n)]
     else:
         vals = [float(tok) for tok in str(spec).split(",") if tok.strip()]
@@ -270,7 +275,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             params["p"] = parse_p_grid(params["p"])
         if "q" in params:
             params["q"] = parse_int_list(params["q"])
-    except (ValueError, TypeError) as exc:  # TypeError: a --config list of non-numbers
+    except (ValueError, TypeError, OverflowError) as exc:  # a list of non-numbers, a huge ppd
         parser.error(str(exc))
     # a slope needs 3 powers: refused before the sweep, not after it
     if command == "compare" and len(params["p"]) - params["exclude_lowest"] < 3:
@@ -284,8 +289,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    params = resolve_config(args)
     try:
+        params = resolve_config(args)
         out = params.get("out")  # checked before the run, not after it
         if out == "" and args.command != "report":  # report writes nothing then
             raise OSError("--out names no file")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
@@ -153,7 +154,7 @@ def _run_cells(kinds, m: int, delta: float, p_grid, draws: int, seed: int,
         return cell(cfg, ch, d, i)
 
     cells = [(kind, d, i) for kind in kinds for d in range(draws) for i in range(len(p_grid))]
-    workers = min(workers, len(cells))  # a thread per cell at most
+    workers = min(workers, len(cells), os.cpu_count() or 1)  # a thread per cell and CPU at most
     if workers == 1:
         return [run(c) for c in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -396,19 +396,16 @@ class RateBound:
 
 def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, method: str,
                  n_samples: int, seed: int):
-    """(I(V;Y), h(Y), h(Y|V)) of the messages V at one receiver of ``observation``.
+    """(I(V;Y), h(Y)) of the messages V at one receiver of ``observation``.
 
     V is the leading ``cfg.m`` coordinates; h(Y|V) is translation invariant
     in V's value, so the mixture of the other coordinates alone gives it.
     The legitimate receiver's jamming sum enters as one set weighted by its
     pmf, even of one stream; every other coordinate is one uniform stream,
-    unweighted, so the eavesdropper mixtures keep exactly equal weights. At
-    q = 0 the messages are constant: I = 0 exactly, and both entropies None.
+    unweighted, so the eavesdropper mixtures keep exactly equal weights.
     """
     coeffs, counts, sigma = observation(cfg, ch, receiver)
     check_size((2 * n * cfg.q + 1 for n in counts), COMPONENT_CAP, "mixture components")
-    if cfg.q == 0:
-        return MiEstimate(0.0, 0.0), None, None
     sets, weights = [], []
     for i, n in enumerate(counts):
         vals, pmf = symbol_sum_pmf(n, cfg.q)
@@ -428,7 +425,7 @@ def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, metho
     if method == "quadrature" and value < -3.0 * stderr - 1e-9:
         # no sampling noise here: a negative information is a defect
         raise ValueError("mutual information cannot be negative beyond the grid rule's error")
-    return MiEstimate(value=value, stderr=stderr), h_y, h_cond
+    return MiEstimate(value=value, stderr=stderr), h_y
 
 
 def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "mc",
@@ -439,13 +436,12 @@ def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "m
     implied by the scheme's power ``cfg.p`` and assumed gain bound
     ``cfg.c_bar``.
     """
-    i1, _, _ = _receiver_mi(cfg, ch, "legit", method, n_samples, child_seed(seed, "y1"))
-    i2, h_y2, _ = _receiver_mi(cfg, ch, "eve", method, n_samples, child_seed(seed, "y2"))
-    if h_y2 is not None:
-        cap_bits = 0.5 * math.log2(2.0 * math.pi * math.e * (ch.sigma2 ** 2 + cfg.c_bar * cfg.p))
-        if h_y2.value > cap_bits + 3.0 * h_y2.stderr + 1e-6:
-            raise RuntimeError(
-                f"eavesdropper output entropy {h_y2.value:.6f} exceeds the "
-                f"max-entropy cap {cap_bits:.6f}; power accounting is broken"
-            )
+    i1, _ = _receiver_mi(cfg, ch, "legit", method, n_samples, child_seed(seed, "y1"))
+    i2, h_y2 = _receiver_mi(cfg, ch, "eve", method, n_samples, child_seed(seed, "y2"))
+    cap_bits = 0.5 * math.log2(2.0 * math.pi * math.e * (ch.sigma2 ** 2 + cfg.c_bar * cfg.p))
+    if h_y2.value > cap_bits + 3.0 * h_y2.stderr + 1e-6:
+        raise RuntimeError(
+            f"eavesdropper output entropy {h_y2.value:.6f} exceeds the "
+            f"max-entropy cap {cap_bits:.6f}; power accounting is broken"
+        )
     return RateBound(i_v_y1=i1, i_v_y2=i2, bound=max(0.0, i1.value - i2.value))

@@ -77,8 +77,6 @@ def legit_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
     (v_1, ..., v_m, jamming sum).
     """
     coeffs, counts = _lattice_model(cfg, ch, "legit")
-    if cfg.q < 1:
-        raise ValueError("q must be >= 1")
     return enumerate_sum_lattice(coeffs, [n * cfg.q for n in counts], a=cfg.a)
 
 
@@ -119,7 +117,7 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
         rng = substream(seed, label, block_idx)
         v, u = sample_symbols(cfg, rng, n=n)
         # column by column: reductions across a narrow (n, k) array are slow
-        cols = mismatch(rng, v, u, encode(cfg, ch.h, v, u)).T
+        cols = mismatch(rng, v, u, encode(cfg, v, u)).T
         errors += int(np.count_nonzero(functools.reduce(operator.or_, cols)))
         trials += n
         block_idx += 1

@@ -18,14 +18,15 @@ place that says how many symbols each receiver then sums per coordinate, and
 ``observation`` on which coefficients. The encoder, the decoders, the
 information measures, the sweeps and their size checks all derive from these.
 
-The power schedule is shared: q grows like a fractional power of p, the
-spacing aims the constellation at the power budget, and gamma is set to the
-largest value that keeps every transmitter inside the budget.
+The power schedule is shared, and ``SchemeConfig`` derives it from the gains
+it records: q grows like a fractional power of p, the spacing aims the
+constellation at the power budget, and gamma is set to the largest value
+that keeps every transmitter inside the budget.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,10 +91,11 @@ def observation(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
     sends a u_j / h_j: at the legitimate receiver every jamming stream lands
     on coefficient 1, one coordinate for their sum; at the eavesdropper
     stream j keeps its own g_j / h_j. GaussianJam has no jamming coordinate;
-    its helpers' Gaussian power is folded into sigma, exactly.
+    its helpers' Gaussian power is folded into sigma, exactly. Every decoder,
+    lattice and rate bound reads it here, so a channel not on ``cfg.h`` is refused.
     """
-    if ch.m != cfg.m:
-        raise ValueError("channel and scheme disagree on helper count")
+    if tuple(ch.h) != cfg.h:
+        raise ValueError("channel gains h differ from the gains the scheme was built for")
     counts = stream_counts(cfg.kind, cfg.m, receiver)
     gains, sigma = (ch.h, ch.sigma1) if receiver == "legit" else (ch.g, ch.sigma2)
     jam = jam_streams(cfg.kind, cfg.m)
@@ -134,51 +136,47 @@ def admissible_gamma(h, alphas) -> float:
     if np.any(h == 0):
         raise ValueError("all legitimate gains must be nonzero")
     lead = 1.0 / (1.0 / abs(h[0]) + float(np.sum(np.abs(alphas))))
-    if h.shape[0] > 1:
-        return float(min(lead, np.min(np.abs(h[1:]))))
-    return float(lead)
+    return float(min(lead, np.min(np.abs(h[1:]))))
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything a transmitter ensemble needs for one scheme instance.
 
-    ``alphas`` are the m message-stream coefficients. Constructors guarantee
-    q = max(1, floor(p^((1-delta)/(2(m+1+delta))))) and a = gamma*sqrt(p)/q;
-    the dataclass itself only enforces basic ranges so degenerate configs
-    can be built by hand in tests.
+    Set: the kind, helper count m, power p, margin delta, the m+1 legitimate
+    gains h, the m message-stream coefficients ``alphas`` and the assumed
+    eavesdropper gain bound c_bar (for analysis only). Derived here alone,
+    and again by ``dataclasses.replace``, which cannot set them: the largest
+    admissible gamma, q = max(1, floor(p^((1-delta)/(2(m+1+delta))))) and
+    a = gamma*sqrt(p)/q.
     """
 
     kind: str
     m: int
     p: float
     delta: float
-    gamma: float
-    q: int
-    a: float
+    h: tuple[float, ...]
     alphas: tuple[float, ...]
     c_bar: float
+    gamma: float = field(init=False)
+    q: int = field(init=False)
+    a: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
-        if not 0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 0.5)")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        if len(self.h) != self.m + 1:
+            raise ValueError("h must have length m+1")
         if len(self.alphas) != self.m:
             raise ValueError("need one alpha per message stream")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
+        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
+        # schedule_q refuses a bad p, delta or m, admissible_gamma a zero gain
+        object.__setattr__(self, "q", schedule_q(self.p, self.delta, self.m))
+        object.__setattr__(self, "gamma", admissible_gamma(self.h, self.alphas))
+        object.__setattr__(self, "a", self.gamma * math.sqrt(self.p) / self.q)
 
 
 def _draw_alphas(m: int, seed: int) -> tuple[float, ...]:
@@ -190,14 +188,6 @@ def _draw_alphas(m: int, seed: int) -> tuple[float, ...]:
     return tuple(float(x) for x in mags * signs)
 
 
-def _config(kind: str, m: int, p: float, delta: float, h, alphas, c_bar: float) -> SchemeConfig:
-    # the shared power schedule: largest admissible gamma, q from p, a = gamma sqrt(p) / q
-    gamma = admissible_gamma(h, alphas)
-    q = schedule_q(p, delta, m)
-    return SchemeConfig(kind=kind, m=m, p=p, delta=delta, gamma=gamma, q=q,
-                        a=gamma * math.sqrt(p) / q, alphas=alphas, c_bar=c_bar)
-
-
 def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
     """Jamming scheme built from the legitimate gains alone.
 
@@ -206,12 +196,7 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
     gains are not an input: only their assumed bound c_bar is carried, and
     only for later analysis, never for construction.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (m + 1,):
-        raise ValueError("h must have length m+1")
-    if c_bar <= 0:
-        raise ValueError("c_bar must be positive")
-    return _config("Blind", m, p, delta, h, _draw_alphas(m, seed), c_bar)
+    return SchemeConfig("Blind", m, p, delta, h, _draw_alphas(m, seed), c_bar)
 
 
 def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
@@ -238,26 +223,22 @@ def make_csi_scheme(m: int, p: float, delta: float, h, g) -> SchemeConfig:
         raise ValueError("h and g must have length m+1")
     if np.any(g == 0) or np.any(h == 0):
         raise ValueError("all gains must be nonzero")
-    alphas = tuple(float(x) for x in g[1:] / (g[0] * h[1:]))
-    return _config("CsiAligned", m, p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
+    alphas = g[1:] / (g[0] * h[1:])
+    return SchemeConfig("CsiAligned", m, p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
 
 
-def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -> np.ndarray:
+def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> np.ndarray:
     """Channel inputs x, trailing dimension m+1, for message symbols v
     (..., m) and jamming symbols u (..., m+1); batch-capable.
 
-    Each jamming transmitter j (see ``jam_streams``) sends a u_j / h_j, and
-    x_1 adds the messages sum_k alpha_k a v_k; u_j of the other transmitters
-    is ignored. GaussianJam helpers draw N(0, p) from rng instead.
+    Each jamming transmitter j (see ``jam_streams``) sends a u_j / h_j, with
+    h the config's legitimate gains, and x_1 adds the messages
+    sum_k alpha_k a v_k; u_j of the other transmitters is ignored.
+    GaussianJam helpers draw N(0, p) from rng instead.
 
     The eavesdropper gains are not an argument: for the blind kinds the
     output cannot depend on them.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (cfg.m + 1,):
-        raise ValueError("h must have length m+1")
-    if np.any(h == 0):
-        raise ValueError("all legitimate gains must be nonzero")
     v = np.asarray(v)
     u = np.asarray(u)
     if v.shape[-1:] != (cfg.m,):
@@ -269,7 +250,7 @@ def encode(cfg: SchemeConfig, h, v, u, rng: np.random.Generator | None = None) -
     batch = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
     x = np.zeros(batch + (cfg.m + 1,), dtype=float)
     for j in jam_streams(cfg.kind, cfg.m):
-        x[..., j] = cfg.a * u[..., j] / h[j]
+        x[..., j] = cfg.a * u[..., j] / cfg.h[j]
     x[..., 0] += cfg.a * (v @ np.asarray(cfg.alphas))
     if cfg.kind == "GaussianJam":
         if rng is None:
@@ -293,16 +274,15 @@ def sample_symbols(cfg: SchemeConfig, seed, n: int | None = None):
     return v, u
 
 
-def analytic_power(cfg: SchemeConfig, h) -> np.ndarray:
-    """Exact per-transmitter second moments E[X_j^2] under uniform symbols.
+def analytic_power(cfg: SchemeConfig) -> np.ndarray:
+    """Exact per-transmitter second moments E[X_j^2] under uniform symbols,
+    on the config's legitimate gains.
 
     Each PAM stream contributes a^2 q(q+1)/3 times its squared coefficient;
     GaussianJam helpers sit exactly at p. Under the gamma rule every entry
     is <= p.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (cfg.m + 1,):
-        raise ValueError("h must have length m+1")
+    h = np.asarray(cfg.h)
     s2 = cfg.a ** 2 * cfg.q * (cfg.q + 1) / 3.0
     jam = jam_streams(cfg.kind, cfg.m)
     e = np.full(cfg.m + 1, float(cfg.p))  # GaussianJam helpers

@@ -106,13 +106,13 @@ def test_empirical_power_below_budget_at_scale(ch1):
     p = 100.0
     cfg = make_blind_scheme(1, p, 0.1, ch1.h, default_budget(ch1, p).c_bar, 3)
     v, u = sample_symbols(cfg, 0, n=100_000)
-    assert np.all(empirical_power(encode(cfg, ch1.h, v, u)) <= p * 1.02)
+    assert np.all(empirical_power(encode(cfg, v, u)) <= p * 1.02)
 
 
 def test_empirical_power_of_stacked_single_inputs(ch1, blind_cfg):
     v, u = sample_symbols(blind_cfg, 1, n=4)
-    singles = [encode(blind_cfg, ch1.h, v[i], u[i]) for i in range(4)]
-    batch = encode(blind_cfg, ch1.h, v, u)
+    singles = [encode(blind_cfg, v[i], u[i]) for i in range(4)]
+    batch = encode(blind_cfg, v, u)
     assert np.allclose(empirical_power(np.stack(singles)), empirical_power(batch))
     assert np.array_equal(empirical_power(singles[0]), singles[0] ** 2)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -38,15 +39,40 @@ def test_parse_p_grid_forms():
         parse_p_grid("1e4:1e2:1")
     with pytest.raises(ValueError):
         parse_p_grid("")
+    # the point count is known before the list is built, and refused above the cap
+    assert len(parse_p_grid("1:10:9999")) == cli.MAX_RANGE_POWERS == 10_000
+    with pytest.raises(ValueError, match="grid range of 10001 powers exceeds the cap of 10000"):
+        parse_p_grid("1:10:10000")
 
 
 @pytest.mark.parametrize("grid", ["1e2,1e3,inf", "1e2,nan", "0,1e2", "1e2,-1e3",
-                                  "1e2:inf:2", "0:1e3:2", "1e2:1e3:x"])
+                                  "1e2:inf:2", "0:1e3:2", "1e2:1e3:x",
+                                  # a ppd whose point count overflows a float
+                                  pytest.param("1:10:1" + "0" * 400, id="ppd-past-float")])
 def test_bad_power_grid_exits_2(grid, capsys):
     with pytest.raises(SystemExit) as ei:
         entrypoint(["sweep", "--m", "1", "--p", grid])
     assert ei.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ppd, n", [("10000", 3_000_001), ("1000000", 300_000_001)])
+def test_dense_power_range_exits_2_before_it_is_built(ppd, n, tmp_path, src_env):
+    # in a child under its own 512 MiB address-space limit, BLAS on one
+    # thread: a build of the whole range there fails fast instead of taking
+    # gigabytes
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "blindjam", "sweep", "--m", "1", "--p",
+                          f"1:1e300:{ppd}", "--no-ser", "--out", str(tmp_path / "x.csv")],
+                         capture_output=True, text=True, preexec_fn=limit, timeout=60,
+                         env={**src_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert out.returncode == 2 and time.perf_counter() - start < 1.0
+    errors = [line for line in out.stderr.splitlines() if "error:" in line]
+    assert errors == [f"blindjam sweep: error: grid range of {n} powers exceeds the cap of 10000"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_int_list():
@@ -570,6 +596,17 @@ def test_out_of_memory_exits_1_with_an_error_line(message, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.err == f"error: {message or 'MemoryError'}\n"
     assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
+
+
+def test_out_of_memory_while_resolving_the_options_exits_1(tmp_path, monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_p_grid", exhausted)
+    assert entrypoint(["sweep", "--m", "1", "--p", "1e2,1e3,1e4",
+                       "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 STUDIES = {"sweep": experiments.sweep_power, "ser": experiments.sweep_ser,

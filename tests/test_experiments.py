@@ -177,6 +177,7 @@ def test_thread_pool_clamped_to_cell_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     kw = dict(trials=500, min_errors=5)
     want = sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, **kw)
     assert sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, workers=10**6, **kw) == want
@@ -185,6 +186,13 @@ def test_thread_pool_clamped_to_cell_count(monkeypatch):
     # one cell, or one worker, runs serially
     sweep_ser("Blind", 1, 0.1, [1e2], 1, 3, workers=8, **kw)
     assert seen == [3, 4]
+    # nor more threads than CPUs, and one when the count is unknown
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, workers=10**6, **kw) == want
+    assert seen == [3, 4, 2]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert sweep_ser("Blind", 1, 0.1, [1e2, 1e3, 1e4], 1, 3, workers=4, **kw) == want
+    assert seen == [3, 4, 2]
     for workers in (0, -5):
         with pytest.raises(ValueError, match="workers"):
             sweep_ser("Blind", 1, 0.1, [1e2], 1, 3, workers=workers, **kw)

@@ -30,7 +30,6 @@ from blindjam.infometrics import (
 )
 from blindjam.schemes import (
     KINDS,
-    SchemeConfig,
     make_blind_scheme,
     make_csi_scheme,
     make_gaussian_jam_scheme,
@@ -664,17 +663,6 @@ def test_mi_bpsk_literature_value():
     assert h_y.value - gaussian_entropy(1.0) == pytest.approx(0.4861, abs=2e-3)
 
 
-def test_mi_zero_for_singleton_designated(ch1, monkeypatch):
-    # q = 0: every message is the one symbol 0, so no mixture is built
-    cfg = SchemeConfig(kind="Blind", m=1, p=100.0, delta=0.1, gamma=0.5, q=0, a=1.0,
-                       alphas=(0.7,), c_bar=10.0)
-    monkeypatch.setattr(infometrics, "_product_mixture", _no_mixture)
-    for method in ("mc", "quadrature"):
-        rb = rate_lower_bound(cfg, ch1, method=method)
-        for mi in (rb.i_v_y1, rb.i_v_y2):
-            assert mi.value == 0.0 and mi.stderr == 0.0
-
-
 def test_mi_posterior_form_identity():
     # h(Y) - h(Y|V) must equal H(V) - H(V|Y) (tiny case, both by quadrature)
     mus = np.array([-1.0, 1.0])
@@ -715,7 +703,7 @@ def _drawn_cell(seed):
     return cfg, ch
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_mi_nonnegative_and_capped(seed):
     # 0 <= I <= min(H(V), capacity cap) at both receivers, on the grid rule:
@@ -789,16 +777,6 @@ def test_negative_grid_information_raises(ch1, monkeypatch):
         rate_lower_bound(cfg, ch1, method="quadrature")
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_grid_mi_between_zero_and_input_entropy(seed):
-    cfg, ch = _drawn_cell(seed)
-    rb = rate_lower_bound(cfg, ch, method="quadrature")
-    for mi in (rb.i_v_y1, rb.i_v_y2):
-        slack = 3.0 * mi.stderr + 1e-9
-        assert -slack <= mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + slack
-
-
 def _enumerated_mi(cfg, ch, receiver):
     """I(V;Y) at ``receiver`` from every symbol tuple of its single streams:
     h(Y) over all tuples, h(Y|V) over those whose message symbols are 0."""
@@ -845,9 +823,7 @@ def test_rate_lower_bound_all_kinds(ch1):
 def test_eve_entropy_cap_trips_on_broken_accounting(ch1):
     # a c_bar far below the true sum g^2 must trip the max-entropy check
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 10.0, 3)
-    broken = SchemeConfig(kind=cfg.kind, m=cfg.m, p=cfg.p, delta=cfg.delta,
-                          gamma=cfg.gamma, q=cfg.q, a=cfg.a, alphas=cfg.alphas,
-                          c_bar=1e-4)
+    broken = replace(cfg, c_bar=1e-4)
     with pytest.raises(RuntimeError, match="max-entropy cap"):
         rate_lower_bound(broken, ch1, n_samples=4000, seed=0)
 
@@ -889,7 +865,7 @@ def test_mixture_models_match_simulated_channel(ch1):
     spec = _product_mixture(coeffs, [cfg.a * vals] * len(counts), [None] * len(counts), sigma)
     rng = np.random.default_rng(4)
     v, u = sample_symbols(cfg, 8, n=60_000)
-    y = eve_output(ch1, encode(cfg, ch1.h, v, u)) + rng.normal(size=60_000)
+    y = eve_output(ch1, encode(cfg, v, u)) + rng.normal(size=60_000)
     cross = float(np.mean(-mixture_logpdf(y, spec))) / math.log(2)
     h_model = mixture_entropy(spec, method="mc", n_samples=60_000, seed=5)
     assert cross == pytest.approx(h_model.value, abs=4.0 * h_model.stderr + 0.02)

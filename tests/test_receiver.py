@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from blindjam import receiver
 from blindjam.channel import ChannelRealization, default_budget, sample_channel
 from blindjam.constellation import DegenerateLatticeError, enumerate_sum_lattice, nearest_index
+from blindjam.experiments import _make_config
+from blindjam.infometrics import rate_lower_bound
 from blindjam.receiver import (
     ErrorEstimate,
     decode_legit_batch,
@@ -18,6 +20,7 @@ from blindjam.receiver import (
     legit_lattice,
 )
 from blindjam.schemes import (
+    KINDS,
     encode,
     jam_streams,
     make_blind_scheme,
@@ -56,9 +59,6 @@ def test_legit_lattice_sizes(ch1):
     gj = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
     with pytest.raises(ValueError):
         legit_lattice(gj, ch1)
-    # a hand-built q = 0 is a valid config, but no constellation to decode on
-    with pytest.raises(ValueError, match="q must be >= 1"):
-        legit_lattice(dataclasses.replace(blind, q=0), ch1)
 
 
 @pytest.mark.parametrize("p", [1e2, 1e4])
@@ -145,7 +145,7 @@ def test_eve_lattice_and_conditional_decode(noiseless_ch):
     lat = eve_u_lattice(cfg, ch)
     assert len(lat) == (2 * cfg.q + 1) ** 2
     v, u = sample_symbols(cfg, 3, n=50)
-    y2 = eve_output(ch, encode(cfg, ch.h, v, u))
+    y2 = eve_output(ch, encode(cfg, v, u))
     assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, ch, lat), u)
     # one observation decodes to one row of jamming symbols
     assert np.array_equal(eve_decode_u_given_v(y2[7], v[7], cfg, ch, lat), u[7])
@@ -162,7 +162,7 @@ def test_eve_decoder_uses_the_conditioning(noiseless_ch):
     cfg = make_blind_scheme(1, 100.0, 0.1, noiseless_ch.h, 4.0, 2)
     lat = eve_u_lattice(cfg, noiseless_ch)
     v, u = sample_symbols(cfg, 0, n=2000)
-    y2 = eve_output(noiseless_ch, encode(cfg, noiseless_ch.h, v, u))
+    y2 = eve_output(noiseless_ch, encode(cfg, v, u))
     u = u[:, jam_streams(cfg.kind, cfg.m)]
     assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, noiseless_ch, lat), u)
     wrong = eve_decode_u_given_v(y2, np.clip(v + 1, -cfg.q, cfg.q), cfg, noiseless_ch, lat)
@@ -180,7 +180,7 @@ def test_legit_output_chain_consistency(ch1):
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 4.0, 3)
     lat = legit_lattice(cfg, ch1)
     v, u = sample_symbols(cfg, 4)
-    y1 = legit_output(ch1, encode(cfg, ch1.h, v, u))
+    y1 = legit_output(ch1, encode(cfg, v, u))
     assert np.array_equal(decode_legit_batch(y1, lat), v)
 
 
@@ -190,15 +190,17 @@ def test_legit_output_chain_consistency(ch1):
 def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     drawn = sample_channel(m, seed)
     ch = ChannelRealization(m=m, h=drawn.h, g=drawn.g, sigma1=0.0, sigma2=0.0)
+    # the power at which the schedule gives this q
+    p = (q + 0.5) ** (2.0 * (m + 1 + 0.1) / (1.0 - 0.1))
     if kind == "Blind":
-        cfg = make_blind_scheme(m, 100.0, 0.1, ch.h, 4.0, seed)
+        cfg = make_blind_scheme(m, p, 0.1, ch.h, 4.0, seed)
     else:
-        cfg = make_csi_scheme(m, 100.0, 0.1, ch.h, ch.g)
-    cfg = dataclasses.replace(cfg, q=q)
+        cfg = make_csi_scheme(m, p, 0.1, ch.h, ch.g)
+    assert cfg.q == q
     lat, eve_lat = legit_lattice(cfg, ch), eve_u_lattice(cfg, ch)
     assume(not lat.collision and not eve_lat.collision)
     v, u = sample_symbols(cfg, seed, n=40)
-    x = encode(cfg, ch.h, v, u)
+    x = encode(cfg, v, u)
     assert np.array_equal(decode_legit_batch(legit_output(ch, x), lat), v)
     decoded = eve_decode_u_given_v(eve_output(ch, x), v, cfg, ch, eve_lat)
     assert np.array_equal(decoded, u[:, jam_streams(kind, m)])
@@ -252,3 +254,20 @@ def test_error_counts_match_golden(m, p, kind):
     assert (ser.errors, ser.trials) == (ser_errors, trials)
     eve = estimate_eve_u_error(cfg, ch, trials, seed=5, min_errors=None)
     assert (eve.errors, eve.trials) == (eve_errors, trials)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_consumer_refuses_another_channels_gains(kind, ch1):
+    # a scheme pairs only with the legitimate gains it was built for: one
+    # ulp off in one helper gain is refused before anything is estimated
+    cfg = _make_config(kind, 1, 100.0, 0.1, ch1, default_budget(ch1, 100.0).c_bar, 3)
+    h = ch1.h.copy()
+    h[1] = np.nextafter(h[1], np.inf)
+    other = replace(ch1, h=h)
+    for run in (lambda: observation(cfg, other, "legit"),
+                lambda: observation(cfg, other, "eve"),
+                lambda: estimate_ser(cfg, other, 1000, seed=0),
+                lambda: estimate_eve_u_error(cfg, other, 1000, seed=0),
+                lambda: rate_lower_bound(cfg, other, n_samples=200)):
+        with pytest.raises(ValueError, match="gains h differ"):
+            run()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from blindjam.channel import (
     legit_output,
     sample_channel,
 )
+from blindjam.experiments import SweepRow
 from blindjam.schemes import (
+    KINDS,
     SchemeConfig,
     admissible_gamma,
     analytic_power,
@@ -116,9 +119,9 @@ def test_analytic_power_within_budget(p, delta, m, seed):
     ch = sample_channel(m, seed)
     for maker in (make_blind_scheme, make_gaussian_jam_scheme):
         cfg = maker(m, p, delta, ch.h, 1.0, seed)
-        assert np.all(analytic_power(cfg, ch.h) <= p * (1 + 1e-12))
+        assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
     cfg = make_csi_scheme(m, p, delta, ch.h, ch.g)
-    assert np.all(analytic_power(cfg, ch.h) <= p * (1 + 1e-12))
+    assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,10 +135,41 @@ def test_analytic_power_within_budget_for_any_gains(p, delta, m, seed):
     for cfg in (make_blind_scheme(m, p, delta, h, 1.0, seed),
                 make_gaussian_jam_scheme(m, p, delta, h, 1.0, seed),
                 make_csi_scheme(m, p, delta, h, g)):
-        power = analytic_power(cfg, h)
+        power = analytic_power(cfg)
         assert np.all(power <= p * (1 + 1e-12))
         if cfg.kind == "GaussianJam":
             assert np.all(power[1:] == p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), m=st.integers(1, 3), log_p=st.floats(-2.0, 10.0),
+       log_p2=st.floats(-2.0, 10.0), delta=st.floats(0.001, 0.499), seed=st.integers(0, 10**6))
+def test_config_derives_its_schedule_from_its_gains(kind, m, log_p, log_p2, delta, seed):
+    # gamma, q and a follow from (p, delta, m, h, alphas) alone: exactly the
+    # values a sweep row is checked against, a power inside the budget, and
+    # re-derived, never carried over, when a field changes
+    rng = np.random.default_rng(seed)
+    h, g = rng.choice([-1.0, 1.0], size=(2, m + 1)) * np.exp(
+        rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
+
+    def build(p):
+        if kind == "CsiAligned":
+            return make_csi_scheme(m, p, delta, h, g)
+        maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
+        return maker(m, p, delta, h, 4.0, seed)
+
+    p, p2 = 10.0 ** log_p, 10.0 ** log_p2
+    cfg = build(p)
+    assert cfg.h == tuple(h) and cfg.gamma == admissible_gamma(h, cfg.alphas)
+    assert cfg.q == schedule_q(p, delta, m) and cfg.a == cfg.gamma * math.sqrt(p) / cfg.q
+    SweepRow(kind=kind, m=m, delta=delta, draw_id=0, p=p, q=cfg.q, a=cfg.a, gamma=cfg.gamma,
+             i_vy1=0.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0, bound=0.0)
+    assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
+    moved = replace(cfg, p=p2)
+    assert moved == build(p2) and moved.gamma == cfg.gamma
+    assert moved.q == schedule_q(p2, delta, m) and moved.a == cfg.gamma * math.sqrt(p2) / moved.q
+    with pytest.raises(ValueError, match="init=False"):
+        replace(cfg, q=cfg.q + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -158,7 +192,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
         cfg = maker(m, p, 0.1, h, 4.0, seed)
     coeffs, counts, sigma = observation(cfg, ch, receiver)
     v, u = sample_symbols(cfg, seed, n=50)
-    x = encode(cfg, h, v, u, rng=substream(seed, "helpers"))
+    x = encode(cfg, v, u, rng=substream(seed, "helpers"))
     jam = u[:, jam_streams(kind, m)]
     gains, noise = (h, ch.sigma1) if receiver == "legit" else (g, ch.sigma2)
     y = legit_output(ch, x) if receiver == "legit" else eve_output(ch, x)
@@ -179,7 +213,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
 def test_observation_rejects_mismatched_channel_and_receiver(ch1):
     cfg = make_blind_scheme(2, 1e3, 0.1, sample_channel(2, 11).h, 4.0, 3)
     for receiver in ("legit", "eve"):
-        with pytest.raises(ValueError, match="helper count"):
+        with pytest.raises(ValueError, match="gains h differ"):
             observation(cfg, ch1, receiver)
     cfg1 = make_blind_scheme(1, 1e3, 0.1, ch1.h, 4.0, 3)
     with pytest.raises(ValueError, match="receiver"):
@@ -189,37 +223,37 @@ def test_observation_rejects_mismatched_channel_and_receiver(ch1):
 def test_analytic_power_structure(ch1):
     cfg = make_blind_scheme(1, 400.0, 0.1, ch1.h, 10.0, 3)
     s2 = cfg.a**2 * cfg.q * (cfg.q + 1) / 3.0
-    e = analytic_power(cfg, ch1.h)
+    e = analytic_power(cfg)
     assert e[0] == pytest.approx(s2 * (1 / ch1.h[0] ** 2 + cfg.alphas[0] ** 2))
     assert e[1] == pytest.approx(s2 / ch1.h[1] ** 2)
     gj = make_gaussian_jam_scheme(1, 400.0, 0.1, ch1.h, 10.0, 3)
-    assert analytic_power(gj, ch1.h)[1] == pytest.approx(400.0)
+    assert analytic_power(gj)[1] == pytest.approx(400.0)
 
 
 def test_empirical_power_matches_analytic(ch1, blind_cfg):
     v, u = sample_symbols(blind_cfg, 0, n=200_000)
-    x = encode(blind_cfg, ch1.h, v, u)
-    assert np.allclose(np.mean(x**2, axis=0), analytic_power(blind_cfg, ch1.h),
+    x = encode(blind_cfg, v, u)
+    assert np.allclose(np.mean(x**2, axis=0), analytic_power(blind_cfg),
                        rtol=0.03)
 
 
 def test_encode_hand_values():
-    h = np.array([2.0, -0.5])
-    cfg = SchemeConfig(kind="Blind", m=1, p=100.0, delta=0.1, gamma=0.4,
-                       q=2, a=2.0, alphas=(1.25,), c_bar=5.0)
-    x = encode(cfg, h, v=np.array([1]), u=np.array([2, -1]))
-    # x1 = a*u1/h1 + a*alpha*v = 2*2/2 + 2*1.25*1 = 4.5; x2 = a*u2/h2 = 2*-1/-0.5
-    assert x == pytest.approx([4.5, 4.0])
-    cfg_csi = SchemeConfig(kind="CsiAligned", m=1, p=100.0, delta=0.1, gamma=0.4,
-                           q=2, a=2.0, alphas=(1.25,), c_bar=5.0)
-    x = encode(cfg_csi, h, v=np.array([1]), u=np.array([2, -1]))
-    assert x == pytest.approx([2.5, 4.0])  # u1 ignored
+    cfg = SchemeConfig(kind="Blind", m=1, p=100.0, delta=0.1, h=(2.0, -0.5),
+                       alphas=(1.25,), c_bar=5.0)
+    assert cfg.q == 2
+    x = encode(cfg, v=np.array([1]), u=np.array([2, -1]))
+    # x1 = a*u1/h1 + a*alpha*v = a*2/2 + a*1.25*1 = 2.25a; x2 = a*u2/h2 = a*-1/-0.5
+    assert x == pytest.approx([2.25 * cfg.a, 2.0 * cfg.a])
+    cfg_csi = SchemeConfig(kind="CsiAligned", m=1, p=100.0, delta=0.1, h=(2.0, -0.5),
+                           alphas=(1.25,), c_bar=5.0)
+    x = encode(cfg_csi, v=np.array([1]), u=np.array([2, -1]))
+    assert x == pytest.approx([1.25 * cfg_csi.a, 2.0 * cfg_csi.a])  # u1 ignored
 
 
 def test_encode_batch_shapes(ch2):
     cfg = make_blind_scheme(2, 1e3, 0.1, ch2.h, 10.0, 5)
     v, u = sample_symbols(cfg, 1, n=17)
-    assert encode(cfg, ch2.h, v, u).shape == (17, 3)
+    assert encode(cfg, v, u).shape == (17, 3)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -235,20 +269,20 @@ def test_encode_matches_the_broadcast_form(kind, m):
     want = np.zeros((500, m + 1))
     want[:, jam] = cfg.a * u[:, jam] / ch.h[jam]
     want[:, 0] += cfg.a * (v @ np.asarray(cfg.alphas))
-    np.testing.assert_array_equal(encode(cfg, ch.h, v, u), want)
+    np.testing.assert_array_equal(encode(cfg, v, u), want)
 
 
 def test_encode_validates_symbol_range(ch1, blind_cfg):
     v = np.array([blind_cfg.q + 1])
     u = np.zeros(2, dtype=int)
     with pytest.raises(ValueError):
-        encode(blind_cfg, ch1.h, v, u)
+        encode(blind_cfg, v, u)
     with pytest.raises(ValueError):
-        encode(blind_cfg, ch1.h, np.zeros(1, dtype=int), np.array([0, -blind_cfg.q - 1]))
+        encode(blind_cfg, np.zeros(1, dtype=int), np.array([0, -blind_cfg.q - 1]))
     # the range's ends are symbols, and an empty batch encodes to no rows
     q = blind_cfg.q
-    assert encode(blind_cfg, ch1.h, np.array([-q]), np.array([q, -q])).shape == (2,)
-    empty = encode(blind_cfg, ch1.h, np.zeros((0, 1), dtype=int), np.zeros((0, 2), dtype=int))
+    assert encode(blind_cfg, np.array([-q]), np.array([q, -q])).shape == (2,)
+    empty = encode(blind_cfg, np.zeros((0, 1), dtype=int), np.zeros((0, 2), dtype=int))
     assert empty.shape == (0, 2)
 
 
@@ -256,8 +290,8 @@ def test_gaussian_jam_encode_needs_rng(ch1):
     cfg = make_gaussian_jam_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
     v, u = sample_symbols(cfg, 1)
     with pytest.raises(ValueError):
-        encode(cfg, ch1.h, v, u)
-    assert encode(cfg, ch1.h, v, u, rng=substream(0, "jam")).shape == (2,)
+        encode(cfg, v, u)
+    assert encode(cfg, v, u, rng=substream(0, "jam")).shape == (2,)
 
 
 def test_blindness_byte_identity():
@@ -266,14 +300,14 @@ def test_blindness_byte_identity():
     h = np.array([1.1, -0.7])
     cfg = make_blind_scheme(1, 1e3, 0.1, h, 4.0, 9)
     v, u = sample_symbols(cfg, 2, n=64)
-    x_bytes = encode(cfg, h, v, u).tobytes()
+    x_bytes = encode(cfg, v, u).tobytes()
     # "different g" is a no-op by construction; re-run the whole pipeline
     cfg2 = make_blind_scheme(1, 1e3, 0.1, h, 4.0, 9)
     assert cfg2 == cfg
-    assert encode(cfg2, h, v, u).tobytes() == x_bytes
+    assert encode(cfg2, v, u).tobytes() == x_bytes
     gj = make_gaussian_jam_scheme(1, 1e3, 0.1, h, 4.0, 9)
-    a = encode(gj, h, v, u, rng=substream(5, "helpers")).tobytes()
-    b = encode(gj, h, v, u, rng=substream(5, "helpers")).tobytes()
+    a = encode(gj, v, u, rng=substream(5, "helpers")).tobytes()
+    b = encode(gj, v, u, rng=substream(5, "helpers")).tobytes()
     assert a == b
 
 
@@ -287,20 +321,13 @@ def test_sample_symbols_ranges(blind_cfg):
     assert v1.shape == (1,) and u1.shape == (2,)
 
 
-def test_sample_symbols_degenerate_q_zero():
-    cfg = SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, gamma=1.0,
-                       q=0, a=1.0, alphas=(0.9,), c_bar=1.0)
-    v, u = sample_symbols(cfg, 0, n=50)
-    assert not np.any(v) and not np.any(u)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
-        SchemeConfig(kind="Nope", m=1, p=10.0, delta=0.1, gamma=1.0,
-                     q=1, a=1.0, alphas=(0.9,), c_bar=1.0)
+        SchemeConfig(kind="Nope", m=1, p=10.0, delta=0.1, h=(1.0, 1.0),
+                     alphas=(0.9,), c_bar=1.0)
     with pytest.raises(ValueError):
-        SchemeConfig(kind="Blind", m=2, p=10.0, delta=0.1, gamma=1.0,
-                     q=1, a=1.0, alphas=(0.9,), c_bar=1.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, gamma=1.0,
-                     q=-1, a=1.0, alphas=(0.9,), c_bar=1.0)
+        SchemeConfig(kind="Blind", m=2, p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
+                     alphas=(0.9,), c_bar=1.0)
+    with pytest.raises(ValueError, match="h must have length m\\+1"):
+        SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
+                     alphas=(0.9,), c_bar=1.0)
