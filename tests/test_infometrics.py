@@ -777,6 +777,16 @@ def test_negative_grid_information_raises(ch1, monkeypatch):
         rate_lower_bound(cfg, ch1, method="quadrature")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_grid_mi_between_zero_and_input_entropy(seed):
+    cfg, ch = _drawn_cell(seed)
+    rb = rate_lower_bound(cfg, ch, method="quadrature")
+    for mi in (rb.i_v_y1, rb.i_v_y2):
+        slack = 3.0 * mi.stderr + 1e-9
+        assert -slack <= mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + slack
+
+
 def _enumerated_mi(cfg, ch, receiver):
     """I(V;Y) at ``receiver`` from every symbol tuple of its single streams:
     h(Y) over all tuples, h(Y|V) over those whose message symbols are 0."""
