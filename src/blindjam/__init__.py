@@ -23,7 +23,6 @@ from .constellation import (
     sum_lattice_min_distance,
 )
 from .experiments import (
-    ComparisonReport,
     SweepRow,
     compare_schemes,
     fit_slopes,

@@ -8,9 +8,10 @@ all come from it. Values come from those defaults, then an optional
 --config JSON file (a key the command does not take is ignored, and not
 recorded), then explicit flags (highest priority). Each option but ``out``
 is a parameter of the same name of the study function its command runs, so
-a runner passes them through. Because the manifest stores the resolved
-configuration and carries no wall-clock data, `--config <manifest>` replays
-a run byte-for-byte.
+a runner passes them through; ``compare``'s ``exclude_lowest`` instead feeds
+the slope fit, ``fit_slopes``, that it shares with ``report``. Because the
+manifest stores the resolved configuration and carries no wall-clock data,
+`--config <manifest>` replays a run byte-for-byte.
 
 Output paths default into $BLINDJAM_OUT (or the working directory).
 """
@@ -105,13 +106,8 @@ def cmd_sweep(out: str, **options) -> None:
 
 
 def cmd_ser(out: str, **options) -> None:
-    """Reliability-only power sweep: the legitimate receiver's block SER."""
+    """Reliability-only power sweep: a receiver's symbol error rate."""
     _write(sweep_ser(**options), out)
-
-
-def cmd_eve(out: str, **options) -> None:
-    """The eavesdropper's jamming-symbol error rate when it knows the messages."""
-    _write(sweep_ser(kind="Blind", min_errors=100, receiver="eve", **options), out)
 
 
 def cmd_dmin(out: str, **options) -> None:
@@ -122,13 +118,16 @@ def cmd_dmin(out: str, **options) -> None:
           f"redraws {study.redraws}")
 
 
-def cmd_compare(out: str, **options) -> None:
+def cmd_compare(out: str, exclude_lowest: int, **options) -> None:
     """Rate-bound slopes of all scheme kinds side by side."""
-    report = compare_schemes(**options)
-    write_rows(report.summary(), out)
+    # looked up as this module's global: perfbench's tracer wraps it here
+    rows = compare_schemes(**options)
+    summary = [dict(kind=series.kind, slope=fit.slope, slope_stderr=fit.slope_stderr, n_rows=fit.n)
+               for series, fit in fit_slopes(rows, "bound", exclude_lowest).items()]
+    write_rows(summary, out)
     rows_path = _beside(out, "_rows.csv")
-    write_rows(report.rows, rows_path)
-    for rec in report.summary():
+    write_rows(rows, rows_path)
+    for rec in summary:
         print(f"{rec['kind']}: slope {rec['slope']:.6f} (stderr {rec['slope_stderr']:.6f})")
     print(f"summary -> {out}; rows -> {rows_path}")
 
@@ -137,15 +136,15 @@ def cmd_report(input: str, exclude_lowest: int, out: str | None = None) -> None:
     """Bound and leakage slopes of each (kind, m, delta) series of a sweep CSV."""
     rows = read_sweep_csv(input)
     # every series is fitted before anything is printed or written
-    bound, leakage = (fit_slopes(rows, column, exclude_lowest) for column in ("bound", "i_vy2"))
-    fits = [(series, fit) for series in bound for fit in (bound[series], leakage[series])]
-    for series, fit in fits:
-        name = "bound" if fit.column == "bound" else "leakage"
-        print(f"{series}: {name} slope {fit.pooled.slope:.6f} "
-              f"(stderr {fit.pooled.slope_stderr:.6f})")
+    by_column = {column: fit_slopes(rows, column, exclude_lowest) for column in ("bound", "i_vy2")}
+    fits = [(series, column, by_column[column][series])
+            for series in by_column["bound"] for column in by_column]
+    for series, column, fit in fits:
+        name = "bound" if column == "bound" else "leakage"
+        print(f"{series}: {name} slope {fit.slope:.6f} (stderr {fit.slope_stderr:.6f})")
     if out:
-        write_rows([dict(column=fit.column, **vars(fit.pooled), excluded_lowest=fit.excluded_lowest,
-                         **series._asdict()) for series, fit in fits], out)
+        write_rows([dict(column=column, **vars(fit), excluded_lowest=exclude_lowest,
+                         **series._asdict()) for series, column, fit in fits], out)
         print(f"summary -> {out}")
 
 
@@ -158,6 +157,7 @@ _OPTIONS: dict[str, tuple[type | None, str]] = {
     "q": (None, "q grid, e.g. 2,4,8,16,32"),
     "input": (str, "sweep CSV to analyze"),
     "kind": (str, "scheme kind"),
+    "receiver": (str, "legit: block symbol errors; eve: jamming symbol errors, messages known"),
     "delta": (float, "margin delta of the power schedule, in (0, 0.5)"),
     "draws": (int, "independent channel draws"),
     "seed": (int, "root RNG seed"),
@@ -171,9 +171,9 @@ _OPTIONS: dict[str, tuple[type | None, str]] = {
     "exclude_lowest": (int, "lowest powers per draw left out of slope fits"),
     "out": (str, "output CSV path (report: optional summary CSV)"),
 }
-_CHOICES = {"kind": KINDS}
+_CHOICES = {"kind": KINDS, "receiver": ("legit", "eve")}
 # options whose null means "unset" or "no limit" to the library
-_NULLABLE = {"min_errors", "sigma1", "out"}
+_NULLABLE = {"min_errors", "sigma1", "receiver", "out"}
 
 # each command: its runner (whose docstring is its help), then its options
 # and their defaults. A default of None marks a required option, unless the
@@ -184,11 +184,8 @@ _COMMANDS: dict[str, tuple] = {
         mi_samples=DEFAULT_SWEEP_MI_SAMPLES, ser_trials=DEFAULT_SWEEP_SER_TRIALS,
         min_errors=100, include_ser=True, out=None)),
     "ser": (cmd_ser, dict(
-        m=None, p=None, kind="Blind", delta=0.1, draws=10, seed=42, workers=1,
+        m=None, p=None, kind="Blind", receiver=None, delta=0.1, draws=10, seed=42, workers=1,
         trials=DEFAULT_SWEEP_SER_TRIALS, min_errors=100, sigma1=None, out=None)),
-    "eve": (cmd_eve, dict(
-        m=None, p=None, delta=0.1, draws=10, seed=42, workers=1,
-        trials=DEFAULT_SWEEP_SER_TRIALS, out=None)),
     "dmin": (cmd_dmin, dict(m=None, q=None, draws=50, seed=42, out=None)),
     "compare": (cmd_compare, dict(
         m=None, p=None, delta=0.05, draws=5, seed=42, workers=1,

@@ -44,8 +44,6 @@ __all__ = [
     "SerRow",
     "OlsFit",
     "Series",
-    "DofFit",
-    "ComparisonReport",
     "sweep_power",
     "sweep_ser",
     "fit_slopes",
@@ -58,6 +56,7 @@ __all__ = [
 
 DEFAULT_SWEEP_MI_SAMPLES = 20_000
 DEFAULT_SWEEP_SER_TRIALS = 200_000
+MAX_CELLS = 100_000  # most (kind, draw, power) cells one sweep runs
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -115,11 +114,12 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def _checked_grid(p_grid, draws: int, min_points: int, delta: float, m: int,
+def _checked_grid(p_grid, kinds: int, draws: int, min_points: int, delta: float, m: int,
                   sums, cap: int, what: str) -> list[float]:
-    """The grid as floats, refused unless it is strictly increasing and each
-    of ``sums`` (``stream_counts``) holds at most ``cap`` points at its top
-    power, so at every power: a grid is run whole, or refused before a draw."""
+    """The grid as floats, refused unless it is strictly increasing, makes at most
+    MAX_CELLS cells with ``kinds`` and ``draws``, and each of ``sums`` (``stream_counts``)
+    holds at most ``cap`` points at its top power: a grid is run whole, or refused before
+    a draw."""
     p_grid = [float(p) for p in p_grid]
     if len(p_grid) < min_points:
         raise ValueError(f"power grid needs at least {min_points} point(s)")
@@ -127,7 +127,11 @@ def _checked_grid(p_grid, draws: int, min_points: int, delta: float, m: int,
         raise ValueError("power grid must be strictly increasing")
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if kinds * draws * len(p_grid) > MAX_CELLS:
+        raise ValueError(f"more than {MAX_CELLS} cells (kinds x draws x powers) exceed the cap")
     q = schedule_q(p_grid[-1], delta, m)
+    # each sum has m coordinates or more, of 2q+1 >= 3 values: a huge m is refused unlisted
+    check_size((3 for _ in range(m)), cap, what)
     for counts in sums:
         check_size((2 * n * q + 1 for n in counts), cap, what)
     return p_grid
@@ -178,7 +182,8 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, draws: int, seed: int, worke
     on which any kind's mixture exceeds the cap is refused whole, so every
     kind runs on every power; the SER lattice is no larger than a mixture."""
     sums = (stream_counts(kind, m, receiver) for kind in kinds for receiver in ("legit", "eve"))
-    p_grid = _checked_grid(p_grid, draws, 3, delta, m, sums, COMPONENT_CAP, "mixture components")
+    p_grid = _checked_grid(p_grid, len(kinds), draws, 3, delta, m, sums, COMPONENT_CAP,
+                           "mixture components")
 
     def cell(cfg, ch, d, i):
         rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
@@ -246,9 +251,9 @@ def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
     if receiver == "eve" and sigma1 is not None:
         raise ValueError("sigma1 sets the legitimate receiver's noise: an eve sweep takes none")
     # the decoder's lattice: every coordinate the legitimate receiver sums, the
-    # eavesdropper's jamming coordinates alone
-    counts = stream_counts(kind, m, receiver)[0 if receiver == "legit" else m:]
-    p_grid = _checked_grid(p, draws, 1, delta, m, [counts], POINT_CAP, "lattice points")
+    # eavesdropper's jamming coordinates alone; listed after _checked_grid's m check
+    sums = (stream_counts(kind, m, r)[0 if r == "legit" else m:] for r in (receiver,))
+    p_grid = _checked_grid(p, 1, draws, 1, delta, m, sums, POINT_CAP, "lattice points")
 
     def cell(cfg, ch, d, i):
         if receiver == "legit":
@@ -305,29 +310,15 @@ class Series(NamedTuple):
         return f"{self.kind} m={self.m} delta={self.delta:g}"
 
 
-@dataclass(frozen=True)
-class DofFit:
-    """Slope of a sweep column against (1/2) log2 p, pooled and per draw."""
-
-    pooled: OlsFit
-    per_draw: tuple[tuple[int, float], ...]
-    column: str
-    excluded_lowest: int
-
-
-def fit_slopes(rows, column: str = "bound", exclude_lowest: int = 0) -> dict[Series, DofFit]:
+def fit_slopes(rows, column: str = "bound", exclude_lowest: int = 0) -> dict[Series, OlsFit]:
     """Slope of ``column`` against (1/2) log2 p for each ``Series`` of the
-    rows in sorted order, pooled and per draw of 2 powers or more: ``bound``
-    gives the degrees of freedom, ``i_vy2`` the leakage. A series keeps all
-    but its ``exclude_lowest`` lowest powers, and is refused under 3."""
+    rows, in sorted order: ``bound`` gives the degrees of freedom, ``i_vy2``
+    the leakage. A series keeps all but its ``exclude_lowest`` lowest powers,
+    and is refused under 3."""
     if not rows:
         raise ValueError("no rows to fit")
     if exclude_lowest < 0:
         raise ValueError("exclude_lowest must be >= 0")
-
-    def fit(sub) -> OlsFit:
-        return ols([0.5 * math.log2(row.p) for row in sub], [getattr(row, column) for row in sub])
-
     fits = {}
     for series in sorted({Series(row.kind, row.m, row.delta) for row in rows}):
         in_series = [row for row in rows if (row.kind, row.m, row.delta) == series]
@@ -335,43 +326,18 @@ def fit_slopes(rows, column: str = "bound", exclude_lowest: int = 0) -> dict[Ser
         if len(kept) < 3:
             raise ValueError(f"{series}: degenerate grid: fewer than 3 distinct powers left to fit")
         keep = [row for row in in_series if row.p in kept]
-        per_draw = []
-        for d in sorted({row.draw_id for row in keep}):
-            sub = [row for row in keep if row.draw_id == d]
-            if len({row.p for row in sub}) >= 2:  # as ols needs: no refusal is left
-                per_draw.append((d, fit(sub).slope))
-        fits[series] = DofFit(pooled=fit(keep), per_draw=tuple(per_draw), column=column,
-                              excluded_lowest=exclude_lowest)
+        fits[series] = ols([0.5 * math.log2(row.p) for row in keep],
+                           [getattr(row, column) for row in keep])
     return fits
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side degrees-of-freedom fits, one per scheme kind of KINDS."""
-
-    fits: dict
-    rows: tuple[SweepRow, ...]
-
-    def summary(self) -> list[dict]:
-        """``compare.csv``'s rows, one per kind; their keys are its columns."""
-        out = []
-        for kind in KINDS:
-            fit = self.fits[kind]
-            out.append({"kind": kind, "slope": fit.pooled.slope,
-                        "slope_stderr": fit.pooled.slope_stderr,
-                        "n_rows": fit.pooled.n})
-        return out
 
 
 def compare_schemes(m: int, delta: float, p, draws: int, seed: int, *,
                     mi_samples: int = DEFAULT_SWEEP_MI_SAMPLES,
-                    exclude_lowest: int = 0,
-                    workers: int = 1) -> ComparisonReport:
-    """Fit the rate-bound slope for each kind on identical channel draws and
-    powers, all cells in one pass."""
-    rows = _rate_rows(KINDS, m, delta, p, draws, seed, workers, mi_samples)
-    fits = {series.kind: fit for series, fit in fit_slopes(rows, "bound", exclude_lowest).items()}
-    return ComparisonReport(fits=fits, rows=tuple(rows))
+                    workers: int = 1) -> list[SweepRow]:
+    """Rate-bound rows of every kind of KINDS on identical channel draws and
+    powers, all cells in one pass, in KINDS order; ``fit_slopes`` gives each
+    kind's slope."""
+    return _rate_rows(KINDS, m, delta, p, draws, seed, workers, mi_samples)
 
 
 def write_rows(rows, path) -> None:

@@ -173,6 +173,8 @@ class SchemeConfig:
             raise ValueError("c_bar must be positive")
         object.__setattr__(self, "h", tuple(float(x) for x in self.h))
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
+        if not all(map(math.isfinite, self.h + self.alphas)):
+            raise ValueError("gains h and alphas must be finite")
         # schedule_q refuses a bad p, delta or m, admissible_gamma a zero gain
         object.__setattr__(self, "q", schedule_q(self.p, self.delta, self.m))
         object.__setattr__(self, "gamma", admissible_gamma(self.h, self.alphas))

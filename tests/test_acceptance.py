@@ -64,8 +64,11 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def comparison():
     # one shared run feeds criteria 1-4: all kinds on identical channels
-    return compare_schemes(M, RATE_DELTA, list(RATE_GRID), DRAWS, SEED,
-                           mi_samples=MI_SAMPLES, exclude_lowest=EXCLUDE_LOWEST)
+    return compare_schemes(M, RATE_DELTA, list(RATE_GRID), DRAWS, SEED, mi_samples=MI_SAMPLES)
+
+
+def _bound_slope(rows, kind):
+    return fit_slopes(rows, "bound", EXCLUDE_LOWEST)[Series(kind, M, RATE_DELTA)].slope
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +82,7 @@ def _medians(rows, grid, value):
 
 
 def test_criterion_1_rate_bound_slope(comparison):
-    slope = comparison.fits["Blind"].pooled.slope
+    slope = _bound_slope(comparison, "Blind")
     ok = abs(slope - DOF_TARGET) <= DOF_TOL
     _verdict("1 (rate-bound slope)", ok,
              f"Blind pooled slope {slope:.4f} vs target {DOF_TARGET:.4f} "
@@ -87,23 +90,23 @@ def test_criterion_1_rate_bound_slope(comparison):
 
 
 def test_criterion_2_leakage_slope(comparison):
-    slope = fit_slopes(comparison.rows, "i_vy2")[Series("Blind", M, RATE_DELTA)].pooled.slope
+    slope = fit_slopes(comparison, "i_vy2")[Series("Blind", M, RATE_DELTA)].slope
     ok = slope <= LEAK_LIMIT
     _verdict("2 (leakage slope)", ok,
              f"I(V;Y2) slope {slope:.4f} <= limit {LEAK_LIMIT:.4f}")
 
 
 def test_criterion_3_baseline_contrast(comparison):
-    gj = comparison.fits["GaussianJam"].pooled.slope
-    blind = comparison.fits["Blind"].pooled.slope
+    gj = _bound_slope(comparison, "GaussianJam")
+    blind = _bound_slope(comparison, "Blind")
     ok = gj <= 0.15 and blind >= 0.3
     _verdict("3 (baseline contrast)", ok,
              f"GaussianJam slope {gj:.4f} <= 0.15, Blind slope {blind:.4f} >= 0.3")
 
 
 def test_criterion_4_blind_matches_csi(comparison):
-    blind = comparison.fits["Blind"].pooled.slope
-    csi = comparison.fits["CsiAligned"].pooled.slope
+    blind = _bound_slope(comparison, "Blind")
+    csi = _bound_slope(comparison, "CsiAligned")
     ok = abs(blind - csi) <= 0.1
     _verdict("4 (blind = aligned baseline)", ok,
              f"|{blind:.4f} - {csi:.4f}| = {abs(blind - csi):.4f} <= 0.1")
@@ -222,13 +225,19 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
     ser_ok = ser_bytes(1, "r1.csv") == ser_bytes(2, "r2.csv")
 
     def compare_bytes(workers, name):
-        report = compare_schemes(1, RATE_DELTA, [1e2, 1e3, 1e4], 1, 11,
-                                 mi_samples=300, workers=workers)
-        path = tmp_path / name
-        write_rows(report.summary(), path)
-        return path.read_bytes()
+        # the rows, then the slopes fitted on them
+        rows = compare_schemes(1, RATE_DELTA, [1e2, 1e3, 1e4], 1, 11,
+                               mi_samples=300, workers=workers)
+        fits = fit_slopes(rows, "bound")
+        written = []
+        for suffix, records in (("rows", rows), ("fits", [dict(kind=series.kind, **vars(fit))
+                                                          for series, fit in fits.items()])):
+            path = tmp_path / f"{name}_{suffix}.csv"
+            write_rows(records, path)
+            written.append(path.read_bytes())
+        return written
 
-    compare_ok = compare_bytes(1, "c1.csv") == compare_bytes(2, "c2.csv")
+    compare_ok = compare_bytes(1, "c1") == compare_bytes(2, "c2")
 
     ok = blind_ok and gj_ok and sweep_ok and ser_ok and compare_ok
     _verdict("9 (blindness and determinism)", ok,

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import math
 import re
@@ -11,11 +13,13 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blindjam import cli, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
 from blindjam.constellation import DminRow, fit_dmin_exponent
-from blindjam.experiments import ComparisonReport, SerRow, SweepRow, fit_slopes, write_rows
+from blindjam.experiments import SerRow, SweepRow, write_rows
 from blindjam.schemes import schedule_q
 
 FAST_SWEEP = ["--mi-samples", "200", "--ser-trials", "400", "--min-errors", "5"]
@@ -73,6 +77,14 @@ def test_dense_power_range_exits_2_before_it_is_built(ppd, n, tmp_path, src_env)
     errors = [line for line in out.stderr.splitlines() if "error:" in line]
     assert errors == [f"blindjam sweep: error: grid range of {n} powers exceeds the cap of 10000"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _exit_code(argv) -> int:
+    """entrypoint's exit status: returned, or raised by argparse."""
+    try:
+        return entrypoint(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_parse_int_list():
@@ -199,8 +211,8 @@ def test_config_keys_the_command_does_not_take_are_ignored(command, args, extra,
 HELP_FLAGS = {
     "sweep": ("--m --p --kind --delta --draws --seed --workers --mi-samples --ser-trials "
               "--min-errors --no-ser --out"),
-    "ser": "--m --p --kind --delta --draws --seed --workers --trials --min-errors --sigma1 --out",
-    "eve": "--m --p --delta --draws --seed --workers --trials --out",
+    "ser": ("--m --p --kind --receiver --delta --draws --seed --workers --trials --min-errors "
+            "--sigma1 --out"),
     "dmin": "--m --q --draws --seed --out",
     "compare": "--m --p --delta --draws --seed --workers --mi-samples --exclude-lowest --out",
     "report": "--input --exclude-lowest --out",
@@ -252,9 +264,8 @@ def test_readme_csv_schemas_are_the_row_types(tmp_path):
     assert line("`ser`") == [f.name for f in fields(SerRow)]
     assert line("`dmin`") == [f.name for f in fields(DminRow)]
     rows = _planted_rows()
-    (fit,) = fit_slopes(rows).values()
-    report = ComparisonReport(fits={kind: fit for kind in cli.KINDS}, rows=())
-    write_rows(report.summary(), tmp_path / "compare.csv")
+    cli.cmd_compare(str(tmp_path / "compare.csv"), 0, m=1, delta=0.05, p=[1e2, 1e3, 1e4],
+                    draws=1, seed=11, mi_samples=200)
     write_rows(rows, tmp_path / "sweep.csv")
     assert entrypoint(["report", "--input", str(tmp_path / "sweep.csv"),
                        "--out", str(tmp_path / "report.csv")]) == 0
@@ -272,7 +283,7 @@ def test_readme_csv_schemas_are_the_row_types(tmp_path):
     ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "0"],
     ["dmin", "--m", "1", "--q", "2,4,8", "--draws", "0"],
     ["ser", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
-    ["eve", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
+    ["ser", "--receiver", "eve", "--m", "1", "--p", "1e2,1e3,1e4", "--trials", "0"],
     ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
     ["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--mi-samples", "1"],
     ["sweep", "--m", "1", "--p", "1e2,1e3,1e4", "--ser-trials", "0"],
@@ -288,15 +299,18 @@ def test_workers_and_min_errors_below_range_exit_2(args, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["sweep", "ser", "eve", "compare"])
+@pytest.mark.parametrize("command", [
+    pytest.param(argv, id=name) for name, argv in (
+        ("sweep", ["sweep"]), ("ser", ["ser"]), ("eve", ["ser", "--receiver", "eve"]),
+        ("compare", ["compare"]))])
 @pytest.mark.parametrize("flag, value", [("--m", "0"), ("--delta", "0.5"), ("--delta", "0")])
 def test_m_and_delta_out_of_range_exit_2(command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
-        entrypoint([command, "--m", "1", "--p", "1e2,1e3,1e4", flag, value,
+        entrypoint([*command, "--m", "1", "--p", "1e2,1e3,1e4", flag, value,
                     "--out", str(tmp_path / "o.csv")])
     assert ei.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: blindjam {command} [-h]")
+    assert err.startswith(f"usage: blindjam {command[0]} [-h]")
     assert f"error: {flag} must" in err
     assert list(tmp_path.iterdir()) == []
 
@@ -534,7 +548,7 @@ def test_report_on_a_malformed_row_exits_1(edit, why, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["ser", "--p", "1e2,1e3"],
-    ["eve", "--p", "1e2,1e3"],
+    pytest.param(["ser", "--receiver", "eve", "--p", "1e2,1e3"], id="eve"),
     ["dmin", "--q", "2,4,8"],
     ["sweep", "--p", "1e2,1e3,1e4"],
     ["compare", "--p", "1e2,1e3,1e4"],
@@ -559,14 +573,21 @@ MIXTURE_CAP = "more than 1000000 mixture components exceed the cap"
 
 @pytest.mark.parametrize("args, message", [
     pytest.param(["ser", "--m", "1000000", "--p", "1e2,1e3"], LATTICE_CAP, id="ser"),
-    pytest.param(["eve", "--m", "1000000", "--p", "1e2,1e3"], LATTICE_CAP, id="eve"),
+    pytest.param(["ser", "--receiver", "eve", "--m", "1000000", "--p", "1e2,1e3"], LATTICE_CAP,
+                 id="eve"),
     # the message points alone fit here, the whole decoder lattice does not
     pytest.param(["ser", "--m", "1", "--p", "1e15"], LATTICE_CAP, id="ser-m1"),
-    pytest.param(["eve", "--m", "2", "--p", "1e16"], LATTICE_CAP, id="eve-m2"),
+    pytest.param(["ser", "--receiver", "eve", "--m", "2", "--p", "1e16"], LATTICE_CAP,
+                 id="eve-m2"),
     # Blind's eavesdropper mixture outgrows the cap at the top power alone
     pytest.param(["sweep", "--no-ser", "--m", "2", "--p", "1e3,1e4,1e5,1e6"], MIXTURE_CAP,
                  id="sweep"),
     pytest.param(["compare", "--m", "2", "--p", "1e3,1e4,1e5,1e6"], MIXTURE_CAP, id="compare"),
+    # an m whose message coordinates alone pass the cap is refused before they
+    # are listed: a tuple of 2**63 counts cannot be built
+    pytest.param(["ser", "--m", str(2**63), "--p", "1e2"], LATTICE_CAP, id="ser-m-2**63"),
+    pytest.param(["sweep", "--no-ser", "--m", str(2**63), "--p", "1e2,1e3,1e4"], MIXTURE_CAP,
+                 id="sweep-m-2**63"),
 ])
 def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(args, message, tmp_path,
                                                                monkeypatch, capsys):
@@ -580,6 +601,106 @@ def test_ser_and_eve_refuse_an_oversize_lattice_before_drawing(args, message, tm
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}; reduce q or the number of streams\n"
     assert list(tmp_path.iterdir()) == []
+
+
+class Reached(Exception):
+    """Raised in place of a study's cells. It is no ValueError, so the CLI
+    cannot report it as a refusal."""
+
+
+def _reached(*a, **k):
+    raise Reached
+
+
+CELL_CAP = f"more than {experiments.MAX_CELLS} cells (kinds x draws x powers) exceed the cap"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["ser", "--p", "1e2"], id="ser"),
+    pytest.param(["ser", "--receiver", "eve", "--p", "1e2"], id="eve"),
+    # 11 powers x 9,091 draws
+    pytest.param(["sweep", "--p", "1e2:1e3:10", "--draws", "9091"], id="sweep"),
+    # 3 kinds x 3 powers x 11,112 draws, the fewest above the cap
+    pytest.param(["compare", "--p", "1e2,1e3,1e4", "--draws", "11112"], id="compare"),
+])
+def test_a_run_over_the_cell_cap_is_refused_before_drawing(args, tmp_path, monkeypatch, capsys):
+    def unreachable(*a, **k):
+        raise AssertionError("a channel was drawn")
+
+    if "--draws" not in args:
+        args = args + ["--draws", str(experiments.MAX_CELLS + 1)]
+    monkeypatch.setattr(experiments, "sample_channel", unreachable)
+    assert entrypoint(args + ["--m", "1", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {CELL_CAP}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_at_the_cell_cap_goes_on_to_its_cells(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_cells", _reached)
+    with pytest.raises(Reached):
+        entrypoint(["ser", "--m", "1", "--p", "1e2", "--draws", str(experiments.MAX_CELLS),
+                    "--out", str(tmp_path / "x.csv")])
+
+
+# each option's adversarial values, as flag text and as --config JSON, and
+# one value it runs with, so that an example gets past the other options
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", str(2**63), "1e308", "", "x",
+               "1:1e300:1000000", "1e2:1e3:9999"]
+CONFIG_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 2**63, 1e308, "", "x",
+                 "1:1e300:1000000", "1e2:1e3:9999", True, False, None, "1e2,1e3,1e4", [],
+                 [[1]], [1e2, [2.5, None]], ["x"], [True, 1e2]]
+RUNS_WITH = {"m": "1", "p": "1e2,1e3,1e4", "q": "2,4,8", "input": "missing.csv",
+             "kind": "CsiAligned", "receiver": "eve", "delta": "0.1", "draws": "2", "seed": "7",
+             "workers": "2", "mi_samples": "200", "ser_trials": "400", "trials": "400",
+             "min_errors": "5", "sigma1": "0.5", "exclude_lowest": "0", "out": "o.csv"}
+
+
+@st.composite
+def invocations(draw):
+    """A command, one or two of its options set to an adversarial value by
+    their flag or by --config, and each other option set to a value it runs
+    with or, unless it is required, left out."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    odd = {draw(st.sampled_from(list(options))) for _ in range(2)}
+    argv, config = [command], {}
+    for name, default in options.items():
+        required = default is None and name not in cli._NULLABLE
+        how = draw(st.sampled_from(["flag", "config"] if name in odd
+                                   else ["runs"] if required else ["runs", "omit"]))
+        if how == "config":
+            config[name] = draw(st.sampled_from(CONFIG_VALUES))
+        elif cli._OPTIONS[name][0] is bool:  # --no-ser takes no value
+            argv += [cli._flag(name)] if how != "omit" else []
+        elif how != "omit":
+            argv += [cli._flag(name),
+                     RUNS_WITH[name] if how == "runs" else draw(st.sampled_from(FLAG_VALUES))]
+    return argv, config
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=invocations())
+def test_any_cli_input_is_refused_with_one_error_line_or_runs(invocation, tmp_path, monkeypatch):
+    # the studies raise in place of their cells: no cell runs, no thread
+    # starts. One parser serves every example: building it is most of the cost
+    monkeypatch.setattr(experiments, "_run_cells", _reached)
+    monkeypatch.setattr(cli, "fit_dmin_exponent", _reached)
+    monkeypatch.setattr(cli, "build_parser", lambda parser=cli.build_parser(): parser)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BLINDJAM_OUT", str(tmp_path))
+    argv, config = invocation
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "c.json"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = _exit_code(argv)
+        except Reached:
+            return
+    assert code in (1, 2), err.getvalue()
+    assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""],
@@ -610,18 +731,21 @@ def test_out_of_memory_while_resolving_the_options_exits_1(tmp_path, monkeypatch
 
 
 STUDIES = {"sweep": experiments.sweep_power, "ser": experiments.sweep_ser,
-           "eve": experiments.sweep_ser, "compare": experiments.compare_schemes,
-           "dmin": fit_dmin_exponent}
+           "compare": experiments.compare_schemes, "dmin": fit_dmin_exponent}
 
 
-@pytest.mark.parametrize("command", sorted(STUDIES))
-def test_each_commands_options_are_its_studys_parameters(command):
+@pytest.mark.parametrize("command, fixed", [
+    *(pytest.param(command, {}, id=command) for command in sorted(STUDIES)),
+    pytest.param("ser", {"receiver": "eve"}, id="eve"),
+])
+def test_each_commands_options_are_its_studys_parameters(command, fixed):
     # a runner passes its options through by name: a renamed parameter would
-    # break the command, so it breaks this test first
+    # break the command, so it breaks this test first; compare's
+    # exclude_lowest is its slope fit's
     options = {k: v for k, v in cli._COMMANDS[command][1].items() if k != "out"}
-    if command == "eve":  # the three values eve fixes
-        options.update(kind="Blind", min_errors=100, receiver="eve")
-    inspect.signature(STUDIES[command]).bind(**options)
+    if command == "compare":
+        inspect.signature(experiments.fit_slopes).bind([], "bound", options.pop("exclude_lowest"))
+    inspect.signature(STUDIES[command]).bind(**{**options, **fixed})
 
 
 @pytest.mark.parametrize("command, args", [
@@ -668,15 +792,29 @@ def test_compare_writes_nothing_when_the_cap_leaves_too_few_powers(tmp_path, mon
 
 def test_eve_writes_the_ser_schema_and_takes_no_sigma1(tmp_path, capsys):
     out = tmp_path / "eve.csv"
-    assert entrypoint(["eve", "--m", "1", "--p", "1e2,1e3", "--draws", "2", "--delta", "0.25",
-                       "--trials", "2000", "--out", str(out)]) == 0
+    assert entrypoint(["ser", "--receiver", "eve", "--m", "1", "--p", "1e2,1e3", "--draws", "2",
+                       "--delta", "0.25", "--trials", "2000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "p,m,delta,draw_id,trials,errors,rate,stderr" and len(lines) == 1 + 2 * 2
     assert "4 rows" in capsys.readouterr().out
-    assert json.loads((tmp_path / "eve.manifest.json").read_text())["command"] == "eve"
+    manifest = json.loads((tmp_path / "eve.manifest.json").read_text())
+    assert (manifest["command"], manifest["receiver"]) == ("ser", "eve")
+    # sigma1 sets the legitimate receiver's noise: one error line, no file
+    other = tmp_path / "other"
+    other.mkdir()
+    assert _exit_code(["ser", "--receiver", "eve", "--m", "1", "--p", "1e2,1e3", "--sigma1", "0",
+                       "--out", str(other / "eve.csv")]) in (1, 2)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "sigma1" in errors[0]
+    assert list(other.iterdir()) == []
+
+
+def test_the_eve_command_is_gone(capsys):
+    # its runs are ser --receiver eve
     with pytest.raises(SystemExit) as ei:
-        entrypoint(["eve", "--m", "1", "--p", "1e2,1e3", "--sigma1", "0"])
+        entrypoint(["eve", "--m", "1", "--p", "1e2,1e3,1e4"])
     assert ei.value.code == 2
+    assert "invalid choice: 'eve'" in capsys.readouterr().err
 
 
 def test_report_on_compare_rows_reproduces_compare_slopes(tmp_path, capsys):

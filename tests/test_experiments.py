@@ -6,8 +6,9 @@ import pytest
 
 from blindjam import experiments
 from blindjam.constellation import LatticeSizeError, fit_dmin_exponent
+from blindjam import cli
 from blindjam.experiments import (
-    ComparisonReport,
+    OlsFit,
     SerRow,
     SweepRow,
     Series,
@@ -83,24 +84,21 @@ def test_fit_slopes_recovers_planted_slope():
     fits = fit_slopes(rows)
     assert list(fits) == [BLIND] and str(BLIND) == "Blind m=1 delta=0.05"
     fit = fits[BLIND]
-    assert fit.pooled.slope == pytest.approx(0.5, abs=1e-10)
-    assert fit.column == "bound"
-    assert fit.excluded_lowest == 0
-    assert all(s == pytest.approx(0.5, abs=1e-10) for _, s in fit.per_draw)
-    assert len(fit.per_draw) == 2
+    assert isinstance(fit, OlsFit) and fit.n == 2 * 4
+    assert fit.slope == pytest.approx(0.5, abs=1e-10)
+    assert fit.intercept == pytest.approx(1.0, abs=1e-10)
 
 
 def test_leakage_slope_constant_column_is_zero():
     fit = fit_slopes(_planted_rows(0.5), "i_vy2")[BLIND]
-    assert fit.pooled.slope == pytest.approx(0.0, abs=1e-12)
-    assert fit.column == "i_vy2"
+    assert fit.slope == pytest.approx(0.0, abs=1e-12)
+    assert fit.intercept == pytest.approx(0.25, abs=1e-12)
 
 
 def test_fit_exclusion_rules():
     rows = _planted_rows(0.5)
     fit = fit_slopes(rows, exclude_lowest=1)[BLIND]
-    assert fit.excluded_lowest == 1
-    assert fit.pooled.n == 2 * 3
+    assert fit.n == 2 * 3
     with pytest.raises(ValueError, match="^Blind m=1 delta=0.05: degenerate"):
         fit_slopes(rows, exclude_lowest=2)
     # a negative count would keep the top three powers of four instead
@@ -108,10 +106,10 @@ def test_fit_exclusion_rules():
         fit_slopes(rows, "i_vy2", exclude_lowest=-3)
     with pytest.raises(ValueError):
         fit_slopes([])
-    # a draw of one power has no slope of its own, and refuses nothing
+    # a draw of one power refuses nothing: the series is fitted pooled
     one_power = _planted_rows(0.5, p_grid=(1e3, 1e3), draws=3)[4:]
     fit = fit_slopes(rows + one_power)[BLIND]
-    assert [d for d, _ in fit.per_draw] == [0, 1] and fit.pooled.n == 10
+    assert fit.n == 10
 
 
 @pytest.mark.parametrize("other", [dict(kind="CsiAligned"), dict(m=2), dict(delta=0.1)])
@@ -124,8 +122,8 @@ def test_fit_slopes_fits_each_series_apart(other):
         fits = fit_slopes(rows, column)
         assert list(fits) == sorted(want)
         for key, fit in fits.items():
-            assert fit.pooled.slope == pytest.approx(want[key], abs=1e-10)
-            assert fit.pooled.n == 8 and len(fit.per_draw) == 2
+            assert fit.slope == pytest.approx(want[key], abs=1e-10)
+            assert fit.n == 8
 
 
 def test_fit_slopes_names_the_series_it_refuses():
@@ -254,7 +252,7 @@ def test_slope_stderr_shrinks_with_draws():
     kw = dict(mi_samples=500, include_ser=False)
     few = fit_slopes(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 5, 3, **kw))[BLIND]
     many = fit_slopes(sweep_power("Blind", 1, 0.05, [1e2, 1e3, 1e4], 20, 3, **kw))[BLIND]
-    assert many.pooled.slope_stderr < few.pooled.slope_stderr
+    assert many.slope_stderr < few.slope_stderr
 
 
 def test_gaussian_jam_leakage_tracks_legit_rate():
@@ -262,7 +260,7 @@ def test_gaussian_jam_leakage_tracks_legit_rate():
     # (or stall) together, so their fitted slopes agree
     rows = sweep_power("GaussianJam", 1, 0.05, [1e2, 1e3, 1e4], 4, 11,
                        mi_samples=4000, include_ser=False)
-    s1, s2 = (fit_slopes(rows, column)[Series("GaussianJam", 1, 0.05)].pooled.slope
+    s1, s2 = (fit_slopes(rows, column)[Series("GaussianJam", 1, 0.05)].slope
               for column in ("i_vy1", "i_vy2"))
     assert abs(s1 - s2) <= 0.1
 
@@ -278,12 +276,13 @@ def test_zero_information_cell_below_minus_three_stderr_keeps_its_row():
 
 
 def test_compare_schemes_shape():
-    report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 2, 11, mi_samples=300)
-    assert set(report.fits) == set(KINDS)
-    assert len(report.rows) == 3 * 2 * 3
-    summary = report.summary()
-    assert [rec["kind"] for rec in summary] == list(KINDS)
-    assert all(np.isfinite(rec["slope"]) for rec in summary)
+    rows = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 2, 11, mi_samples=300)
+    # KINDS order, then draw and power, as sweep_power writes one kind's rows
+    assert [(r.kind, r.draw_id, r.p) for r in rows] == [
+        (kind, d, p) for kind in KINDS for d in range(2) for p in (1e2, 1e3, 1e4)]
+    fits = fit_slopes(rows)
+    assert list(fits) == [Series(kind, 1, 0.05) for kind in KINDS]
+    assert all(np.isfinite(fit.slope) and fit.n == 2 * 3 for fit in fits.values())
 
 
 def test_compare_schemes_empty_grid_errors():
@@ -369,12 +368,13 @@ def test_eve_sweep_rows_and_worker_invariance():
 
 
 def test_compare_and_dmin_csv_writers(tmp_path):
-    report = compare_schemes(1, 0.05, [1e2, 1e3, 1e4], 1, 11, mi_samples=300)
     cpath = tmp_path / "compare.csv"
-    write_rows(report.summary(), cpath)
+    cli.cmd_compare(str(cpath), 0, m=1, delta=0.05, p=[1e2, 1e3, 1e4], draws=1, seed=11,
+                    mi_samples=300)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "kind,slope,slope_stderr,n_rows"
-    assert len(lines) == 4  # one row per kind
+    assert [line.split(",")[0] for line in lines[1:]] == list(KINDS)  # one row per kind
+    assert len((tmp_path / "compare_rows.csv").read_text().splitlines()) == 1 + 3 * 3
 
     study = fit_dmin_exponent(1, [2, 4, 8], 3, 0)
     dpath = tmp_path / "dmin.csv"

@@ -40,7 +40,7 @@ COMMANDS = {
     "ser": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
     "ser_noiseless": "ser --m 1 --p 1e2,1e3,1e4 --draws 3 --trials 20000 --sigma1 0",
     "ser_m2_csi": "ser --m 2 --kind CsiAligned --p 1e2,1e3,1e4 --draws 2 --trials 20000",
-    "eve": "eve --m 1 --delta 0.25 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
+    "eve": "ser --receiver eve --m 1 --delta 0.25 --p 1e2,1e3,1e4 --draws 3 --trials 20000",
     "sweep_no_ser": ("sweep --kind GaussianJam --m 1 --p 1e2,1e3,1e4 --draws 2 "
                      "--mi-samples 2000 --no-ser"),
     "dmin": "dmin --m 2 --q 4,8,16,32 --draws 5",
@@ -126,6 +126,20 @@ def test_outputs_match_golden(name, tmp_path):
     for fname in _outputs(name):
         if fname.endswith(".csv"):
             _assert_same(GOLDEN / fname, two / fname)
+
+
+def test_old_eve_manifest_replays_as_ser_receiver_eve(tmp_path):
+    # the manifest the removed eve command wrote for this case: ser at its
+    # default kind and min_errors, given --receiver eve, writes the same rows
+    old = {"command": "eve", "delta": 0.25, "draws": 3, "gamma_rule": "max-admissible",
+           "m": 1, "out": "eve.csv", "p": [100.0, 1000.0, 10000.0],
+           "package_version": "0.1.0", "seed": 42, "trials": 20000, "workers": 1}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    out = tmp_path / "replay.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.entrypoint(["ser", "--receiver", "eve", "--config", str(tmp_path / "old.json"),
+                               "--out", str(out)]) == 0
+    _assert_same(GOLDEN / "eve.csv", out)
 
 
 def test_eve_golden_matches_the_hand_loop(tmp_path):

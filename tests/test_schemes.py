@@ -331,3 +331,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="h must have length m\\+1"):
         SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
                      alphas=(0.9,), c_bar=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, index", [("h", 0), ("h", 1), ("h", 2), ("alphas", 0),
+                                          ("alphas", 1)])
+def test_config_refuses_non_finite_gains(field, index, value):
+    # a NaN gain made gamma and a NaN, an infinite h_1 the transmitter's own
+    # jamming stream vanish: every kind refuses either at construction
+    gains = {"h": [1.3, -0.8, 0.6], "alphas": [0.9, -1.1]}
+    gains[field][index] = value
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="gains h and alphas must be finite"):
+            SchemeConfig(kind=kind, m=2, p=100.0, delta=0.1, h=tuple(gains["h"]),
+                         alphas=tuple(gains["alphas"]), c_bar=4.0)
+    if field == "h":
+        h = [1.0, 1.0, 1.0]
+        h[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            make_blind_scheme(2, 100.0, 0.1, h, 4.0, 3)
