@@ -6,7 +6,7 @@ for one channel use with input vector ``x`` of length M+1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,8 @@ GAIN_MAGNITUDES = (0.5, 2.0)  # interval of a drawn gain's magnitude
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One drawn channel: gains to both receivers plus noise levels.
+    """One drawn channel: M+1 gains to each receiver plus noise levels, and
+    the helper count m = len(h) - 1 >= 1 derived from them.
 
     All gains are required to be finite and nonzero, and the noise levels
     finite and nonnegative; draws come from continuous distributions so
@@ -35,21 +36,20 @@ class ChannelRealization:
     downstream via constellation collision checks rather than prevented here.
     """
 
-    m: int
     h: np.ndarray
     g: np.ndarray
     sigma1: float = 1.0
     sigma2: float = 1.0
+    m: int = field(init=False)
 
     def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        g = np.atleast_1d(np.asarray(self.g, dtype=float))
+        h = np.asarray(self.h, dtype=float)
+        g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
-        if self.m < 1:
-            raise ValueError("m must be >= 1 (the no-helper channel has a closed form)")
-        if h.shape != (self.m + 1,) or g.shape != (self.m + 1,):
-            raise ValueError(f"gain vectors must have length m+1 = {self.m + 1}")
+        if h.ndim != 1 or h.shape[0] < 2 or g.shape != h.shape:
+            raise ValueError("gains h and g must be vectors of one length m+1 >= 2")
+        object.__setattr__(self, "m", h.shape[0] - 1)
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
             raise ValueError("all channel gains must be finite")
         if np.any(h == 0.0) or np.any(g == 0.0):
@@ -91,7 +91,7 @@ def sample_channel(m: int, seed: int) -> ChannelRealization:
     mags = rng.uniform(*GAIN_MAGNITUDES, size=2 * (m + 1))
     signs = rng.integers(0, 2, size=2 * (m + 1)) * 2 - 1
     gains = mags * signs
-    return ChannelRealization(m=m, h=gains[: m + 1], g=gains[m + 1 :])
+    return ChannelRealization(h=gains[: m + 1], g=gains[m + 1 :])
 
 
 def legit_output(ch: ChannelRealization, x):

@@ -168,12 +168,13 @@ def min_distance(lat: ReceiverLattice) -> float:
     return float(np.min(np.diff(lat.points)))
 
 
-def sum_lattice_min_distance(coeffs, radii, a: float = 1.0) -> float:
-    """Exact minimum distance of ``enumerate_sum_lattice(coeffs, radii, a)``
-    without building it.
+def sum_lattice_min_distance(coeffs, radii) -> float:
+    """Exact minimum distance of ``enumerate_sum_lattice(coeffs, radii)``
+    without building it; at spacing a both it and the collision tolerance
+    scale by a.
 
     Two distinct labels differ by a nonzero integer d with |d_i| <= 2 r_i, so
-    d_min = a * min |coeffs . d| over that difference box. Every axis but the
+    d_min = min |coeffs . d| over that difference box. Every axis but the
     widest is enumerated by outer sums (its size, prod 4 r_i + 1, is held to
     POINT_CAP); on the widest one |x + c d| is convex in d, so the nearest
     integer to -x / c, clipped to the box, is the exact minimizer.
@@ -182,8 +183,6 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0) -> float:
     radii = [int(r) for r in radii]
     if coeffs.shape[0] != len(radii):
         raise ValueError("one radius per coefficient required")
-    if a <= 0:
-        raise ValueError("spacing a must be positive")
     if max(radii, default=0) < 1:
         raise ValueError("minimum distance needs at least 2 points")
     wide = int(np.argmax(radii))
@@ -199,8 +198,8 @@ def sum_lattice_min_distance(coeffs, radii, a: float = 1.0) -> float:
         x += c * np.clip(np.rint(-x / c), -r, r)
         # the head d' = 0 sits at the centre; its d_L must be nonzero: +-1
         x[x.shape[0] // 2] = c
-        best = a * float(np.min(np.abs(x)))
-    if best < COLLISION_REL_TOL * a:
+        best = float(np.min(np.abs(x)))
+    if best < COLLISION_REL_TOL:
         raise DegenerateLatticeError("degenerate gains: distinct labels collide")
     return best
 
@@ -264,11 +263,15 @@ class DminRow:
 
 @dataclass(frozen=True)
 class DminStudy:
-    """Per-draw minimum distances over a q grid plus fitted log-log slopes."""
+    """Per-draw minimum distances over a q grid; ``slopes``, one per draw, derive from them."""
 
     rows: tuple[DminRow, ...]
-    slopes: np.ndarray
     redraws: int = 0
+    slopes: np.ndarray = field(init=False, compare=False)  # == on arrays has no truth value
+
+    def __post_init__(self):
+        by_draw = {row.draw_id: row.slope for row in self.rows}
+        object.__setattr__(self, "slopes", np.array(list(by_draw.values())))
 
     @property
     def median_slope(self) -> float:
@@ -294,9 +297,11 @@ def fit_dmin_exponent(
     ``sum_lattice_min_distance``, without enumerating the lattice, and a
     least-squares slope of log d_min against log q is fitted.  Draws whose
     lattice collides at any q are redrawn, up to MAX_REDRAWS times; the
-    count of redraws is reported.
+    count of redraws is reported. Before the first draw, more than
+    experiments.MAX_CELLS (draw, q) cells or a top-q difference box past
+    POINT_CAP is refused.
     """
-    from .experiments import ols  # experiments imports this module
+    from .experiments import MAX_CELLS, ols  # experiments imports this module
 
     # as --q and --config refuse them: JSON true is no integer, 2.7 none either
     if any(isinstance(x, (bool, np.bool_)) or not float(x).is_integer() for x in q):
@@ -308,9 +313,13 @@ def fit_dmin_exponent(
         raise ValueError("q grid must be strictly increasing")
     if m < 1 or draws < 1:
         raise ValueError("m and draws must be >= 1")
+    if draws * len(q_grid) > MAX_CELLS:
+        raise ValueError(f"more than {MAX_CELLS} cells (draws x q values) exceed the cap")
+    # the top q's difference box, as sum_lattice_min_distance checks it: its m
+    # head axes, before m alphas or radii are drawn or listed
+    check_size((4 * q_grid[-1] + 1 for _ in range(m)), POINT_CAP, "difference-box terms")
 
     rows: list[DminRow] = []
-    slopes = np.empty(draws)
     redraws = 0
     for draw_id in range(draws):
         for attempt in range(MAX_REDRAWS):
@@ -324,9 +333,9 @@ def fit_dmin_exponent(
             except DegenerateLatticeError:
                 redraws += 1
                 continue
-            slopes[draw_id] = slope = ols(np.log(q_grid), np.log(dmins)).slope
+            slope = ols(np.log(q_grid), np.log(dmins)).slope
             rows.extend(DminRow(draw_id, m, q, d, slope) for q, d in zip(q_grid, dmins))
             break
         else:
             raise RuntimeError(f"draw {draw_id} kept colliding after {MAX_REDRAWS} attempts")
-    return DminStudy(rows=tuple(rows), slopes=slopes, redraws=redraws)
+    return DminStudy(rows=tuple(rows), redraws=redraws)

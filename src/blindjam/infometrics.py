@@ -26,7 +26,7 @@ All values are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -387,11 +387,14 @@ def _product_mixture(coeffs, symbol_sets, set_weights, sigma) -> MixtureSpec:
 
 @dataclass(frozen=True)
 class RateBound:
-    """Secrecy-rate lower bound: I(V;Y1) - I(V;Y2), clamped at zero."""
+    """Secrecy-rate lower bound, derived: I(V;Y1) - I(V;Y2), clamped at zero."""
 
     i_v_y1: MiEstimate
     i_v_y2: MiEstimate
-    bound: float
+    bound: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound", max(0.0, self.i_v_y1.value - self.i_v_y2.value))
 
 
 def _receiver_mi(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, method: str,
@@ -444,4 +447,4 @@ def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "m
             f"eavesdropper output entropy {h_y2.value:.6f} exceeds the "
             f"max-entropy cap {cap_bits:.6f}; power accounting is broken"
         )
-    return RateBound(i_v_y1=i1, i_v_y2=i2, bound=max(0.0, i1.value - i2.value))
+    return RateBound(i_v_y1=i1, i_v_y2=i2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,26 +39,21 @@ CHUNK = 5000  # trials per chunk of an error count, each chunk its own substream
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Binomial error-rate estimate from a Monte Carlo run."""
+    """Binomial error-rate estimate from a Monte Carlo run's counts; rate and stderr derived."""
 
     trials: int
     errors: int
-    rate: float
-    stderr: float
+    rate: float = field(init=False)
+    stderr: float = field(init=False)
 
     def __post_init__(self):
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if not 0 <= self.errors <= self.trials:
             raise ValueError("errors must lie in [0, trials]")
-        if abs(self.rate - self.errors / self.trials) > 1e-12:
-            raise ValueError("rate must equal errors/trials")
-
-    @classmethod
-    def from_counts(cls, errors: int, trials: int) -> "ErrorEstimate":
-        rate = errors / trials
-        stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-        return cls(trials=trials, errors=errors, rate=rate, stderr=stderr)
+        rate = self.errors / self.trials
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "stderr", math.sqrt(max(rate * (1.0 - rate), 0.0) / self.trials))
 
 
 def _lattice_model(cfg: SchemeConfig, ch: ChannelRealization, receiver: str):
@@ -96,7 +91,7 @@ def decode_legit_batch(y1, lat: ReceiverLattice) -> np.ndarray:
 
 def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed: int,
                   label: str, min_errors: int | None, mismatch):
-    """(block errors, trials) of a chunked run; a block is wrong when any of
+    """(trials, block errors) of a chunked run; a block is wrong when any of
     its symbols is.
 
     Trials are consumed in chunks of CHUNK with one RNG substream per chunk
@@ -123,7 +118,7 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed
         block_idx += 1
         if min_errors is not None and errors >= min_errors:
             break
-    return errors, trials
+    return trials, errors
 
 
 def _noisy(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -140,8 +135,7 @@ def estimate_ser(cfg: SchemeConfig, ch: ChannelRealization, n_trials: int, seed:
     def mismatch(rng, v, u, x):
         return decode_legit_batch(_noisy(legit_output(ch, x), ch.sigma1, rng), lat) != v
 
-    return ErrorEstimate.from_counts(*_count_errors(cfg, ch, n_trials, seed, "ser",
-                                                    min_errors, mismatch))
+    return ErrorEstimate(*_count_errors(cfg, ch, n_trials, seed, "ser", min_errors, mismatch))
 
 
 def eve_u_lattice(cfg: SchemeConfig, ch: ChannelRealization) -> ReceiverLattice:
@@ -180,5 +174,4 @@ def estimate_eve_u_error(cfg: SchemeConfig, ch: ChannelRealization, n_trials: in
         y = _noisy(eve_output(ch, x), ch.sigma2, rng)
         return eve_decode_u_given_v(y, v, cfg, ch, lat) != u[:, jam]
 
-    return ErrorEstimate.from_counts(*_count_errors(cfg, ch, n_trials, seed, "eveu",
-                                                    min_errors, mismatch))
+    return ErrorEstimate(*_count_errors(cfg, ch, n_trials, seed, "eveu", min_errors, mismatch))

@@ -143,21 +143,21 @@ def admissible_gamma(h, alphas) -> float:
 class SchemeConfig:
     """Everything a transmitter ensemble needs for one scheme instance.
 
-    Set: the kind, helper count m, power p, margin delta, the m+1 legitimate
-    gains h, the m message-stream coefficients ``alphas`` and the assumed
-    eavesdropper gain bound c_bar (for analysis only). Derived here alone,
-    and again by ``dataclasses.replace``, which cannot set them: the largest
-    admissible gamma, q = max(1, floor(p^((1-delta)/(2(m+1+delta))))) and
-    a = gamma*sqrt(p)/q.
+    Set: the kind, power p, margin delta, the m+1 legitimate gains h, the m
+    message-stream coefficients ``alphas`` and the assumed eavesdropper gain
+    bound c_bar (for analysis only). Derived here alone, and again by
+    ``dataclasses.replace``, which cannot set them: the helper count
+    m = len(alphas), the largest admissible gamma,
+    q = max(1, floor(p^((1-delta)/(2(m+1+delta))))) and a = gamma*sqrt(p)/q.
     """
 
     kind: str
-    m: int
     p: float
     delta: float
     h: tuple[float, ...]
     alphas: tuple[float, ...]
     c_bar: float
+    m: int = field(init=False)
     gamma: float = field(init=False)
     q: int = field(init=False)
     a: float = field(init=False)
@@ -165,10 +165,9 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        object.__setattr__(self, "m", len(self.alphas))
         if len(self.h) != self.m + 1:
             raise ValueError("h must have length m+1")
-        if len(self.alphas) != self.m:
-            raise ValueError("need one alpha per message stream")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
         object.__setattr__(self, "h", tuple(float(x) for x in self.h))
@@ -198,7 +197,7 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
     gains are not an input: only their assumed bound c_bar is carried, and
     only for later analysis, never for construction.
     """
-    return SchemeConfig("Blind", m, p, delta, h, _draw_alphas(m, seed), c_bar)
+    return SchemeConfig("Blind", p, delta, h, _draw_alphas(m, seed), c_bar)
 
 
 def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
@@ -226,7 +225,7 @@ def make_csi_scheme(m: int, p: float, delta: float, h, g) -> SchemeConfig:
     if np.any(g == 0) or np.any(h == 0):
         raise ValueError("all gains must be nonzero")
     alphas = g[1:] / (g[0] * h[1:])
-    return SchemeConfig("CsiAligned", m, p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
+    return SchemeConfig("CsiAligned", p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
 
 
 def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -27,7 +27,7 @@ def blind_cfg(ch1):
 
 @pytest.fixture
 def noiseless_ch():
-    return ChannelRealization(m=1, h=np.array([1.3, -0.8]), g=np.array([0.9, 1.1]),
+    return ChannelRealization(h=np.array([1.3, -0.8]), g=np.array([0.9, 1.1]),
                               sigma1=0.0, sigma2=0.0)
 
 

@@ -188,8 +188,8 @@ def test_criterion_8_oracle_suites():
 def test_criterion_9_blindness_and_determinism(tmp_path):
     # blindness: swap the eavesdropper gains, keep everything else
     h = sample_channel(1, 50).h
-    ch_a = ChannelRealization(m=1, h=h, g=np.array([0.77, -1.21]))
-    ch_b = ChannelRealization(m=1, h=h, g=np.array([1.9, 0.33]))
+    ch_a = ChannelRealization(h=h, g=np.array([0.77, -1.21]))
+    ch_b = ChannelRealization(h=h, g=np.array([1.9, 0.33]))
     blocks = {}
     for tag, ch in (("a", ch_a), ("b", ch_b)):
         cfg = make_blind_scheme(1, 1e3, RATE_DELTA, ch.h, 5.0, 3)

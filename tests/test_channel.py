@@ -19,28 +19,36 @@ from blindjam.schemes import encode, make_blind_scheme, sample_symbols
 
 def test_realization_validates_shapes():
     with pytest.raises(ValueError):
-        ChannelRealization(m=1, h=np.array([1.0]), g=np.array([1.0, 2.0]))
+        ChannelRealization(h=np.array([1.0]), g=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        ChannelRealization(m=0, h=np.array([1.0]), g=np.array([1.0]))
+        ChannelRealization(h=np.array([1.0]), g=np.array([1.0]))
+    # m = len(h) - 1 is derived: h must be one vector of at least 2 gains, g alike
+    assert ChannelRealization(h=np.array([1.0, 1.5, 0.5]), g=np.array([0.7, 2.0, 0.9])).m == 2
+    with pytest.raises(ValueError):
+        ChannelRealization(h=np.array([[1.0, 1.5]]), g=np.array([[0.7, 2.0]]))
+    with pytest.raises(ValueError):
+        ChannelRealization(h=1.0, g=1.0)
+    with pytest.raises(ValueError):
+        ChannelRealization(h=np.array([1.0, 1.5]), g=np.array([0.7, 2.0, 0.9]))
 
 
 def test_realization_rejects_zero_gains():
     with pytest.raises(ValueError):
-        ChannelRealization(m=1, h=np.array([1.0, 0.0]), g=np.array([1.0, 2.0]))
+        ChannelRealization(h=np.array([1.0, 0.0]), g=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        ChannelRealization(m=1, h=np.array([1.0, 1.0]), g=np.array([0.0, 2.0]))
+        ChannelRealization(h=np.array([1.0, 1.0]), g=np.array([0.0, 2.0]))
 
 
 def test_realization_rejects_negative_noise():
     with pytest.raises(ValueError):
-        ChannelRealization(m=1, h=np.array([1.0, 1.0]), g=np.array([1.0, 2.0]),
+        ChannelRealization(h=np.array([1.0, 1.0]), g=np.array([1.0, 2.0]),
                            sigma1=-0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["h", "g", "sigma1", "sigma2"])
 def test_realization_rejects_non_finite_values(field, bad):
-    kw = dict(m=1, h=np.array([1.0, 1.5]), g=np.array([0.7, 2.0]), sigma1=1.0, sigma2=1.0)
+    kw = dict(h=np.array([1.0, 1.5]), g=np.array([0.7, 2.0]), sigma1=1.0, sigma2=1.0)
     if field in ("h", "g"):
         kw[field] = np.array([bad, 1.0])
     else:

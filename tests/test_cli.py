@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blindjam import cli, experiments
+from blindjam import cli, constellation, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
 from blindjam.constellation import DminRow, fit_dmin_exponent
 from blindjam.experiments import SerRow, SweepRow, write_rows
@@ -60,22 +60,38 @@ def test_bad_power_grid_exits_2(grid, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ppd, n", [("10000", 3_000_001), ("1000000", 300_000_001)])
-def test_dense_power_range_exits_2_before_it_is_built(ppd, n, tmp_path, src_env):
-    # in a child under its own 512 MiB address-space limit, BLAS on one
-    # thread: a build of the whole range there fails fast instead of taking
-    # gigabytes
+def _run_limited(args, env):
+    """``python -m blindjam`` in a child under its own 512 MiB address-space
+    limit, BLAS on one thread: an oversize build there fails fast instead of
+    taking gigabytes. Returns (the completed run, its seconds)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
     start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "blindjam", "sweep", "--m", "1", "--p",
-                          f"1:1e300:{ppd}", "--no-ser", "--out", str(tmp_path / "x.csv")],
-                         capture_output=True, text=True, preexec_fn=limit, timeout=60,
-                         env={**src_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
-    assert out.returncode == 2 and time.perf_counter() - start < 1.0
+    out = subprocess.run([sys.executable, "-m", "blindjam", *args], capture_output=True,
+                         text=True, preexec_fn=limit, timeout=60,
+                         env={**env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("ppd, n", [("10000", 3_000_001), ("1000000", 300_000_001)])
+def test_dense_power_range_exits_2_before_it_is_built(ppd, n, tmp_path, src_env):
+    out, seconds = _run_limited(["sweep", "--m", "1", "--p", f"1:1e300:{ppd}", "--no-ser",
+                                 "--out", str(tmp_path / "x.csv")], src_env)
+    assert out.returncode == 2 and seconds < 1.0
     errors = [line for line in out.stderr.splitlines() if "error:" in line]
     assert errors == [f"blindjam sweep: error: grid range of {n} powers exceeds the cap of 10000"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dmin_over_the_difference_box_cap_exits_1_before_drawing(tmp_path, src_env):
+    # 10^8 alphas alone would take 763 MiB: the top q's difference box, 33
+    # terms on each of 10^8 axes, is refused before any is drawn
+    out, seconds = _run_limited(["dmin", "--m", "100000000", "--q", "2,4,8", "--draws", "1",
+                                 "--out", str(tmp_path / "x.csv")], src_env)
+    assert out.returncode == 1 and seconds < 1.0
+    assert out.stderr == ("error: more than 10000000 difference-box terms exceed the cap; "
+                          "reduce q or the number of streams\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -612,7 +628,7 @@ def _reached(*a, **k):
     raise Reached
 
 
-CELL_CAP = f"more than {experiments.MAX_CELLS} cells (kinds x draws x powers) exceed the cap"
+CELL_CAP = f"more than {experiments.MAX_CELLS} cells ({{}}) exceed the cap"
 
 
 @pytest.mark.parametrize("args", [
@@ -622,23 +638,32 @@ CELL_CAP = f"more than {experiments.MAX_CELLS} cells (kinds x draws x powers) ex
     pytest.param(["sweep", "--p", "1e2:1e3:10", "--draws", "9091"], id="sweep"),
     # 3 kinds x 3 powers x 11,112 draws, the fewest above the cap
     pytest.param(["compare", "--p", "1e2,1e3,1e4", "--draws", "11112"], id="compare"),
+    # 3 q values x 33,334 draws
+    pytest.param(["dmin", "--q", "2,4,8", "--draws", "33334"], id="dmin"),
 ])
 def test_a_run_over_the_cell_cap_is_refused_before_drawing(args, tmp_path, monkeypatch, capsys):
     def unreachable(*a, **k):
-        raise AssertionError("a channel was drawn")
+        raise AssertionError("a channel or a d_min draw was drawn")
 
     if "--draws" not in args:
         args = args + ["--draws", str(experiments.MAX_CELLS + 1)]
     monkeypatch.setattr(experiments, "sample_channel", unreachable)
+    monkeypatch.setattr(constellation, "substream", unreachable)
     assert entrypoint(args + ["--m", "1", "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {CELL_CAP}\n"
+    cells = "draws x q values" if args[0] == "dmin" else "kinds x draws x powers"
+    assert capsys.readouterr().err == f"error: {CELL_CAP.format(cells)}\n"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_a_run_at_the_cell_cap_goes_on_to_its_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_run_cells", _reached)
+    monkeypatch.setattr(constellation, "substream", _reached)
     with pytest.raises(Reached):
         entrypoint(["ser", "--m", "1", "--p", "1e2", "--draws", str(experiments.MAX_CELLS),
+                    "--out", str(tmp_path / "x.csv")])
+    # 4 q values x 25,000 draws
+    with pytest.raises(Reached):
+        entrypoint(["dmin", "--m", "1", "--q", "2,4,8,16", "--draws", "25000",
                     "--out", str(tmp_path / "x.csv")])
 
 
@@ -682,10 +707,11 @@ def invocations(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocation=invocations())
 def test_any_cli_input_is_refused_with_one_error_line_or_runs(invocation, tmp_path, monkeypatch):
-    # the studies raise in place of their cells: no cell runs, no thread
-    # starts. One parser serves every example: building it is most of the cost
+    # the studies raise in place of their cells, dmin at its first draw: no
+    # cell runs, no thread starts. One parser serves every example: building
+    # it is most of the cost
     monkeypatch.setattr(experiments, "_run_cells", _reached)
-    monkeypatch.setattr(cli, "fit_dmin_exponent", _reached)
+    monkeypatch.setattr(constellation, "substream", _reached)
     monkeypatch.setattr(cli, "build_parser", lambda parser=cli.build_parser(): parser)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("BLINDJAM_OUT", str(tmp_path))

@@ -268,7 +268,7 @@ def test_sum_lattice_min_distance_matches_exact_and_enumerated(seed, m):
     want = _fraction_min_distance(coeffs, radii, a)
     if want < COLLISION_REL_TOL * a:
         return
-    got = sum_lattice_min_distance(coeffs, radii, a=a)
+    got = a * sum_lattice_min_distance(coeffs, radii)
     assert got == pytest.approx(want, rel=1e-9)
     assert got == pytest.approx(min_distance(enumerate_sum_lattice(coeffs, radii, a=a)),
                                 rel=1e-7)
@@ -292,7 +292,7 @@ def test_sum_lattice_min_distance_cap_and_validation(monkeypatch):
         sum_lattice_min_distance([1.0, 2.0], [0, 0])
     with pytest.raises(ValueError):
         sum_lattice_min_distance([1.0], [1, 1])
-    assert sum_lattice_min_distance([-0.3], [4], a=2.0) == pytest.approx(0.6)
+    assert 2.0 * sum_lattice_min_distance([-0.3], [4]) == pytest.approx(0.6)
 
 
 def _enumerated_dmin_study(m, q_grid, n_draws, seed):
@@ -316,6 +316,7 @@ def _enumerated_dmin_study(m, q_grid, n_draws, seed):
 @pytest.mark.parametrize("m, q_grid, n_draws", [(1, [2, 4, 8, 16], 20), (2, [2, 4, 8], 3)])
 def test_fit_dmin_exponent_matches_enumeration(m, q_grid, n_draws):
     study = fit_dmin_exponent(m, q_grid, n_draws, 11)
+    assert fit_dmin_exponent(m, q_grid, n_draws, 11) == study  # slopes, derived, not compared
     want, redraws = _enumerated_dmin_study(m, q_grid, n_draws, 11)
     assert study.redraws == redraws
     assert [(r.draw_id, r.q) for r in study.rows] == [(d, q) for d, q, _ in want]

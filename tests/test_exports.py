@@ -1,9 +1,11 @@
 """Every public name of blindjam resolves: each module's ``__all__`` and each
 name the package ``__init__`` imports. A deletion that leaves a stale export
-fails here."""
+fails here, and so does an import that nothing reads any more. The result
+and config types take only what they cannot derive."""
 import ast
 import importlib
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,11 @@ import blindjam
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(blindjam.__path__)
                  if info.name != "__main__")
+
+
+# the package __init__ imports only to re-export, so every module but it
+SOURCES = sorted(path for path in Path(blindjam.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
 
 
 def _init_imports():
@@ -32,3 +39,31 @@ def test_module_all_resolves(module):
 def test_package_import_resolves(module, name):
     assert hasattr(importlib.import_module(f"blindjam.{module}"), name)
     assert hasattr(blindjam, name)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}  # name an import binds -> its line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in bound.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+@pytest.mark.parametrize("name, settable", [
+    ("ChannelRealization", ["h", "g", "sigma1", "sigma2"]),
+    ("SchemeConfig", ["kind", "p", "delta", "h", "alphas", "c_bar"]),
+    ("ErrorEstimate", ["trials", "errors"]),
+    ("RateBound", ["i_v_y1", "i_v_y2"]),
+    ("DminStudy", ["rows", "redraws"]),
+])
+def test_types_take_only_what_they_cannot_derive(name, settable):
+    # m, gamma, q, a, the error rate and its stderr, the rate bound and the
+    # d_min slopes are derived in __post_init__, never passed
+    assert [f.name for f in fields(getattr(blindjam, name)) if f.init] == settable

@@ -21,6 +21,7 @@ from blindjam.infometrics import (
     WINDOW_SIGMAS,
     MiEstimate,
     MixtureSpec,
+    RateBound,
     _product_mixture,
     gaussian_entropy,
     mixture_entropy,
@@ -37,6 +38,14 @@ from blindjam.schemes import (
     schedule_q,
 )
 from blindjam.streams import substream
+
+
+@settings(max_examples=200, deadline=None)
+@given(v1=st.floats(-1e6, 1e6), v2=st.floats(-1e6, 1e6), se1=st.floats(0.0, 10.0),
+       se2=st.floats(0.0, 10.0))
+def test_rate_bound_derives_the_clamped_difference(v1, v2, se1, se2):
+    rb = RateBound(MiEstimate(v1, se1), MiEstimate(v2, se2))
+    assert rb.bound == max(0.0, v1 - v2)
 
 
 def test_gaussian_entropy_closed_form():

@@ -39,13 +39,21 @@ def _exhaustive_decode(y, lat):
 
 
 def test_error_estimate_invariants():
-    est = ErrorEstimate.from_counts(10, 100)
+    est = ErrorEstimate(trials=100, errors=10)
     assert est.rate == 0.1
     assert est.stderr == pytest.approx(np.sqrt(0.1 * 0.9 / 100))
     with pytest.raises(ValueError):
-        ErrorEstimate(trials=10, errors=11, rate=1.1, stderr=0.0)
-    with pytest.raises(ValueError):
-        ErrorEstimate(trials=10, errors=2, rate=0.5, stderr=0.0)
+        ErrorEstimate(trials=10, errors=11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.integers(1, 10**12), share=st.floats(0.0, 1.0))
+def test_error_estimate_derives_rate_and_stderr_from_its_counts(trials, share):
+    errors = min(trials, int(share * trials))
+    est = ErrorEstimate(trials, errors)
+    rate = errors / trials
+    assert est.rate == rate
+    assert est.stderr == math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
 
 
 def test_legit_lattice_sizes(ch1):
@@ -189,7 +197,7 @@ def test_legit_output_chain_consistency(ch1):
        q=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
 def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     drawn = sample_channel(m, seed)
-    ch = ChannelRealization(m=m, h=drawn.h, g=drawn.g, sigma1=0.0, sigma2=0.0)
+    ch = ChannelRealization(h=drawn.h, g=drawn.g, sigma1=0.0, sigma2=0.0)
     # the power at which the schedule gives this q
     p = (q + 0.5) ** (2.0 * (m + 1 + 0.1) / (1.0 - 0.1))
     if kind == "Blind":

@@ -183,7 +183,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
     rng = np.random.default_rng(seed)
     h, g = rng.choice([-1.0, 1.0], size=(2, m + 1)) * np.exp(
         rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
-    ch = ChannelRealization(m=m, h=h, g=g, sigma1=float(rng.uniform(0.0, 2.0)),
+    ch = ChannelRealization(h=h, g=g, sigma1=float(rng.uniform(0.0, 2.0)),
                             sigma2=float(rng.uniform(0.0, 2.0)))
     if kind == "CsiAligned":
         cfg = make_csi_scheme(m, p, 0.1, h, g)
@@ -238,13 +238,13 @@ def test_empirical_power_matches_analytic(ch1, blind_cfg):
 
 
 def test_encode_hand_values():
-    cfg = SchemeConfig(kind="Blind", m=1, p=100.0, delta=0.1, h=(2.0, -0.5),
+    cfg = SchemeConfig(kind="Blind", p=100.0, delta=0.1, h=(2.0, -0.5),
                        alphas=(1.25,), c_bar=5.0)
     assert cfg.q == 2
     x = encode(cfg, v=np.array([1]), u=np.array([2, -1]))
     # x1 = a*u1/h1 + a*alpha*v = a*2/2 + a*1.25*1 = 2.25a; x2 = a*u2/h2 = a*-1/-0.5
     assert x == pytest.approx([2.25 * cfg.a, 2.0 * cfg.a])
-    cfg_csi = SchemeConfig(kind="CsiAligned", m=1, p=100.0, delta=0.1, h=(2.0, -0.5),
+    cfg_csi = SchemeConfig(kind="CsiAligned", p=100.0, delta=0.1, h=(2.0, -0.5),
                            alphas=(1.25,), c_bar=5.0)
     x = encode(cfg_csi, v=np.array([1]), u=np.array([2, -1]))
     assert x == pytest.approx([1.25 * cfg_csi.a, 2.0 * cfg_csi.a])  # u1 ignored
@@ -323,13 +323,10 @@ def test_sample_symbols_ranges(blind_cfg):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SchemeConfig(kind="Nope", m=1, p=10.0, delta=0.1, h=(1.0, 1.0),
-                     alphas=(0.9,), c_bar=1.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(kind="Blind", m=2, p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
+        SchemeConfig(kind="Nope", p=10.0, delta=0.1, h=(1.0, 1.0),
                      alphas=(0.9,), c_bar=1.0)
     with pytest.raises(ValueError, match="h must have length m\\+1"):
-        SchemeConfig(kind="Blind", m=1, p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
+        SchemeConfig(kind="Blind", p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
                      alphas=(0.9,), c_bar=1.0)
 
 
@@ -343,7 +340,7 @@ def test_config_refuses_non_finite_gains(field, index, value):
     gains[field][index] = value
     for kind in KINDS:
         with pytest.raises(ValueError, match="gains h and alphas must be finite"):
-            SchemeConfig(kind=kind, m=2, p=100.0, delta=0.1, h=tuple(gains["h"]),
+            SchemeConfig(kind=kind, p=100.0, delta=0.1, h=tuple(gains["h"]),
                          alphas=tuple(gains["alphas"]), c_bar=4.0)
     if field == "h":
         h = [1.0, 1.0, 1.0]
