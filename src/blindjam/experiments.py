@@ -18,15 +18,15 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
 from .constellation import POINT_CAP, check_size
-from .infometrics import COMPONENT_CAP, rate_lower_bound
-from .receiver import estimate_eve_u_error, estimate_ser
+from .infometrics import COMPONENT_CAP, MiEstimate, RateBound, rate_lower_bound
+from .receiver import ErrorEstimate, estimate_eve_u_error, estimate_ser
 from .schemes import (
     KINDS,
     SchemeConfig,
@@ -61,36 +61,47 @@ MAX_CELLS = 100_000  # most (kind, draw, power) cells one sweep runs
 
 @dataclass(frozen=True, kw_only=True)
 class SweepRow:
-    """One (scheme kind, channel draw, power) cell of a sweep: a CSV line."""
+    """One (scheme kind, channel draw, power) cell of a sweep: a CSV line.
+
+    Set: the cell's coordinates, gamma, the SER counts (both or neither) and
+    the two information estimates. Derived here, by the code that holds each
+    formula: q (``schedule_q``), a = gamma*sqrt(p)/q, ser and ser_stderr
+    (``ErrorEstimate``, empty without counts) and the bound (``RateBound``).
+    """
 
     kind: str
     m: int
     delta: float
     draw_id: int
     p: float
-    q: int
-    a: float
+    q: int = field(init=False)
+    a: float = field(init=False)
     gamma: float
     trials: int | None = None
     errors: int | None = None
-    ser: float | None = None
-    ser_stderr: float | None = None
+    ser: float | None = field(init=False)
+    ser_stderr: float | None = field(init=False)
     i_vy1: float
     i_vy1_se: float
     i_vy2: float
     i_vy2_se: float
-    bound: float
+    bound: float = field(init=False)
 
     def __post_init__(self):
-        if schedule_q(self.p, self.delta, self.m) != self.q:
-            raise ValueError("q inconsistent with the (p, delta, m) schedule")
+        q = schedule_q(self.p, self.delta, self.m)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+            if f.init and f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} is not finite")
-        a_expect = self.gamma * math.sqrt(self.p) / self.q
-        if abs(a_expect - self.a) > 1e-9 * max(1.0, abs(self.a)):
-            raise ValueError("a inconsistent with gamma*sqrt(p)/q")
+        if (self.trials is None) != (self.errors is None):
+            raise ValueError("trials and errors must be given together or not at all")
+        derived = dict(q=q, a=self.gamma * math.sqrt(self.p) / q, ser=None, ser_stderr=None)
+        if self.trials is not None:
+            est = ErrorEstimate(self.trials, self.errors)
+            derived.update(ser=est.rate, ser_stderr=est.stderr)
+        derived["bound"] = RateBound(MiEstimate(self.i_vy1, self.i_vy1_se),
+                                     MiEstimate(self.i_vy2, self.i_vy2_se)).bound
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _fmt(value) -> str:
@@ -110,7 +121,7 @@ def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealizati
     if kind == "GaussianJam":
         return make_gaussian_jam_scheme(m, p, delta, ch.h, c_bar, alpha_seed)
     if kind == "CsiAligned":
-        return make_csi_scheme(m, p, delta, ch.h, ch.g)
+        return make_csi_scheme(p, delta, ch.h, ch.g)
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
@@ -189,15 +200,13 @@ def _rate_rows(kinds, m: int, delta: float, p_grid, draws: int, seed: int, worke
         rb = rate_lower_bound(cfg, ch, method="mc", n_samples=mi_samples,
                               seed=child_seed(seed, "cell", cfg.kind, d, i, "mi"))
         row = dict(
-            kind=cfg.kind, m=m, delta=delta, draw_id=d, p=cfg.p, q=cfg.q, a=cfg.a,
-            gamma=cfg.gamma,
+            kind=cfg.kind, m=m, delta=delta, draw_id=d, p=cfg.p, gamma=cfg.gamma,
             i_vy1=rb.i_v_y1.value, i_vy1_se=rb.i_v_y1.stderr,
-            i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr, bound=rb.bound,
+            i_vy2=rb.i_v_y2.value, i_vy2_se=rb.i_v_y2.stderr,
         )
         if ser_trials is not None and jam_streams(cfg.kind, m):
             est = _legit_ser(cfg, ch, d, i, seed, ser_trials, min_errors)
-            row.update(trials=est.trials, errors=est.errors, ser=est.rate,
-                       ser_stderr=est.stderr)
+            row.update(trials=est.trials, errors=est.errors)
         return SweepRow(**row)
 
     return _run_cells(kinds, m, delta, p_grid, draws, seed, workers, cell)
@@ -220,7 +229,8 @@ def sweep_power(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
 
 @dataclass(frozen=True)
 class SerRow:
-    """One (channel draw, power) cell of a reliability-only sweep: a CSV line."""
+    """One (channel draw, power) cell of a reliability-only sweep: a CSV line.
+    rate and stderr are derived from the counts by ``ErrorEstimate``."""
 
     p: float
     m: int
@@ -228,8 +238,13 @@ class SerRow:
     draw_id: int
     trials: int
     errors: int
-    rate: float
-    stderr: float
+    rate: float = field(init=False)
+    stderr: float = field(init=False)
+
+    def __post_init__(self):
+        est = ErrorEstimate(self.trials, self.errors)
+        object.__setattr__(self, "rate", est.rate)
+        object.__setattr__(self, "stderr", est.stderr)
 
 
 def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
@@ -264,7 +279,7 @@ def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
             est = estimate_eve_u_error(cfg, ch, trials, child_seed(seed, "eveu", d, i),
                                        min_errors=min_errors)
         return SerRow(p=cfg.p, m=m, delta=delta, draw_id=d, trials=est.trials,
-                      errors=est.errors, rate=est.rate, stderr=est.stderr)
+                      errors=est.errors)
 
     return _run_cells((kind,), m, delta, p_grid, draws, seed, workers, cell)
 
@@ -356,18 +371,36 @@ def write_rows(rows, path) -> None:
 _PARSERS = {"str": str, "int": int, "float": float}
 
 
-def _parse(field, text: str):
-    """A CSV value as ``field``'s declared type; only an optional one may be empty."""
+def _parse(f, text: str):
+    """A CSV value as field ``f``'s declared type; only an optional one may be empty."""
     if not text:
-        if field.type.endswith(" | None"):
+        if f.type.endswith(" | None"):
             return None
-        raise ValueError(f"{field.name} is empty")
-    return _PARSERS[field.type.removesuffix(" | None")](text)
+        raise ValueError(f"{f.name} is empty")
+    return _PARSERS[f.type.removesuffix(" | None")](text)
+
+
+# what each derived column of a sweep CSV follows from, for a refusal's message
+_DERIVED_FROM = {"q": "the (p, delta, m) schedule", "a": "gamma*sqrt(p)/q",
+                 "ser": "errors/trials", "ser_stderr": "trials and errors",
+                 "bound": "max(0, i_vy1 - i_vy2)"}
+
+
+def _check_derived(row: SweepRow, name: str, value) -> None:
+    """A derived column as read must be finite and equal what its row derives:
+    exactly, but for a, within 1e-9 relative."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} is not finite")
+    derived = getattr(row, name)
+    if (abs(derived - value) > 1e-9 * max(1.0, abs(value)) if name == "a"
+            else derived != value):
+        raise ValueError(f"{name} inconsistent with {_DERIVED_FROM[name]}")
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
     """``SweepRow``s from a CSV. ValueError when a column is missing, or naming
-    the line that holds other than one value per column or a value refused."""
+    the line that holds other than one value per column, a value refused, or
+    a derived column (q, a, ser, ser_stderr, bound) other than its row's."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -380,7 +413,12 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 if len(values) != len(header):
                     raise ValueError(f"{len(values)} values for {len(header)} columns")
                 rec = dict(zip(header, values))
-                rows.append(SweepRow(**{f.name: _parse(f, rec[f.name]) for f in fields(SweepRow)}))
+                given = {f.name: _parse(f, rec[f.name]) for f in fields(SweepRow)}
+                row = SweepRow(**{f.name: given[f.name] for f in fields(SweepRow) if f.init})
+                for f in fields(SweepRow):
+                    if not f.init:
+                        _check_derived(row, f.name, given[f.name])
+                rows.append(row)
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return rows

@@ -209,19 +209,20 @@ def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, se
     return replace(make_blind_scheme(m, p, delta, h, c_bar, seed), kind="GaussianJam")
 
 
-def make_csi_scheme(m: int, p: float, delta: float, h, g) -> SchemeConfig:
+def make_csi_scheme(p: float, delta: float, h, g) -> SchemeConfig:
     """Aligned baseline that requires the eavesdropper gains.
 
     Helper j inverts its own gain, so all jamming shares one dimension at
     the legitimate receiver; the message coefficient of stream j is
     g_j/(g_1 h_j), which puts message stream j and jamming stream j on the
-    same coefficient at the eavesdropper. Only the m helpers jam. The
-    construction is deterministic, and its gain bound c_bar is 2 sum g^2.
+    same coefficient at the eavesdropper. Only the m = len(h) - 1 helpers
+    jam. The construction is deterministic, and its gain bound c_bar is
+    2 sum g^2.
     """
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
-    if h.shape != (m + 1,) or g.shape != (m + 1,):
-        raise ValueError("h and g must have length m+1")
+    if h.ndim != 1 or g.shape != h.shape or len(h) < 2:
+        raise ValueError("h and g must be 1-D, of one length, with at least 2 gains")
     if np.any(g == 0) or np.any(h == 0):
         raise ValueError("all gains must be nonzero")
     alphas = g[1:] / (g[0] * h[1:])

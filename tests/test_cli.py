@@ -9,7 +9,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from blindjam import cli, constellation, experiments
 from blindjam.cli import entrypoint, parse_int_list, parse_p_grid
 from blindjam.constellation import DminRow, fit_dmin_exponent
-from blindjam.experiments import SerRow, SweepRow, write_rows
-from blindjam.schemes import schedule_q
+from blindjam.experiments import SerRow, SweepRow, read_sweep_csv, write_rows
 
 FAST_SWEEP = ["--mi-samples", "200", "--ser-trials", "400", "--min-errors", "5"]
 
@@ -499,13 +498,10 @@ def _planted_rows(kind="Blind", powers=(1e2, 1e3, 1e4, 1e5)):
     rows = []
     for d in range(2):
         for p in powers:
-            q = schedule_q(p, 0.05, 1)
-            a = 0.3 * math.sqrt(p) / q
             x = 0.5 * math.log2(p)
             rows.append(SweepRow(kind=kind, m=1, delta=0.05, draw_id=d, p=p,
-                                 q=q, a=a, gamma=0.3, i_vy1=0.5 * x + 1.25,
-                                 i_vy1_se=0.0, i_vy2=0.25, i_vy2_se=0.0,
-                                 bound=0.5 * x + 1.0))
+                                 gamma=0.3, i_vy1=0.5 * x + 1.25,
+                                 i_vy1_se=0.0, i_vy2=0.25, i_vy2_se=0.0))
     return rows
 
 
@@ -556,6 +552,38 @@ def test_report_on_a_malformed_row_exits_1(edit, why, tmp_path, capsys):
     lines = path.read_text().splitlines()
     lines[3] = ",".join(edit(lines[3].split(",")))
     path.write_text("\n".join(lines) + "\n")
+    assert entrypoint(["report", "--input", str(path), "--out", str(summary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} line 4: {why}\n"
+    assert captured.out == "" and not summary.exists()
+
+
+def _next_up(text: str) -> str:
+    return repr(math.nextafter(float(text), math.inf))
+
+
+@pytest.mark.parametrize("column, edit, why", [
+    ("q", lambda text: str(int(text) + 1), "q inconsistent with the (p, delta, m) schedule"),
+    ("a", lambda text: repr(float(text) * (1 + 2e-9)), "a inconsistent with gamma*sqrt(p)/q"),
+    ("ser", _next_up, "ser inconsistent with errors/trials"),
+    ("ser_stderr", _next_up, "ser_stderr inconsistent with trials and errors"),
+    ("bound", _next_up, "bound inconsistent with max(0, i_vy1 - i_vy2)"),
+], ids=["q", "a", "ser", "ser_stderr", "bound"])
+def test_report_refuses_a_derived_column_off_its_row(column, edit, why, tmp_path, capsys):
+    # the third data row's q, ser, ser_stderr or bound is one step off what the
+    # row derives, or its a 2e-9 of itself: the reader and report name the line
+    path, summary = tmp_path / "sweep.csv", tmp_path / "s.csv"
+    write_rows([replace(row, trials=1000, errors=3 + row.draw_id) for row in _planted_rows()],
+               path)
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    cols = lines[3].split(",")
+    cols[at] = edit(cols[at])
+    lines[3] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as refused:
+        read_sweep_csv(path)
+    assert str(refused.value) == f"{path} line 4: {why}"
     assert entrypoint(["report", "--input", str(path), "--out", str(summary)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {path} line 4: {why}\n"

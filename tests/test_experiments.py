@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindjam import experiments
 from blindjam.constellation import LatticeSizeError, fit_dmin_exponent
@@ -21,7 +24,7 @@ from blindjam.experiments import (
     write_manifest,
     write_rows,
 )
-from blindjam.schemes import KINDS, schedule_q
+from blindjam.schemes import KINDS
 
 
 def _planted_rows(slope, p_grid=(1e2, 1e3, 1e4, 1e5), draws=2, kind="Blind",
@@ -29,14 +32,11 @@ def _planted_rows(slope, p_grid=(1e2, 1e3, 1e4, 1e5), draws=2, kind="Blind",
     rows = []
     for d in range(draws):
         for p in p_grid:
-            q = schedule_q(p, delta, m)
-            a = gamma * math.sqrt(p) / q
             x = 0.5 * math.log2(p)
             bound = slope * x + 1.0
             rows.append(SweepRow(kind=kind, m=m, delta=delta, draw_id=d, p=p,
-                                 q=q, a=a, gamma=gamma, i_vy1=bound + leak,
-                                 i_vy1_se=0.0, i_vy2=leak, i_vy2_se=0.0,
-                                 bound=bound))
+                                 gamma=gamma, i_vy1=bound + leak,
+                                 i_vy1_se=0.0, i_vy2=leak, i_vy2_se=0.0))
     return rows
 
 
@@ -64,16 +64,58 @@ def test_ols_validation():
         ols([1.0, 2.0], [[1.0], [2.0]])
 
 
-def test_sweep_row_revalidates_schedule():
-    with pytest.raises(ValueError, match="schedule"):
-        SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=1e3, q=3, a=1.0,
-                 gamma=0.3, i_vy1=1.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0,
-                 bound=1.0)
-    q = schedule_q(1e3, 0.05, 1)
-    with pytest.raises(ValueError, match="gamma"):
-        SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=1e3, q=q, a=1.0,
-                 gamma=0.3, i_vy1=1.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0,
-                 bound=1.0)
+def test_sweep_row_revalidates_schedule(tmp_path):
+    # a row derives q and a, so these inputs come from a CSV alone: the reader
+    # refuses a q off the schedule, and an a off gamma*sqrt(p)/q
+    row = SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=1e3, gamma=0.3,
+                   i_vy1=1.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0)
+    path = tmp_path / "sweep.csv"
+    for column, value, match in (("q", 3, "schedule"), ("a", 1.0, "gamma")):
+        write_rows([{**asdict(row), column: value}], path)
+        with pytest.raises(ValueError, match=match):
+            read_sweep_csv(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1e-3, 1e15), delta=st.floats(0.001, 0.499), m=st.integers(1, 8),
+       gamma=st.floats(1e-6, 1e3), info=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+       se=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2),
+       trials=st.integers(1, 10**12), share=st.floats(0.0, 1.0))
+def test_rows_derive_what_they_were_given(p, delta, m, gamma, info, se, trials, share):
+    # bit for bit the expressions the sweep cells passed in: the schedule, the
+    # spacing, ErrorEstimate's rate and stderr and RateBound's clamped difference
+    errors = round(share * trials)
+    row = SweepRow(kind="Blind", m=m, delta=delta, draw_id=0, p=p, gamma=gamma,
+                   trials=trials, errors=errors, i_vy1=info[0], i_vy1_se=se[0],
+                   i_vy2=info[1], i_vy2_se=se[1])
+    q = max(1, math.floor(p ** ((1.0 - delta) / (2.0 * (m + 1 + delta)))))
+    rate = errors / trials
+    stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+    want = [gamma * math.sqrt(p) / q, rate, stderr, max(0.0, info[0] - info[1])]
+    assert row.q == q
+    assert [x.hex() for x in (row.a, row.ser, row.ser_stderr, row.bound)] == [
+        x.hex() for x in want]
+    ser_row = SerRow(p=p, m=m, delta=delta, draw_id=0, trials=trials, errors=errors)
+    assert [ser_row.rate.hex(), ser_row.stderr.hex()] == [rate.hex(), stderr.hex()]
+    bare = replace(row, trials=None, errors=None)
+    assert (bare.ser, bare.ser_stderr) == (None, None) and bare.bound == row.bound
+    for alone in (dict(trials=None), dict(errors=None)):
+        with pytest.raises(ValueError, match="together"):
+            replace(row, **alone)
+
+
+def test_read_sweep_csv_takes_an_a_within_its_tolerance(tmp_path):
+    # a is compared within 1e-9 relative, as before it was derived; an a
+    # moved by 5e-10 of itself reads back as the row, by 2e-9 it is refused
+    rows = _planted_rows(0.5, draws=1)
+    path = tmp_path / "sweep.csv"
+    for factor, refused in ((1 + 5e-10, False), (1 + 2e-9, True)):
+        write_rows([{**asdict(row), "a": row.a * factor} for row in rows], path)
+        if refused:
+            with pytest.raises(ValueError, match="line 2: a inconsistent"):
+                read_sweep_csv(path)
+        else:
+            assert read_sweep_csv(path) == rows
 
 
 BLIND = Series("Blind", 1, 0.05)
@@ -335,8 +377,7 @@ def test_read_sweep_csv_revalidates(tmp_path):
 
 
 def test_ser_csv_accepts_both_row_types(tmp_path):
-    ser_rows = [SerRow(p=1e2, m=1, delta=0.1, draw_id=0, trials=100, errors=7,
-                       rate=0.07, stderr=0.02)]
+    ser_rows = [SerRow(p=1e2, m=1, delta=0.1, draw_id=0, trials=100, errors=7)]
     path = tmp_path / "ser.csv"
     write_rows(ser_rows, path)
     lines = path.read_text().splitlines()

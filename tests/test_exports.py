@@ -1,10 +1,12 @@
 """Every public name of blindjam resolves: each module's ``__all__`` and each
 name the package ``__init__`` imports. A deletion that leaves a stale export
-fails here, and so does an import that nothing reads any more. The result
-and config types take only what they cannot derive."""
+fails here, and so does an import that nothing reads any more, or one of
+neither the standard library nor numpy. The result, row and config types take
+only what they cannot derive."""
 import ast
 import importlib
 import pkgutil
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,14 +58,33 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(Path(blindjam.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_runtime_imports_are_stdlib_or_numpy(path):
+    # pyproject declares numpy as the one runtime dependency: every absolute
+    # import, a function's own included, names it or a standard-library module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [(node.lineno, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [(node.lineno, node.module) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    foreign = sorted((line, name) for line, name in imported
+                     if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"})
+    assert not foreign, f"{path.name} imports beyond the standard library and numpy: {foreign}"
+
+
 @pytest.mark.parametrize("name, settable", [
     ("ChannelRealization", ["h", "g", "sigma1", "sigma2"]),
     ("SchemeConfig", ["kind", "p", "delta", "h", "alphas", "c_bar"]),
     ("ErrorEstimate", ["trials", "errors"]),
     ("RateBound", ["i_v_y1", "i_v_y2"]),
     ("DminStudy", ["rows", "redraws"]),
+    ("SweepRow", ["kind", "m", "delta", "draw_id", "p", "gamma", "trials", "errors",
+                  "i_vy1", "i_vy1_se", "i_vy2", "i_vy2_se"]),
+    ("SerRow", ["p", "m", "delta", "draw_id", "trials", "errors"]),
 ])
 def test_types_take_only_what_they_cannot_derive(name, settable):
     # m, gamma, q, a, the error rate and its stderr, the rate bound and the
     # d_min slopes are derived in __post_init__, never passed
-    assert [f.name for f in fields(getattr(blindjam, name)) if f.init] == settable
+    kind = getattr(blindjam, name, None) or getattr(blindjam.experiments, name)  # SerRow
+    assert [f.name for f in fields(kind) if f.init] == settable

@@ -22,7 +22,7 @@ import pytest
 
 from blindjam import cli
 from blindjam.channel import default_budget, sample_channel
-from blindjam.experiments import write_rows
+from blindjam.experiments import read_sweep_csv, write_rows
 from blindjam.receiver import estimate_eve_u_error
 from blindjam.schemes import make_blind_scheme
 from blindjam.streams import child_seed
@@ -126,6 +126,14 @@ def test_outputs_match_golden(name, tmp_path):
     for fname in _outputs(name):
         if fname.endswith(".csv"):
             _assert_same(GOLDEN / fname, two / fname)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("sweep_*.csv"))
+                         + ["compare_rows"])
+def test_sweep_golden_reads_back_to_its_own_bytes(name, tmp_path):
+    # every derived column of the file is the one its row derives
+    write_rows(read_sweep_csv(GOLDEN / f"{name}.csv"), tmp_path / "back.csv")
+    _assert_same(GOLDEN / f"{name}.csv", tmp_path / "back.csv")
 
 
 def test_old_eve_manifest_replays_as_ser_receiver_eve(tmp_path):

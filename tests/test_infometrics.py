@@ -833,7 +833,7 @@ def test_rate_lower_bound_structure(ch1):
 def test_rate_lower_bound_all_kinds(ch1):
     budget = default_budget(ch1, 100.0)
     for cfg in (make_blind_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3),
-                make_csi_scheme(1, 100.0, 0.1, ch1.h, ch1.g),
+                make_csi_scheme(100.0, 0.1, ch1.h, ch1.g),
                 make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)):
         rb = rate_lower_bound(cfg, ch1, n_samples=4000, seed=1)
         assert np.isfinite(rb.bound)

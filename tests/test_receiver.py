@@ -59,7 +59,7 @@ def test_error_estimate_derives_rate_and_stderr_from_its_counts(trials, share):
 def test_legit_lattice_sizes(ch1):
     budget = default_budget(ch1, 100.0)
     blind = make_blind_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
-    csi = make_csi_scheme(1, 100.0, 0.1, ch1.h, ch1.g)
+    csi = make_csi_scheme(100.0, 0.1, ch1.h, ch1.g)
     q = blind.q
     # blind jams from all m+1 transmitters, the aligned baseline from m
     assert len(legit_lattice(blind, ch1)) == (2 * q + 1) * (2 * 2 * q + 1)
@@ -77,7 +77,7 @@ def test_stream_counts_give_each_lattice_size_exactly(kind, m, p):
     # prod (2 n q + 1) over the receiver's stream counts n, the eavesdropper's
     # jamming coordinates alone for its decoder
     ch = sample_channel(m, 5)
-    cfg = (make_csi_scheme(m, p, 0.1, ch.h, ch.g) if kind == "CsiAligned"
+    cfg = (make_csi_scheme(p, 0.1, ch.h, ch.g) if kind == "CsiAligned"
            else make_blind_scheme(m, p, 0.1, ch.h, 4.0, 3))
     legit, eve = stream_counts(kind, m, "legit"), stream_counts(kind, m, "eve")
     assert (legit, eve) == (observation(cfg, ch, "legit")[1], observation(cfg, ch, "eve")[1])
@@ -178,7 +178,7 @@ def test_eve_decoder_uses_the_conditioning(noiseless_ch):
 
 
 def test_eve_error_csi_kind(ch1):
-    cfg = make_csi_scheme(1, 100.0, 0.1, ch1.h, ch1.g)
+    cfg = make_csi_scheme(100.0, 0.1, ch1.h, ch1.g)
     est = estimate_eve_u_error(cfg, ch1, 5000, seed=0)
     assert 0.0 <= est.rate <= 1.0
 
@@ -203,7 +203,7 @@ def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     if kind == "Blind":
         cfg = make_blind_scheme(m, p, 0.1, ch.h, 4.0, seed)
     else:
-        cfg = make_csi_scheme(m, p, 0.1, ch.h, ch.g)
+        cfg = make_csi_scheme(p, 0.1, ch.h, ch.g)
     assert cfg.q == q
     lat, eve_lat = legit_lattice(cfg, ch), eve_u_lattice(cfg, ch)
     assume(not lat.collision and not eve_lat.collision)
@@ -255,7 +255,7 @@ def test_error_counts_match_golden(m, p, kind):
     if kind == "Blind":
         cfg = make_blind_scheme(m, p, 0.25, ch.h, default_budget(ch, p).c_bar, 3)
     else:
-        cfg = make_csi_scheme(m, p, 0.25, ch.h, ch.g)
+        cfg = make_csi_scheme(p, 0.25, ch.h, ch.g)
     ser_errors, eve_errors = GOLDEN_COUNTS[(m, p, kind)]
     trials = 12_000  # chunks of 5,000, 5,000 and 2,000
     ser = estimate_ser(cfg, ch, trials, seed=5, min_errors=None)

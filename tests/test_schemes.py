@@ -94,14 +94,14 @@ def test_csi_alignment_property():
     # defining property: message stream j and jamming stream j share the
     # eavesdropper coefficient g_j/h_j (after the common g_1 factor)
     ch = sample_channel(3, 21)
-    cfg = make_csi_scheme(3, 1e3, 0.1, ch.h, ch.g)
+    cfg = make_csi_scheme(1e3, 0.1, ch.h, ch.g)
     assert np.allclose(ch.g[0] * np.asarray(cfg.alphas), ch.g[1:] / ch.h[1:])
     assert cfg.kind == "CsiAligned"
 
 
 def test_csi_validation():
     with pytest.raises(ValueError):
-        make_csi_scheme(1, 1e3, 0.1, [1.0, 2.0], [1.0])
+        make_csi_scheme(1e3, 0.1, [1.0, 2.0], [1.0])
 
 
 def test_gaussian_jam_shares_blind_schedule(ch1):
@@ -120,7 +120,7 @@ def test_analytic_power_within_budget(p, delta, m, seed):
     for maker in (make_blind_scheme, make_gaussian_jam_scheme):
         cfg = maker(m, p, delta, ch.h, 1.0, seed)
         assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
-    cfg = make_csi_scheme(m, p, delta, ch.h, ch.g)
+    cfg = make_csi_scheme(p, delta, ch.h, ch.g)
     assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
 
 
@@ -134,7 +134,7 @@ def test_analytic_power_within_budget_for_any_gains(p, delta, m, seed):
         rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
     for cfg in (make_blind_scheme(m, p, delta, h, 1.0, seed),
                 make_gaussian_jam_scheme(m, p, delta, h, 1.0, seed),
-                make_csi_scheme(m, p, delta, h, g)):
+                make_csi_scheme(p, delta, h, g)):
         power = analytic_power(cfg)
         assert np.all(power <= p * (1 + 1e-12))
         if cfg.kind == "GaussianJam":
@@ -154,7 +154,7 @@ def test_config_derives_its_schedule_from_its_gains(kind, m, log_p, log_p2, delt
 
     def build(p):
         if kind == "CsiAligned":
-            return make_csi_scheme(m, p, delta, h, g)
+            return make_csi_scheme(p, delta, h, g)
         maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
         return maker(m, p, delta, h, 4.0, seed)
 
@@ -162,8 +162,9 @@ def test_config_derives_its_schedule_from_its_gains(kind, m, log_p, log_p2, delt
     cfg = build(p)
     assert cfg.h == tuple(h) and cfg.gamma == admissible_gamma(h, cfg.alphas)
     assert cfg.q == schedule_q(p, delta, m) and cfg.a == cfg.gamma * math.sqrt(p) / cfg.q
-    SweepRow(kind=kind, m=m, delta=delta, draw_id=0, p=p, q=cfg.q, a=cfg.a, gamma=cfg.gamma,
-             i_vy1=0.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0, bound=0.0)
+    row = SweepRow(kind=kind, m=m, delta=delta, draw_id=0, p=p, gamma=cfg.gamma,
+                   i_vy1=0.0, i_vy1_se=0.0, i_vy2=0.0, i_vy2_se=0.0)
+    assert (row.q, row.a) == (cfg.q, cfg.a)
     assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
     moved = replace(cfg, p=p2)
     assert moved == build(p2) and moved.gamma == cfg.gamma
@@ -186,7 +187,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
     ch = ChannelRealization(h=h, g=g, sigma1=float(rng.uniform(0.0, 2.0)),
                             sigma2=float(rng.uniform(0.0, 2.0)))
     if kind == "CsiAligned":
-        cfg = make_csi_scheme(m, p, 0.1, h, g)
+        cfg = make_csi_scheme(p, 0.1, h, g)
     else:
         maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
         cfg = maker(m, p, 0.1, h, 4.0, seed)
@@ -263,7 +264,7 @@ def test_encode_matches_the_broadcast_form(kind, m):
     # jamming columns at once
     ch = sample_channel(m, 5)
     cfg = (make_blind_scheme(m, 1e4, 0.1, ch.h, 10.0, 3) if kind == "Blind"
-           else make_csi_scheme(m, 1e4, 0.1, ch.h, ch.g))
+           else make_csi_scheme(1e4, 0.1, ch.h, ch.g))
     v, u = sample_symbols(cfg, 2, n=500)
     jam = jam_streams(kind, m)
     want = np.zeros((500, m + 1))
