@@ -18,7 +18,6 @@ __all__ = [
     "sample_channel",
     "legit_output",
     "eve_output",
-    "empirical_power",
     "default_budget",
 ]
 
@@ -113,11 +112,3 @@ def eve_output(ch: ChannelRealization, x):
         raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
     return x @ ch.g
 
-
-def empirical_power(x) -> np.ndarray:
-    """Per-transmitter mean of X^2 over channel inputs x, trailing dimension
-    M+1 (one input vector, or a batch of them as rows)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.size == 0:
-        raise ValueError("cannot average power over no channel uses")
-    return np.mean(x**2, axis=0)

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 
+from . import __version__
 from .constellation import fit_dmin_exponent
 from .experiments import (
     DEFAULT_SWEEP_MI_SAMPLES,
@@ -32,12 +33,11 @@ from .experiments import (
     read_sweep_csv,
     sweep_power,
     sweep_ser,
-    write_manifest,
     write_rows,
 )
 from .schemes import KINDS
 
-__all__ = ["parse_p_grid", "parse_int_list", "build_parser", "entrypoint", "main"]
+__all__ = ["entrypoint"]
 
 MAX_RANGE_POWERS = 10_000  # most powers a start:stop:ppd range may hold
 
@@ -93,6 +93,20 @@ def _outputs(command: str, out: str) -> list[str]:
         return [out]
     return [out, _beside(out, ".manifest.json")] + (
         [_beside(out, "_rows.csv")] if command == "compare" else [])
+
+
+def write_manifest(path, config: dict) -> None:
+    """Reproducibility manifest: the full resolved configuration, nothing else.
+
+    Deliberately excludes wall-clock information so a rerun from the
+    manifest is byte-identical.
+    """
+    payload = dict(config)
+    payload["package_version"] = __version__
+    payload["gamma_rule"] = "max-admissible"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write(rows, out: str) -> None:
@@ -305,6 +319,3 @@ def entrypoint(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
-
-def main() -> None:
-    raise SystemExit(entrypoint())

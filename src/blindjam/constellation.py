@@ -14,6 +14,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,10 +29,10 @@ __all__ = [
     "ReceiverLattice",
     "enumerate_sum_lattice",
     "min_distance",
-    "sum_lattice_min_distance",
     "nearest_index",
     "fit_dmin_exponent",
     "DminStudy",
+    "DminRow",
 ]
 
 POINT_CAP = 10_000_000  # most points an enumeration or difference box may hold
@@ -48,15 +49,18 @@ class DegenerateLatticeError(ValueError):
     """Two distinct labels landed on (numerically) the same point."""
 
 
-def check_size(factors, cap: int, what: str) -> None:
-    """Refuse, naming ``cap``, a product of the positive integers ``factors``
-    above it; the product is not formed past the cap, however many factors."""
+def check_size(factors, cap: int, what: str,
+               hint: str = "reduce q or the number of streams") -> None:
+    """Refuse, naming ``cap``, a product of the integers ``factors`` above it;
+    the product is not formed past the cap, however many factors. A factor
+    that is no integer is a TypeError, a negative one a ValueError."""
     total = 1
     for f in factors:
+        if operator.index(f) < 0:
+            raise ValueError(f"negative count of {what}")
         total *= f
         if total > cap:
-            raise LatticeSizeError(f"more than {cap} {what} exceed the cap; "
-                                   "reduce q or the number of streams")
+            raise LatticeSizeError(f"more than {cap} {what} exceed the cap; {hint}")
 
 
 class BucketTable(NamedTuple):
@@ -234,20 +238,21 @@ def _insertion_index(lat: ReceiverLattice,
 
 
 def nearest_index(lat: ReceiverLattice, y) -> np.ndarray:
-    """Index of the closest point of ``lat`` for each query, ties toward the
-    smaller point."""
+    """Index of the closest point of ``lat`` for each query of the 1-D array
+    ``y``, ties toward the smaller point. Queries are not checked for
+    finiteness: -inf gives the first point, +inf and NaN the last."""
     y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    yq = np.atleast_1d(y)
-    r, left, right = _insertion_index(lat, yq)
+    if y.ndim != 1:
+        raise ValueError("queries must be a 1-D array")
+    r, left, right = _insertion_index(lat, y)
     # left < y <= right, so neither distance needs abs; an infinite
     # neighbour is never the nearer one, and the comparisons with NaN
     # (inf - inf at infinite queries) are false: r = 0 stays, r = n is
     # clamped to the last point
     with np.errstate(invalid="ignore"):
-        idx = r - (yq - left <= right - yq)
+        idx = r - (y - left <= right - y)
     np.minimum(idx, lat.points.shape[0] - 1, out=idx)
-    return idx[0] if scalar else idx
+    return idx
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ is byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +50,6 @@ __all__ = [
     "ols",
     "write_rows",
     "read_sweep_csv",
-    "write_manifest",
 ]
 
 DEFAULT_SWEEP_MI_SAMPLES = 20_000
@@ -293,24 +291,29 @@ class OlsFit:
 
 
 def ols(x, y) -> OlsFit:
-    """Ordinary least squares y = slope*x + intercept with slope stderr."""
+    """Ordinary least squares y = slope*x + intercept with slope stderr; x
+    and y must be finite, and so must the fit (a NaN or an infinity, or an
+    overflow, is refused)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D of equal length")
     n = x.shape[0]
-    if n < 2 or np.ptp(x) == 0:
+    if n < 2 or x.min() == x.max():
         raise ValueError("need at least 2 distinct x values")
-    xbar = np.mean(x)
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - np.mean(y))) / sxx)
-    intercept = float(np.mean(y) - slope * xbar)
-    if n > 2:
-        resid = y - (slope * x + intercept)
-        s2 = float(np.sum(resid ** 2)) / (n - 2)
-        stderr = math.sqrt(s2 / sxx)
-    else:
-        stderr = 0.0
+    with np.errstate(all="ignore"):  # a NaN or an overflow is refused below
+        xbar = np.mean(x)
+        sxx = np.sum((x - xbar) ** 2)
+        slope = float(np.sum((x - xbar) * (y - np.mean(y))) / sxx)
+        intercept = float(np.mean(y) - slope * xbar)
+        if n > 2:
+            resid = y - (slope * x + intercept)
+            s2 = np.sum(resid ** 2) / (n - 2)
+            stderr = math.sqrt(s2 / sxx)
+        else:
+            stderr = 0.0
+    if not all(map(math.isfinite, (sxx, slope, intercept, stderr))):
+        raise ValueError("x and y must be finite, and so must their least-squares fit")
     return OlsFit(slope=slope, intercept=intercept, slope_stderr=stderr, n=n)
 
 
@@ -423,18 +426,3 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return rows
 
-
-def write_manifest(path, config: dict) -> None:
-    """Reproducibility manifest: the full resolved configuration, nothing else.
-
-    Deliberately excludes wall-clock information so a rerun from the
-    manifest is byte-identical.
-    """
-    from . import __version__
-
-    payload = dict(config)
-    payload["package_version"] = __version__
-    payload["gamma_rule"] = "max-admissible"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -26,25 +26,23 @@ All values are in bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .constellation import check_size
+from .constellation import POINT_CAP, check_size
 from .schemes import SchemeConfig, observation
 from .streams import child_seed, substream
 
 __all__ = [
     "COMPONENT_CAP",
-    "DEFAULT_MC_SAMPLES",
     "MixtureSpec",
     "MiEstimate",
     "RateBound",
-    "gaussian_entropy",
     "mixture_logpdf",
     "mixture_entropy",
-    "symbol_sum_pmf",
     "rate_lower_bound",
 ]
 
@@ -322,13 +320,15 @@ def mixture_entropy(spec: MixtureSpec, method: str = "mc",
     stderr from the sample variance. method "quadrature": trapezoid rule
     for -f log2 f on the grid of step GRID_STEP sigma inside the components'
     windows; stderr reports its difference from the rule of twice the step.
-    Both refuse mixtures above COMPONENT_CAP components, and the trapezoid
-    rule grids above COMPONENT_CAP points.
+    Both refuse mixtures above COMPONENT_CAP components, Monte Carlo more
+    than POINT_CAP samples and the trapezoid rule grids above COMPONENT_CAP
+    points.
     """
     m = len(spec)
     if m > COMPONENT_CAP:
         raise ValueError(f"{m} components exceed the cap {COMPONENT_CAP}")
     if method == "mc":
+        check_size((n_samples,), POINT_CAP, "Monte Carlo samples", "use fewer samples")
         if n_samples < 2:
             raise ValueError("need at least 2 samples")
         return MiEstimate(*_entropy_mc(spec, n_samples, seed))
@@ -342,11 +342,17 @@ def symbol_sum_pmf(n_streams: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, pmf), values = -n q .. n q. Lets the aligned jamming
     sum enter a mixture as one weighted stream instead of n uniform ones.
+    More than COMPONENT_CAP values, or multiply-adds over the n - 1
+    convolutions, are refused before the first.
     """
-    if n_streams < 1:
+    if operator.index(n_streams) < 1:
         raise ValueError("need at least one stream")
-    if q < 0:
+    if operator.index(q) < 0:
         raise ValueError("q must be >= 0")
+    check_size((2 * n_streams * q + 1,), COMPONENT_CAP, "pmf values")
+    # convolution k takes (2kq + 1)(2q + 1) multiply-adds, k = 1 .. n - 1
+    check_size((n_streams - 1, n_streams * q + 1, 2 * q + 1), COMPONENT_CAP,
+               "pmf multiply-adds")
     base = np.full(2 * q + 1, 1.0 / (2 * q + 1))
     pmf = base.copy()
     for _ in range(n_streams - 1):
@@ -437,7 +443,7 @@ def rate_lower_bound(cfg: SchemeConfig, ch: ChannelRealization, method: str = "m
 
     Every eavesdropper-side entropy is checked against the max-entropy cap
     implied by the scheme's power ``cfg.p`` and assumed gain bound
-    ``cfg.c_bar``.
+    ``cfg.c_bar``. ``mixture_entropy`` checks n_samples.
     """
     i1, _ = _receiver_mi(cfg, ch, "legit", method, n_samples, child_seed(seed, "y1"))
     i2, h_y2 = _receiver_mi(cfg, ch, "eve", method, n_samples, child_seed(seed, "y2"))

@@ -24,15 +24,7 @@ from .constellation import (DegenerateLatticeError, ReceiverLattice, enumerate_s
 from .schemes import SchemeConfig, encode, jam_streams, observation, sample_symbols
 from .streams import substream
 
-__all__ = [
-    "ErrorEstimate",
-    "legit_lattice",
-    "decode_legit_batch",
-    "estimate_ser",
-    "eve_u_lattice",
-    "eve_decode_u_given_v",
-    "estimate_eve_u_error",
-]
+__all__ = ["ErrorEstimate", "estimate_ser", "estimate_eve_u_error"]
 
 CHUNK = 5000  # trials per chunk of an error count, each chunk its own substream
 
@@ -85,7 +77,9 @@ def _nearest_labels(lat: ReceiverLattice, y) -> np.ndarray:
 
 def decode_legit_batch(y1, lat: ReceiverLattice) -> np.ndarray:
     """Message estimates: the v-part of each nearest lattice label (the jamming
-    coordinate dropped), an (n, m) integer array for n observations."""
+    coordinate dropped), an (n, m) integer array for the 1-D array of n
+    observations. As ``nearest_index``, -inf decodes to the first label,
+    +inf and NaN to the last."""
     return _nearest_labels(lat, y1)[..., :-1]
 
 
@@ -156,7 +150,9 @@ def eve_decode_u_given_v(y2, v, cfg: SchemeConfig, ch: ChannelRealization,
     Subtracts the known message contribution a * (message coefficients) . v
     from each observation in y2 and nearest-point decodes the residual on
     ``lat``, the ``eve_u_lattice``. Returns one row of jamming symbols per
-    observation, in ``jam_streams`` order.
+    observation of the 1-D array y2, in ``jam_streams`` order. As
+    ``nearest_index``, a residual of -inf decodes to the first label, +inf
+    and NaN to the last.
     """
     messages = observation(cfg, ch, "eve")[0][:cfg.m]
     offset = cfg.a * (np.asarray(v) @ messages)

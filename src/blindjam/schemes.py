@@ -31,13 +31,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelRealization
+from .constellation import POINT_CAP, check_size
 from .streams import substream
 
 __all__ = [
     "KINDS",
     "SchemeConfig",
     "schedule_q",
-    "admissible_gamma",
     "make_blind_scheme",
     "make_csi_scheme",
     "make_gaussian_jam_scheme",
@@ -46,7 +46,6 @@ __all__ = [
     "observation",
     "encode",
     "sample_symbols",
-    "analytic_power",
 ]
 
 KINDS = ("Blind", "CsiAligned", "GaussianJam")
@@ -168,8 +167,8 @@ class SchemeConfig:
         object.__setattr__(self, "m", len(self.alphas))
         if len(self.h) != self.m + 1:
             raise ValueError("h must have length m+1")
-        if self.c_bar <= 0:
-            raise ValueError("c_bar must be positive")
+        if not 0 < self.c_bar < math.inf:  # NaN too
+            raise ValueError("c_bar must be positive and finite")
         object.__setattr__(self, "h", tuple(float(x) for x in self.h))
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
         if not all(map(math.isfinite, self.h + self.alphas)):
@@ -195,8 +194,11 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
     alphas are drawn uniformly from [0.5, 1.5] with random sign (generic
     reals); gamma is set to its largest admissible value. The eavesdropper
     gains are not an input: only their assumed bound c_bar is carried, and
-    only for later analysis, never for construction.
+    only for later analysis, never for construction. h must hold m+1 gains,
+    checked before the m alphas are drawn.
     """
+    if m < 1 or len(h) != m + 1:
+        raise ValueError("h must have length m+1, m >= 1")
     return SchemeConfig("Blind", p, delta, h, _draw_alphas(m, seed), c_bar)
 
 
@@ -236,7 +238,8 @@ def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> n
     Each jamming transmitter j (see ``jam_streams``) sends a u_j / h_j, with
     h the config's legitimate gains, and x_1 adds the messages
     sum_k alpha_k a v_k; u_j of the other transmitters is ignored.
-    GaussianJam helpers draw N(0, p) from rng instead.
+    GaussianJam helpers draw N(0, p) from rng instead. Symbols must be
+    integers in [-q, q]; an integer array passes on its dtype alone.
 
     The eavesdropper gains are not an argument: for the blind kinds the
     output cannot depend on them.
@@ -247,6 +250,8 @@ def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> n
         raise ValueError("v must have trailing dimension m")
     if u.shape[-1:] != (cfg.m + 1,):
         raise ValueError("u must have trailing dimension m+1")
+    if not all(sym.dtype.kind in "iu" or np.all(np.rint(sym) == sym) for sym in (v, u)):
+        raise ValueError("symbols must be integers")  # NaN too: rint(NaN) != NaN
     if any(sym.size and (sym.min() < -cfg.q or sym.max() > cfg.q) for sym in (v, u)):
         raise ValueError(f"symbols out of range [-{cfg.q}, {cfg.q}]")
     batch = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
@@ -261,18 +266,14 @@ def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> n
     return x
 
 
-def sample_symbols(cfg: SchemeConfig, seed, n: int | None = None):
-    """Uniform i.i.d. symbols in [-q, q] for all 2m+1 streams.
-
-    seed may be an integer (a dedicated substream is derived) or an existing
-    Generator (consumed in place; lets callers drive per-block substreams).
-    Returns (v, u) with shapes (m,), (m+1,) or (n, m), (n, m+1).
+def sample_symbols(cfg: SchemeConfig, rng: np.random.Generator, n: int):
+    """n blocks of uniform i.i.d. symbols in [-q, q] for all 2m+1 streams,
+    drawn from rng in place (callers drive per-block substreams): (v, u) of
+    shapes (n, m) and (n, m+1). More than POINT_CAP symbols are refused.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "symbols")
-    vshape = (cfg.m,) if n is None else (n, cfg.m)
-    ushape = (cfg.m + 1,) if n is None else (n, cfg.m + 1)
-    v = rng.integers(-cfg.q, cfg.q + 1, size=vshape)
-    u = rng.integers(-cfg.q, cfg.q + 1, size=ushape)
+    check_size((n, 2 * cfg.m + 1), POINT_CAP, "symbols")
+    v = rng.integers(-cfg.q, cfg.q + 1, size=(n, cfg.m))
+    u = rng.integers(-cfg.q, cfg.q + 1, size=(n, cfg.m + 1))
     return v, u
 
 

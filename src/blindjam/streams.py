@@ -8,11 +8,12 @@ experiment produce identical results.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Any
 
 import numpy as np
 
-__all__ = ["key_words", "substream", "child_seed"]
+__all__ = ["substream", "child_seed"]
 
 
 def _word(part: Any) -> int:
@@ -27,13 +28,19 @@ def key_words(parts: tuple[Any, ...]) -> tuple[int, ...]:
     return tuple(_word(p) for p in parts)
 
 
+def _sequence(root_seed: int, key: tuple[Any, ...]) -> np.random.SeedSequence:
+    """The seed sequence of ``key`` under ``root_seed``, an integer >= 0."""
+    seed = operator.index(root_seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return np.random.SeedSequence(entropy=seed, spawn_key=key_words(key))
+
+
 def substream(root_seed: int, *key: Any) -> np.random.Generator:
     """Generator for the substream of ``root_seed`` addressed by ``key``."""
-    ss = np.random.SeedSequence(entropy=int(root_seed), spawn_key=key_words(key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_sequence(root_seed, key)))
 
 
 def child_seed(root_seed: int, *key: Any) -> int:
     """Derive an integer seed for a child task, stable under scheduling."""
-    ss = np.random.SeedSequence(entropy=int(root_seed), spawn_key=key_words(key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_sequence(root_seed, key).generate_state(1, np.uint64)[0])

@@ -193,13 +193,13 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
     blocks = {}
     for tag, ch in (("a", ch_a), ("b", ch_b)):
         cfg = make_blind_scheme(1, 1e3, RATE_DELTA, ch.h, 5.0, 3)
-        v, u = sample_symbols(cfg, 4, n=256)
+        v, u = sample_symbols(cfg, substream(4, "symbols"), n=256)
         blocks[tag] = encode(cfg, v, u).tobytes()
     blind_ok = blocks["a"] == blocks["b"]
     gj_blocks = []
     for ch in (ch_a, ch_b):
         gj = make_gaussian_jam_scheme(1, 1e3, RATE_DELTA, ch.h, 5.0, 3)
-        v, u = sample_symbols(gj, 4, n=64)
+        v, u = sample_symbols(gj, substream(4, "symbols"), n=64)
         gj_blocks.append(encode(gj, v, u, rng=substream(6, "n")).tobytes())
     gj_ok = gj_blocks[0] == gj_blocks[1]
 

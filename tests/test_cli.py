@@ -923,6 +923,16 @@ def test_infeasible_grid_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversize_mi_samples_exits_1_before_a_sample_is_drawn(tmp_path, capsys):
+    # 10^8 samples would take 800 MB a draw; the first cell's entropy refuses them
+    rc = entrypoint(["compare", "--m", "1", "--p", "1e2,1e3,1e4", "--draws", "1",
+                     "--mi-samples", "100000000", "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: more than 10000000 Monte Carlo samples "
+                                       "exceed the cap; use fewer samples\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_invocation_smoke(src_env):
     proc = subprocess.run([sys.executable, "-m", "blindjam", "sweep", "--help"],
                           capture_output=True, text=True, env=src_env)

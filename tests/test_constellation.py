@@ -110,9 +110,7 @@ def test_min_distance_needs_two_points():
 def test_nearest_index_tie_breaks_toward_smaller_point():
     pts = ReceiverLattice(points=np.array([0.0, 1.0, 2.0]), labels=np.arange(3)[:, None],
                           collision=False)
-    assert nearest_index(pts, 0.5) == 0
-    assert nearest_index(pts, 1.5) == 1
-    assert nearest_index(pts, 1.0) == 1
+    assert np.array_equal(nearest_index(pts, [0.5, 1.5, 1.0]), [0, 1, 1])
     assert np.array_equal(nearest_index(pts, np.array([-5.0, 5.0])), [0, 2])
 
 
@@ -128,22 +126,18 @@ def test_nearest_point_recovers_perturbed_labels(seed, frac):
     d = min_distance(lat)
     idx = rng.integers(0, len(lat))
     y = lat.points[idx] + frac * d
-    assert nearest_index(lat, y) == idx
+    assert nearest_index(lat, [y]).tolist() == [idx]
 
 
 def _searchsorted_nearest_index(points, y):
     # the reference: binary search, then the tie rule of nearest_index
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    yq = np.atleast_1d(y)
     n = points.shape[0]
-    right = np.searchsorted(points, yq)
+    right = np.searchsorted(points, y)
     left = np.clip(right - 1, 0, n - 1)
     right = np.clip(right, 0, n - 1)
-    d_left = np.abs(yq - points[left])
-    d_right = np.abs(points[right] - yq)
-    idx = np.where(d_left <= d_right, left, right)
-    return idx[0] if scalar else idx
+    d_left = np.abs(y - points[left])
+    d_right = np.abs(points[right] - y)
+    return np.where(d_left <= d_right, left, right)
 
 
 def _random_sum_lattice(seed, m, shape):
@@ -180,11 +174,11 @@ def test_nearest_index_matches_searchsorted(seed, m, shape):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = nearest_index(lat, y)
-        column = nearest_index(lat, y[:, None])
-        scalars = [nearest_index(lat, q) for q in y[::7]]
     assert np.array_equal(got, want)
-    assert np.array_equal(column, want[:, None])
-    assert scalars == [_searchsorted_nearest_index(lat.points, q) for q in y[::7]]
+    # queries are one 1-D array: a scalar or a column is refused
+    for shape in ((), (y.shape[0], 1)):
+        with pytest.raises(ValueError, match="1-D"):
+            nearest_index(lat, np.zeros(shape))
 
 
 @pytest.mark.parametrize("coeffs, radii", [([1.0], [1]), ([0.7, 1.3], [40, 80]),

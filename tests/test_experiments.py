@@ -21,7 +21,6 @@ from blindjam.experiments import (
     read_sweep_csv,
     sweep_power,
     sweep_ser,
-    write_manifest,
     write_rows,
 )
 from blindjam.schemes import KINDS
@@ -62,6 +61,11 @@ def test_ols_validation():
         ols([1.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         ols([1.0, 2.0], [[1.0], [2.0]])
+    # an infinite x warned from numpy, a NaN y gave a NaN fit, 1e308 overflows
+    for x, y in (([1, 2, math.inf], [1, 2, 3]), ([1, 2, 3], [1, math.nan, 3]),
+                 ([1e308, -1e308, 0], [1, 2, 3]), ([1, 2, 3], [1e308, -1e308, 1e308])):
+        with pytest.raises(ValueError, match="must be finite"):
+            ols(x, y)
 
 
 def test_sweep_row_revalidates_schedule(tmp_path):
@@ -431,8 +435,8 @@ def test_manifest_deterministic_and_versioned(tmp_path):
     path1 = tmp_path / "a.json"
     path2 = tmp_path / "b.json"
     config = {"command": "sweep", "m": 1, "p": [1e2, 1e3], "seed": 42}
-    write_manifest(path1, config)
-    write_manifest(path2, config)
+    cli.write_manifest(path1, config)
+    cli.write_manifest(path2, config)
     assert path1.read_bytes() == path2.read_bytes()
     payload = json.loads(path1.read_text())
     assert payload["package_version"] == blindjam.__version__

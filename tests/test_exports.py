@@ -1,8 +1,8 @@
-"""Every public name of blindjam resolves: each module's ``__all__`` and each
-name the package ``__init__`` imports. A deletion that leaves a stale export
-fails here, and so does an import that nothing reads any more, or one of
-neither the standard library nor numpy. The result, row and config types take
-only what they cannot derive."""
+"""Every public name of blindjam resolves in the one module whose ``__all__``
+lists it, as the README's library table does; the package re-exports none.
+A deletion that leaves a stale export fails here, and so does an import that
+nothing reads any more, or one of neither the standard library nor numpy.
+The result, row and config types take only what they cannot derive."""
 import ast
 import importlib
 import pkgutil
@@ -16,18 +16,8 @@ import blindjam
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(blindjam.__path__)
                  if info.name != "__main__")
-
-
-# the package __init__ imports only to re-export, so every module but it
-SOURCES = sorted(path for path in Path(blindjam.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
-
-
-def _init_imports():
-    tree = ast.parse(Path(blindjam.__file__).read_text(encoding="utf-8"))
-    return sorted((node.module, alias.name) for node in tree.body
-                  if isinstance(node, ast.ImportFrom) and node.level == 1
-                  for alias in node.names)
+SOURCES = sorted(Path(blindjam.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -37,10 +27,31 @@ def test_module_all_resolves(module):
     assert not missing, f"blindjam.{module}.__all__ names missing attributes: {missing}"
 
 
-@pytest.mark.parametrize("module, name", _init_imports())
+PUBLIC = [(module, name) for module in MODULES
+          for name in importlib.import_module(f"blindjam.{module}").__all__]
+
+
+@pytest.mark.parametrize("module, name", PUBLIC)
 def test_package_import_resolves(module, name):
-    assert hasattr(importlib.import_module(f"blindjam.{module}"), name)
-    assert hasattr(blindjam, name)
+    # one name per object: a public name is imported from its module, the one
+    # __all__ that lists it (test_module_all_resolves checks that it is
+    # there), and the package re-exports none
+    assert [where for where, public in PUBLIC if public == name] == [module]
+    assert not hasattr(blindjam, name)
+
+
+def test_readme_library_table_is_the_public_surface():
+    # README's `| module | public names |` table, row by row, is every module's __all__
+    text = README.read_text(encoding="utf-8")
+    lines = text.split("| module | public names |\n| --- | --- |\n", 1)[1].splitlines()
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        module, names = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((module, names.split(", ")))
+    assert rows == [(f"{module}.py", list(importlib.import_module(f"blindjam.{module}").__all__))
+                    for module in MODULES]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
@@ -58,8 +69,7 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
-@pytest.mark.parametrize("path", sorted(Path(blindjam.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_runtime_imports_are_stdlib_or_numpy(path):
     # pyproject declares numpy as the one runtime dependency: every absolute
     # import, a function's own included, names it or a standard-library module
@@ -85,6 +95,8 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
 ])
 def test_types_take_only_what_they_cannot_derive(name, settable):
     # m, gamma, q, a, the error rate and its stderr, the rate bound and the
-    # d_min slopes are derived in __post_init__, never passed
-    kind = getattr(blindjam, name, None) or getattr(blindjam.experiments, name)  # SerRow
+    # d_min slopes are derived in __post_init__, never passed. Each type is
+    # public in one module, and read from it
+    modules = [importlib.import_module(f"blindjam.{module}") for module in MODULES]
+    kind, = [getattr(mod, name) for mod in modules if name in mod.__all__]
     assert [f.name for f in fields(kind) if f.init] == settable

@@ -14,6 +14,7 @@ from scipy import integrate, stats
 
 from blindjam import infometrics
 from blindjam.channel import default_budget, sample_channel
+from blindjam.constellation import LatticeSizeError
 from blindjam.experiments import _make_config
 from blindjam.infometrics import (
     CHUNK_TERMS,
@@ -665,6 +666,24 @@ def test_symbol_sum_pmf_oracles():
     assert np.allclose(pmf, pmf[::-1])
 
 
+@pytest.mark.parametrize("n, q", [(10**7, 1), (2, 10**12), (2**63, 0), (1001, 1)])
+def test_symbol_sum_pmf_refuses_oversize_before_convolving(n, q):
+    # (10^7, 1) convolved for minutes; (2**63, 0) has one value and 2**63 - 1
+    # convolutions; (1001, 1) has 2003 values and 3 million multiply-adds
+    with pytest.raises(LatticeSizeError, match="pmf"):
+        symbol_sum_pmf(n, q)
+
+
+def test_monte_carlo_sample_count_is_checked_before_drawing(ch1, blind_cfg):
+    spec = MixtureSpec(means=np.array([0.0, 1.0]))
+    with pytest.raises(LatticeSizeError, match="more than 10000000 Monte Carlo samples"):
+        mixture_entropy(spec, n_samples=10**12)
+    with pytest.raises(LatticeSizeError, match="Monte Carlo samples"):
+        rate_lower_bound(blind_cfg, ch1, n_samples=10**11)
+    with pytest.raises(TypeError):
+        mixture_entropy(spec, n_samples=2e5)
+
+
 def test_mi_bpsk_literature_value():
     # unit-energy BPSK in unit AWGN: known 0 dB value, h(Y) - h(N)
     h_y = mixture_entropy(MixtureSpec(means=np.array([-1.0, 1.0]), sigma=1.0),
@@ -883,7 +902,7 @@ def test_mixture_models_match_simulated_channel(ch1):
     vals, _ = symbol_sum_pmf(1, cfg.q)
     spec = _product_mixture(coeffs, [cfg.a * vals] * len(counts), [None] * len(counts), sigma)
     rng = np.random.default_rng(4)
-    v, u = sample_symbols(cfg, 8, n=60_000)
+    v, u = sample_symbols(cfg, substream(8, "symbols"), n=60_000)
     y = eve_output(ch1, encode(cfg, v, u)) + rng.normal(size=60_000)
     cross = float(np.mean(-mixture_logpdf(y, spec))) / math.log(2)
     h_model = mixture_entropy(spec, method="mc", n_samples=60_000, seed=5)

@@ -31,6 +31,7 @@ from blindjam.schemes import (
     stream_counts,
 )
 from blindjam.channel import eve_output, legit_output
+from blindjam.streams import substream
 
 
 def _exhaustive_decode(y, lat):
@@ -152,11 +153,11 @@ def test_eve_lattice_and_conditional_decode(noiseless_ch):
     cfg = make_blind_scheme(1, 100.0, 0.1, ch.h, 4.0, 2)
     lat = eve_u_lattice(cfg, ch)
     assert len(lat) == (2 * cfg.q + 1) ** 2
-    v, u = sample_symbols(cfg, 3, n=50)
+    v, u = sample_symbols(cfg, substream(3, "symbols"), n=50)
     y2 = eve_output(ch, encode(cfg, v, u))
     assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, ch, lat), u)
     # one observation decodes to one row of jamming symbols
-    assert np.array_equal(eve_decode_u_given_v(y2[7], v[7], cfg, ch, lat), u[7])
+    assert np.array_equal(eve_decode_u_given_v(y2[7:8], v[7:8], cfg, ch, lat), u[7:8])
 
 
 def test_eve_error_zero_without_noise(noiseless_ch):
@@ -169,7 +170,7 @@ def test_eve_decoder_uses_the_conditioning(noiseless_ch):
     # deliberately wrong conditioning must break the noiseless decoder
     cfg = make_blind_scheme(1, 100.0, 0.1, noiseless_ch.h, 4.0, 2)
     lat = eve_u_lattice(cfg, noiseless_ch)
-    v, u = sample_symbols(cfg, 0, n=2000)
+    v, u = sample_symbols(cfg, substream(0, "symbols"), n=2000)
     y2 = eve_output(noiseless_ch, encode(cfg, v, u))
     u = u[:, jam_streams(cfg.kind, cfg.m)]
     assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, noiseless_ch, lat), u)
@@ -187,7 +188,7 @@ def test_legit_output_chain_consistency(ch1):
     # encode -> channel -> decode on one block without noise recovers v
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 4.0, 3)
     lat = legit_lattice(cfg, ch1)
-    v, u = sample_symbols(cfg, 4)
+    v, u = sample_symbols(cfg, substream(4, "symbols"), n=1)
     y1 = legit_output(ch1, encode(cfg, v, u))
     assert np.array_equal(decode_legit_batch(y1, lat), v)
 
@@ -207,7 +208,7 @@ def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     assert cfg.q == q
     lat, eve_lat = legit_lattice(cfg, ch), eve_u_lattice(cfg, ch)
     assume(not lat.collision and not eve_lat.collision)
-    v, u = sample_symbols(cfg, seed, n=40)
+    v, u = sample_symbols(cfg, substream(seed, "symbols"), n=40)
     x = encode(cfg, v, u)
     assert np.array_equal(decode_legit_batch(legit_output(ch, x), lat), v)
     decoded = eve_decode_u_given_v(eve_output(ch, x), v, cfg, ch, eve_lat)
@@ -221,6 +222,18 @@ def test_decoders_refuse_colliding_lattice(blind_cfg, ch1):
         decode_legit_batch(np.array([0.1]), lat)
     with pytest.raises(DegenerateLatticeError):
         eve_decode_u_given_v(np.array([0.1]), np.zeros((1, 1)), blind_cfg, ch1, lat)
+
+
+def test_decoders_send_non_finite_queries_to_the_outermost_points(blind_cfg, ch1):
+    # documented, not refused: -inf decodes to the first point, +inf and NaN
+    # to the last
+    y = np.array([-np.inf, np.inf, np.nan])
+    lat, eve_lat = legit_lattice(blind_cfg, ch1), eve_u_lattice(blind_cfg, ch1)
+    assert nearest_index(lat, y).tolist() == [0, len(lat) - 1, len(lat) - 1]
+    assert np.array_equal(decode_legit_batch(y, lat), lat.labels[[0, -1, -1], :-1])
+    v = np.zeros((3, blind_cfg.m), dtype=int)
+    assert np.array_equal(eve_decode_u_given_v(y, v, blind_cfg, ch1, eve_lat),
+                          eve_lat.labels[[0, -1, -1]])
 
 
 @pytest.mark.parametrize("estimate", [estimate_ser, estimate_eve_u_error])

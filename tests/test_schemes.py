@@ -12,6 +12,7 @@ from blindjam.channel import (
     legit_output,
     sample_channel,
 )
+from blindjam.constellation import LatticeSizeError
 from blindjam.experiments import SweepRow
 from blindjam.schemes import (
     KINDS,
@@ -192,7 +193,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
         maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
         cfg = maker(m, p, 0.1, h, 4.0, seed)
     coeffs, counts, sigma = observation(cfg, ch, receiver)
-    v, u = sample_symbols(cfg, seed, n=50)
+    v, u = sample_symbols(cfg, substream(seed, "symbols"), n=50)
     x = encode(cfg, v, u, rng=substream(seed, "helpers"))
     jam = u[:, jam_streams(kind, m)]
     gains, noise = (h, ch.sigma1) if receiver == "legit" else (g, ch.sigma2)
@@ -232,7 +233,7 @@ def test_analytic_power_structure(ch1):
 
 
 def test_empirical_power_matches_analytic(ch1, blind_cfg):
-    v, u = sample_symbols(blind_cfg, 0, n=200_000)
+    v, u = sample_symbols(blind_cfg, substream(0, "symbols"), n=200_000)
     x = encode(blind_cfg, v, u)
     assert np.allclose(np.mean(x**2, axis=0), analytic_power(blind_cfg),
                        rtol=0.03)
@@ -253,7 +254,7 @@ def test_encode_hand_values():
 
 def test_encode_batch_shapes(ch2):
     cfg = make_blind_scheme(2, 1e3, 0.1, ch2.h, 10.0, 5)
-    v, u = sample_symbols(cfg, 1, n=17)
+    v, u = sample_symbols(cfg, substream(1, "symbols"), n=17)
     assert encode(cfg, v, u).shape == (17, 3)
 
 
@@ -265,7 +266,7 @@ def test_encode_matches_the_broadcast_form(kind, m):
     ch = sample_channel(m, 5)
     cfg = (make_blind_scheme(m, 1e4, 0.1, ch.h, 10.0, 3) if kind == "Blind"
            else make_csi_scheme(1e4, 0.1, ch.h, ch.g))
-    v, u = sample_symbols(cfg, 2, n=500)
+    v, u = sample_symbols(cfg, substream(2, "symbols"), n=500)
     jam = jam_streams(kind, m)
     want = np.zeros((500, m + 1))
     want[:, jam] = cfg.a * u[:, jam] / ch.h[jam]
@@ -285,11 +286,17 @@ def test_encode_validates_symbol_range(ch1, blind_cfg):
     assert encode(blind_cfg, np.array([-q]), np.array([q, -q])).shape == (2,)
     empty = encode(blind_cfg, np.zeros((0, 1), dtype=int), np.zeros((0, 2), dtype=int))
     assert empty.shape == (0, 2)
+    # NaN slipped past the range check and a fraction past every check; an
+    # integral float encodes as its integer does
+    for v, u in (([math.nan], [0, 0]), ([0.5], [0.5, 0.5]), ([0.0], [0.0, math.inf])):
+        with pytest.raises(ValueError, match="integers|out of range"):
+            encode(blind_cfg, np.array(v), np.array(u))
+    assert np.array_equal(encode(blind_cfg, [1.0], [0.0, -1.0]), encode(blind_cfg, [1], [0, -1]))
 
 
 def test_gaussian_jam_encode_needs_rng(ch1):
     cfg = make_gaussian_jam_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
-    v, u = sample_symbols(cfg, 1)
+    [v], [u] = sample_symbols(cfg, substream(1, "symbols"), n=1)
     with pytest.raises(ValueError):
         encode(cfg, v, u)
     assert encode(cfg, v, u, rng=substream(0, "jam")).shape == (2,)
@@ -300,7 +307,7 @@ def test_blindness_byte_identity():
     # eavesdropper gains: constructors and encode never read them
     h = np.array([1.1, -0.7])
     cfg = make_blind_scheme(1, 1e3, 0.1, h, 4.0, 9)
-    v, u = sample_symbols(cfg, 2, n=64)
+    v, u = sample_symbols(cfg, substream(2, "symbols"), n=64)
     x_bytes = encode(cfg, v, u).tobytes()
     # "different g" is a no-op by construction; re-run the whole pipeline
     cfg2 = make_blind_scheme(1, 1e3, 0.1, h, 4.0, 9)
@@ -313,13 +320,16 @@ def test_blindness_byte_identity():
 
 
 def test_sample_symbols_ranges(blind_cfg):
-    v, u = sample_symbols(blind_cfg, 0, n=1000)
+    v, u = sample_symbols(blind_cfg, substream(0, "symbols"), n=1000)
     assert v.shape == (1000, 1) and u.shape == (1000, 2)
     assert np.all(np.abs(v) <= blind_cfg.q) and np.all(np.abs(u) <= blind_cfg.q)
     # all symbols hit at this sample size
     assert set(np.unique(v)) == set(range(-blind_cfg.q, blind_cfg.q + 1))
-    v1, u1 = sample_symbols(blind_cfg, 0)
-    assert v1.shape == (1,) and u1.shape == (2,)
+    v0, u0 = sample_symbols(blind_cfg, substream(0, "symbols"), n=0)
+    assert v0.shape == (0, 1) and u0.shape == (0, 2)
+    # refused before it is drawn: 3 * 10^12 symbols would take 24 TB
+    with pytest.raises(LatticeSizeError, match="more than 10000000 symbols"):
+        sample_symbols(blind_cfg, substream(0, "symbols"), n=10**12)
 
 
 def test_config_validation():
@@ -329,6 +339,14 @@ def test_config_validation():
     with pytest.raises(ValueError, match="h must have length m\\+1"):
         SchemeConfig(kind="Blind", p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
                      alphas=(0.9,), c_bar=1.0)
+    # 10^9 alphas would take 8 GB: the blind constructors check len(h) first
+    for make in (make_blind_scheme, make_gaussian_jam_scheme):
+        with pytest.raises(ValueError, match="h must have length m\\+1"):
+            make(10**9, 1e2, 0.1, [1.0, 1.0], 4.0, 0)
+    for c_bar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_bar must be positive and finite"):
+            SchemeConfig(kind="Blind", p=10.0, delta=0.1, h=(1.0, 1.0), alphas=(0.9,),
+                         c_bar=c_bar)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
