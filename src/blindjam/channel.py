@@ -6,6 +6,7 @@ for one channel use with input vector ``x`` of length M+1.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +84,13 @@ def default_budget(ch: ChannelRealization, p: float) -> PowerBudget:
 def sample_channel(m: int, seed: int) -> ChannelRealization:
     """Draw a generic channel: gain magnitudes uniform in ``GAIN_MAGNITUDES``
     with independent random signs.  Identical seeds give identical draws.
+    More than POINT_CAP gains are refused.
     """
-    if m < 1:
+    from .constellation import POINT_CAP, check_size  # constellation imports this module
+
+    if operator.index(m) < 1:
         raise ValueError("m must be >= 1")
+    check_size((2, m + 1), POINT_CAP, "channel gains")
     rng = substream(seed, "channel", m)
     mags = rng.uniform(*GAIN_MAGNITUDES, size=2 * (m + 1))
     signs = rng.integers(0, 2, size=2 * (m + 1)) * 2 - 1
@@ -100,7 +105,7 @@ def legit_output(ch: ChannelRealization, x):
     M+1.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != ch.m + 1:
+    if x.shape[-1:] != (ch.m + 1,):
         raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
     return x @ ch.h
 
@@ -108,7 +113,7 @@ def legit_output(ch: ChannelRealization, x):
 def eve_output(ch: ChannelRealization, x):
     """Noiseless eavesdropper observation ``sum_i g[i] x[i]``."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != ch.m + 1:
+    if x.shape[-1:] != (ch.m + 1,):
         raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
     return x @ ch.g
 

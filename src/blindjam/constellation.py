@@ -4,7 +4,7 @@ Each receiver of the jamming schemes observes a one-dimensional
 constellation: every noiseless observation is a sum of scaled PAM symbols.
 Because the realized points live on the real line, a lattice is sorted once
 and gets a table of equal-width buckets over its range; ``nearest_index``
-(which the decoders in ``receiver`` call) reads a query's insertion index
+(which ``receiver``'s decoder calls) reads a query's insertion index
 from its bucket in constant time and falls back to binary search only where
 the bucket cannot settle it, with no need for sphere decoders at desk scale.
 The exact minimum distance needs no lattice at all: it is the smallest
@@ -138,19 +138,34 @@ class ReceiverLattice:
         return self.points.shape[0]
 
 
+def _sum_axes(coeffs, radii) -> tuple[np.ndarray, list[int]]:
+    """A sum lattice's axes: a non-empty 1-D array of finite coefficients and
+    one integer radius >= 0 each, or refused (a radius that is no integer is
+    a TypeError)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be a non-empty 1-D array of finite numbers")
+    radii = [operator.index(r) for r in radii]
+    if len(radii) != coeffs.shape[0] or min(radii) < 0:
+        raise ValueError("one radius >= 0 per coefficient required")
+    return coeffs, radii
+
+
 def enumerate_sum_lattice(coeffs, radii, a: float = 1.0) -> ReceiverLattice:
     """All points ``a * sum_i coeffs[i] * t_i`` for integers t_i in [-r_i, r_i].
 
     Labels are the tuples (t_1, ..., t_L).  Size (prod 2r_i+1) above
-    POINT_CAP is refused outright rather than subsampled.
+    POINT_CAP is refused outright rather than subsampled, and so is a
+    spacing that is not finite and positive, or points that span more than
+    the largest float.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    radii = [int(r) for r in radii]
-    if coeffs.shape[0] != len(radii):
-        raise ValueError("one radius per coefficient required")
-    if a <= 0:
-        raise ValueError("spacing a must be positive")
+    coeffs, radii = _sum_axes(coeffs, radii)
+    if not 0 < a < math.inf:  # NaN too
+        raise ValueError("spacing a must be positive and finite")
     check_size((2 * r + 1 for r in radii), POINT_CAP, "lattice points")
+    # the points' span 2 a sum |c_i| r_i, in Python floats: inf, not a warning, past the top
+    if not 2 * a * sum(abs(float(c)) * r for c, r in zip(coeffs, radii)) < math.inf:
+        raise ValueError("lattice points span more than the largest float")
     axes = [np.arange(-r, r + 1, dtype=np.int32) for r in radii]
     mesh = np.meshgrid(*axes, indexing="ij")
     labels = np.stack([g.ravel() for g in mesh], axis=1)
@@ -183,11 +198,8 @@ def sum_lattice_min_distance(coeffs, radii) -> float:
     POINT_CAP); on the widest one |x + c d| is convex in d, so the nearest
     integer to -x / c, clipped to the box, is the exact minimizer.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    radii = [int(r) for r in radii]
-    if coeffs.shape[0] != len(radii):
-        raise ValueError("one radius per coefficient required")
-    if max(radii, default=0) < 1:
+    coeffs, radii = _sum_axes(coeffs, radii)
+    if max(radii) < 1:
         raise ValueError("minimum distance needs at least 2 points")
     wide = int(np.argmax(radii))
     head = [i for i in range(len(radii)) if i != wide]

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelRealization, default_budget, sample_channel
 from .constellation import POINT_CAP, check_size
 from .infometrics import COMPONENT_CAP, MiEstimate, RateBound, rate_lower_bound
-from .receiver import ErrorEstimate, estimate_eve_u_error, estimate_ser
+from .receiver import ErrorEstimate, decoded_counts, estimate_eve_u_error, estimate_ser
 from .schemes import (
     KINDS,
     SchemeConfig,
@@ -263,9 +263,8 @@ def sweep_ser(kind: str, m: int, delta: float, p, draws: int, seed: int, *,
         raise ValueError("reliability sweeps need a lattice scheme kind")
     if receiver == "eve" and sigma1 is not None:
         raise ValueError("sigma1 sets the legitimate receiver's noise: an eve sweep takes none")
-    # the decoder's lattice: every coordinate the legitimate receiver sums, the
-    # eavesdropper's jamming coordinates alone; listed after _checked_grid's m check
-    sums = (stream_counts(kind, m, r)[0 if r == "legit" else m:] for r in (receiver,))
+    # the decoder's lattice, listed after _checked_grid's m check
+    sums = (decoded_counts(kind, m, r) for r in (receiver,))
     p_grid = _checked_grid(p, 1, draws, 1, delta, m, sums, POINT_CAP, "lattice points")
 
     def cell(cfg, ch, d, i):

@@ -15,7 +15,7 @@ Three scheme kinds share one config shape:
 The kinds differ in which transmitters send a lattice jamming symbol;
 ``jam_streams`` is the one place that says which, ``stream_counts`` the one
 place that says how many symbols each receiver then sums per coordinate, and
-``observation`` on which coefficients. The encoder, the decoders, the
+``observation`` on which coefficients. The encoder, the decoder, the
 information measures, the sweeps and their size checks all derive from these.
 
 The power schedule is shared, and ``SchemeConfig`` derives it from the gains
@@ -225,10 +225,14 @@ def make_csi_scheme(p: float, delta: float, h, g) -> SchemeConfig:
     g = np.asarray(g, dtype=float)
     if h.ndim != 1 or g.shape != h.shape or len(h) < 2:
         raise ValueError("h and g must be 1-D, of one length, with at least 2 gains")
-    if np.any(g == 0) or np.any(h == 0):
-        raise ValueError("all gains must be nonzero")
-    alphas = g[1:] / (g[0] * h[1:])
-    return SchemeConfig("CsiAligned", p, delta, h, alphas, 2.0 * float(np.sum(g ** 2)))
+    if not (np.all(np.isfinite([h, g])) and np.all([h, g])):  # before any division
+        raise ValueError("all gains must be finite and nonzero")
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite or zero result is refused
+        alphas = g[1:] / (g[0] * h[1:])
+        c_bar = 2.0 * float(np.sum(g ** 2))
+    if not (np.all(np.isfinite(alphas) & (alphas != 0)) and 0 < c_bar < math.inf):
+        raise ValueError("gains so far from 1 that an alpha or c_bar over- or underflows")
+    return SchemeConfig("CsiAligned", p, delta, h, alphas, c_bar)
 
 
 def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> np.ndarray:

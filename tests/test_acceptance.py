@@ -32,7 +32,7 @@ from blindjam.experiments import (
     write_rows,
 )
 from blindjam.infometrics import MixtureSpec, gaussian_entropy, mixture_entropy
-from blindjam.receiver import decode_legit_batch, legit_lattice
+from blindjam.receiver import decode, receiver_lattice
 from blindjam.schemes import (
     encode,
     make_blind_scheme,
@@ -150,14 +150,14 @@ def test_criterion_8_oracle_suites():
     for seed in range(20):
         ch = sample_channel(1, seed)
         cfg = make_blind_scheme(1, 100.0, 0.1, ch.h, 4.0, seed)
-        lat = legit_lattice(cfg, ch)
+        lat = receiver_lattice(cfg, ch, "legit")
         if len(lat) > 500 or lat.collision:
             continue
         lattices += 1
         span = lat.points[-1] - lat.points[0]
         ys = rng.uniform(lat.points[0] - 0.2 * span, lat.points[-1] + 0.2 * span,
                          size=1000)
-        got = decode_legit_batch(ys, lat)
+        got = decode(cfg, ch, "legit", lat, ys)
         want = lat.labels[np.argmin(np.abs(lat.points[None, :] - ys[:, None]),
                                     axis=1)][:, :-1]
         mismatches += int(np.sum(np.any(got != want, axis=1)))

@@ -1,10 +1,12 @@
 """Every public name of blindjam resolves in the one module whose ``__all__``
 lists it, as the README's library table does; the package re-exports none.
 A deletion that leaves a stale export fails here, and so does an import that
-nothing reads any more, or one of neither the standard library nor numpy.
+nothing reads any more, or one of neither the standard library nor numpy,
+and a function or class that only the tests call.
 The result, row and config types take only what they cannot derive."""
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import sys
 from dataclasses import fields
@@ -18,6 +20,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(blindjam.__path__)
                  if info.name != "__main__")
 SOURCES = sorted(Path(blindjam.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the power oracle that the tests compare encode against
+TEST_ONLY = {("schemes", "analytic_power")}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -100,3 +105,33 @@ def test_types_take_only_what_they_cannot_derive(name, settable):
     modules = [importlib.import_module(f"blindjam.{module}") for module in MODULES]
     kind, = [getattr(mod, name) for mod in modules if name in mod.__all__]
     assert [f.name for f in fields(kind) if f.init] == settable
+
+
+def _identifiers(nodes) -> set[str]:
+    """Every name and attribute the nodes read or bind."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in nodes for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _benchmark_names() -> set[str]:
+    """What perfbench names: the identifiers of its code, and the attribute
+    strings of its tracer's TRACED, the functions it wraps by name."""
+    names = _identifiers(ast.parse(path.read_text(encoding="utf-8"))
+                         for path in PERFBENCH.glob("*.py"))
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return names | {attr for _, attr, _, _ in tracer.TRACED}
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # code only tests reach leaves src/: each top-level function and class is
+    # named by src/ code outside its own definition, or by the benchmark
+    tops = [(path.stem, top, _identifiers([top])) for path in SOURCES
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+    named = _benchmark_names()
+    unread = {(module, defn.name) for module, defn, _ in tops
+              if isinstance(defn, (ast.FunctionDef, ast.ClassDef)) and defn.name not in named
+              and not any(defn.name in ids for _, top, ids in tops if top is not defn)}
+    assert unread == TEST_ONLY, f"read only by the tests: {sorted(unread - TEST_ONLY)}"

@@ -12,12 +12,11 @@ from blindjam.experiments import _make_config
 from blindjam.infometrics import rate_lower_bound
 from blindjam.receiver import (
     ErrorEstimate,
-    decode_legit_batch,
+    decode,
+    decoded_counts,
     estimate_eve_u_error,
     estimate_ser,
-    eve_decode_u_given_v,
-    eve_u_lattice,
-    legit_lattice,
+    receiver_lattice,
 )
 from blindjam.schemes import (
     KINDS,
@@ -63,11 +62,11 @@ def test_legit_lattice_sizes(ch1):
     csi = make_csi_scheme(100.0, 0.1, ch1.h, ch1.g)
     q = blind.q
     # blind jams from all m+1 transmitters, the aligned baseline from m
-    assert len(legit_lattice(blind, ch1)) == (2 * q + 1) * (2 * 2 * q + 1)
-    assert len(legit_lattice(csi, ch1)) == (2 * q + 1) * (2 * q + 1)
+    assert len(receiver_lattice(blind, ch1, "legit")) == (2 * q + 1) * (2 * 2 * q + 1)
+    assert len(receiver_lattice(csi, ch1, "legit")) == (2 * q + 1) * (2 * q + 1)
     gj = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
     with pytest.raises(ValueError):
-        legit_lattice(gj, ch1)
+        receiver_lattice(gj, ch1, "legit")
 
 
 @pytest.mark.parametrize("p", [1e2, 1e4])
@@ -82,8 +81,9 @@ def test_stream_counts_give_each_lattice_size_exactly(kind, m, p):
            else make_blind_scheme(m, p, 0.1, ch.h, 4.0, 3))
     legit, eve = stream_counts(kind, m, "legit"), stream_counts(kind, m, "eve")
     assert (legit, eve) == (observation(cfg, ch, "legit")[1], observation(cfg, ch, "eve")[1])
-    assert math.prod(2 * n * cfg.q + 1 for n in legit) == len(legit_lattice(cfg, ch))
-    assert math.prod(2 * n * cfg.q + 1 for n in eve[m:]) == len(eve_u_lattice(cfg, ch))
+    assert (decoded_counts(kind, m, "legit"), decoded_counts(kind, m, "eve")) == (legit, eve[m:])
+    assert math.prod(2 * n * cfg.q + 1 for n in legit) == len(receiver_lattice(cfg, ch, "legit"))
+    assert math.prod(2 * n * cfg.q + 1 for n in eve[m:]) == len(receiver_lattice(cfg, ch, "eve"))
 
 
 def test_decode_matches_exhaustive_search():
@@ -93,13 +93,13 @@ def test_decode_matches_exhaustive_search():
     for seed in range(10):
         ch = sample_channel(1, seed)
         cfg = make_blind_scheme(1, 100.0, 0.1, ch.h, 4.0, seed)
-        lat = legit_lattice(cfg, ch)
+        lat = receiver_lattice(cfg, ch, "legit")
         if len(lat) > 500 or lat.collision:
             continue
         span = lat.points[-1] - lat.points[0]
         ys = rng.uniform(lat.points[0] - 0.1 * span, lat.points[-1] + 0.1 * span,
                          size=1000)
-        batch = decode_legit_batch(ys, lat)
+        batch = decode(cfg, ch, "legit", lat, ys)
         for i, y in enumerate(ys):
             assert tuple(batch[i]) == _exhaustive_decode(y, lat)
         checked += 1
@@ -151,13 +151,24 @@ def test_estimate_ser_rejects_gaussian_jam(ch1):
 def test_eve_lattice_and_conditional_decode(noiseless_ch):
     ch = noiseless_ch
     cfg = make_blind_scheme(1, 100.0, 0.1, ch.h, 4.0, 2)
-    lat = eve_u_lattice(cfg, ch)
+    lat = receiver_lattice(cfg, ch, "eve")
     assert len(lat) == (2 * cfg.q + 1) ** 2
     v, u = sample_symbols(cfg, substream(3, "symbols"), n=50)
     y2 = eve_output(ch, encode(cfg, v, u))
-    assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, ch, lat), u)
+    assert np.array_equal(decode(cfg, ch, "eve", lat, y2, v), u)
     # one observation decodes to one row of jamming symbols
-    assert np.array_equal(eve_decode_u_given_v(y2[7:8], v[7:8], cfg, ch, lat), u[7:8])
+    assert np.array_equal(decode(cfg, ch, "eve", lat, y2[7:8], v[7:8]), u[7:8])
+
+
+def test_decode_refuses_unknown_receiver_and_misshapen_messages(blind_cfg, ch1):
+    lat = receiver_lattice(blind_cfg, ch1, "eve")
+    y = np.zeros(3)
+    with pytest.raises(ValueError, match="unknown receiver"):
+        decode(blind_cfg, ch1, "bob", lat, y)
+    # the eavesdropper needs m known messages per observation
+    for v in (None, np.zeros(3), np.zeros((2, 1)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="one row of m messages"):
+            decode(blind_cfg, ch1, "eve", lat, y, v)
 
 
 def test_eve_error_zero_without_noise(noiseless_ch):
@@ -169,12 +180,12 @@ def test_eve_error_zero_without_noise(noiseless_ch):
 def test_eve_decoder_uses_the_conditioning(noiseless_ch):
     # deliberately wrong conditioning must break the noiseless decoder
     cfg = make_blind_scheme(1, 100.0, 0.1, noiseless_ch.h, 4.0, 2)
-    lat = eve_u_lattice(cfg, noiseless_ch)
+    lat = receiver_lattice(cfg, noiseless_ch, "eve")
     v, u = sample_symbols(cfg, substream(0, "symbols"), n=2000)
     y2 = eve_output(noiseless_ch, encode(cfg, v, u))
     u = u[:, jam_streams(cfg.kind, cfg.m)]
-    assert np.array_equal(eve_decode_u_given_v(y2, v, cfg, noiseless_ch, lat), u)
-    wrong = eve_decode_u_given_v(y2, np.clip(v + 1, -cfg.q, cfg.q), cfg, noiseless_ch, lat)
+    assert np.array_equal(decode(cfg, noiseless_ch, "eve", lat, y2, v), u)
+    wrong = decode(cfg, noiseless_ch, "eve", lat, y2, np.clip(v + 1, -cfg.q, cfg.q))
     assert np.mean(np.any(wrong != u, axis=1)) > 0.1
 
 
@@ -187,10 +198,10 @@ def test_eve_error_csi_kind(ch1):
 def test_legit_output_chain_consistency(ch1):
     # encode -> channel -> decode on one block without noise recovers v
     cfg = make_blind_scheme(1, 100.0, 0.1, ch1.h, 4.0, 3)
-    lat = legit_lattice(cfg, ch1)
+    lat = receiver_lattice(cfg, ch1, "legit")
     v, u = sample_symbols(cfg, substream(4, "symbols"), n=1)
     y1 = legit_output(ch1, encode(cfg, v, u))
-    assert np.array_equal(decode_legit_batch(y1, lat), v)
+    assert np.array_equal(decode(cfg, ch1, "legit", lat, y1), v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,12 +217,12 @@ def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     else:
         cfg = make_csi_scheme(p, 0.1, ch.h, ch.g)
     assert cfg.q == q
-    lat, eve_lat = legit_lattice(cfg, ch), eve_u_lattice(cfg, ch)
+    lat, eve_lat = receiver_lattice(cfg, ch, "legit"), receiver_lattice(cfg, ch, "eve")
     assume(not lat.collision and not eve_lat.collision)
     v, u = sample_symbols(cfg, substream(seed, "symbols"), n=40)
     x = encode(cfg, v, u)
-    assert np.array_equal(decode_legit_batch(legit_output(ch, x), lat), v)
-    decoded = eve_decode_u_given_v(eve_output(ch, x), v, cfg, ch, eve_lat)
+    assert np.array_equal(decode(cfg, ch, "legit", lat, legit_output(ch, x)), v)
+    decoded = decode(cfg, ch, "eve", eve_lat, eve_output(ch, x), v)
     assert np.array_equal(decoded, u[:, jam_streams(kind, m)])
 
 
@@ -219,20 +230,21 @@ def test_decoders_refuse_colliding_lattice(blind_cfg, ch1):
     # (1, 0) and (0, 1) land on the same point: no label can be decoded
     lat = enumerate_sum_lattice([1.0, 1.0], [1, 1])
     with pytest.raises(DegenerateLatticeError):
-        decode_legit_batch(np.array([0.1]), lat)
+        decode(blind_cfg, ch1, "legit", lat, np.array([0.1]))
     with pytest.raises(DegenerateLatticeError):
-        eve_decode_u_given_v(np.array([0.1]), np.zeros((1, 1)), blind_cfg, ch1, lat)
+        decode(blind_cfg, ch1, "eve", lat, np.array([0.1]), np.zeros((1, 1)))
 
 
 def test_decoders_send_non_finite_queries_to_the_outermost_points(blind_cfg, ch1):
     # documented, not refused: -inf decodes to the first point, +inf and NaN
     # to the last
     y = np.array([-np.inf, np.inf, np.nan])
-    lat, eve_lat = legit_lattice(blind_cfg, ch1), eve_u_lattice(blind_cfg, ch1)
+    lat = receiver_lattice(blind_cfg, ch1, "legit")
+    eve_lat = receiver_lattice(blind_cfg, ch1, "eve")
     assert nearest_index(lat, y).tolist() == [0, len(lat) - 1, len(lat) - 1]
-    assert np.array_equal(decode_legit_batch(y, lat), lat.labels[[0, -1, -1], :-1])
+    assert np.array_equal(decode(blind_cfg, ch1, "legit", lat, y), lat.labels[[0, -1, -1], :-1])
     v = np.zeros((3, blind_cfg.m), dtype=int)
-    assert np.array_equal(eve_decode_u_given_v(y, v, blind_cfg, ch1, eve_lat),
+    assert np.array_equal(decode(blind_cfg, ch1, "eve", eve_lat, y, v),
                           eve_lat.labels[[0, -1, -1]])
 
 
