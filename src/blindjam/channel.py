@@ -98,22 +98,31 @@ def sample_channel(m: int, seed: int) -> ChannelRealization:
     return ChannelRealization(h=gains[: m + 1], g=gains[m + 1 :])
 
 
+def _gain_sum(x, gains: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != gains.shape:
+        raise ValueError(f"input vector must have length m+1 = {gains.shape[0]}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return x @ gains
+    except FloatingPointError:
+        raise ValueError("input whose gain-weighted sum overflows or is NaN") from None
+
+
 def legit_output(ch: ChannelRealization, x):
     """Noiseless legitimate receiver observation ``sum_i h[i] x[i]``.
 
     ``x`` may be a single input vector or a batch with trailing dimension
-    M+1.
+    M+1. A finite input whose sum overflows the double range, or infinite
+    ones whose sum is NaN, is refused as numpy reports it in the calling
+    thread; a batch that BLAS splits over threads may instead return the
+    +-inf or NaN of its other rows, which the decoders take to the
+    outermost points.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (ch.m + 1,):
-        raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
-    return x @ ch.h
+    return _gain_sum(x, ch.h)
 
 
 def eve_output(ch: ChannelRealization, x):
-    """Noiseless eavesdropper observation ``sum_i g[i] x[i]``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (ch.m + 1,):
-        raise ValueError(f"input vector must have length m+1 = {ch.m + 1}")
-    return x @ ch.g
-
+    """Noiseless eavesdropper observation ``sum_i g[i] x[i]``, refused or
+    returned as ``legit_output``'s."""
+    return _gain_sum(x, ch.g)

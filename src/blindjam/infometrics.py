@@ -12,7 +12,9 @@ streams are all uniform) keeps one log-weight, which leaves its log-sum as a
 constant, and no weight array: it is its sorted means alone. A weighted one (the legitimate receiver's jamming
 sum) also keeps its sorted weights and their logs. Each mixture lives only
 while its entropy is estimated, so one is held at a time. Entropies have no closed
-form, so two estimators are provided on that log-density: Monte Carlo, and
+form, so two estimators are provided on that log-density: Monte Carlo, which
+draws its components from a sampling table built CHUNK_TERMS entries at a
+time, so it holds no second array of the mixture's length, and
 a trapezoid rule on a uniform grid of step GRID_STEP noise deviations that
 covers every component's window. The trapezoid rule converges exponentially
 for such smooth, fast-decaying integrands (Trefethen & Weideman, SIAM Rev.
@@ -251,9 +253,11 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
     deviations), a kept term e^49 times each dropped one. An equal-weight
     mixture adds its one log-weight to each query's log-sum. A query whose
     squared distance to every mean, in deviations, overflows has a density
-    below the double range: -inf.
+    below the double range: -inf. More than POINT_CAP queries are refused
+    before any is evaluated.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    check_size(y.shape, POINT_CAP, "log-density queries", "use fewer queries")
     # such a query's terms are all -inf, and shifted by their maximum, NaN
     with np.errstate(over="ignore", invalid="ignore"):
         out = _logpdf_sorted(y, spec.means, spec._logw, spec.sigma)
@@ -264,14 +268,30 @@ def mixture_logpdf(y, spec: MixtureSpec) -> np.ndarray:
 def _entropy_mc(spec: MixtureSpec, n_samples: int, seed: int) -> tuple[float, float]:
     rng = substream(seed, "entropy")
     means, logw = spec.means, spec._logw
-    # the sampling CDF, built in place; a shared log-weight gives the same
-    # draws as its per-component copies
-    cum = np.full(means.shape, np.exp(logw)) if np.ndim(logw) == 0 else np.exp(logw)
-    np.cumsum(cum, out=cum)
-    cum[-1] = 1.0
-    comp = np.searchsorted(cum, rng.random(n_samples), side="right")
-    del cum  # freed before the log-density runs
-    comp = np.minimum(comp, means.shape[0] - 1)
+    n = means.shape[0]
+    u = rng.random(n_samples)
+    # the sampling CDF, one block of CHUNK_TERMS entries at a time: a block
+    # sums on from the previous block's last entry, so np.cumsum, which adds
+    # in order, gives each entry the bits of the whole table's. A sample's
+    # component counts the entries at or below its uniform, block by block.
+    # A shared log-weight gives the same draws as its per-component copies.
+    block = np.empty(min(CHUNK_TERMS, n))
+    comp = np.zeros(n_samples, dtype=np.intp)
+    carry = 0.0
+    for a in range(0, n, CHUNK_TERMS):
+        cum = block[:n - a]
+        if np.ndim(logw) == 0:
+            cum.fill(np.exp(logw))
+        else:
+            np.exp(logw[a:a + CHUNK_TERMS], out=cum)
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        if a + CHUNK_TERMS >= n:
+            cum[-1] = 1.0
+        carry = cum[-1]
+        comp += np.searchsorted(cum, u, side="right")
+    del u, block, cum  # freed before the log-density runs
+    comp = np.minimum(comp, n - 1)
     y = means[comp] + spec.sigma * rng.normal(size=n_samples)
     bits = -mixture_logpdf(y, spec) * LOG2E  # by its public name: perfbench wraps it
     value = float(np.mean(bits))

@@ -20,8 +20,8 @@ import numpy as np
 from .channel import ChannelRealization, eve_output, legit_output
 from .constellation import (DegenerateLatticeError, ReceiverLattice, enumerate_sum_lattice,
                             nearest_index)
-from .schemes import (SchemeConfig, encode, jam_streams, observation, sample_symbols,
-                      stream_counts)
+from .schemes import (SchemeConfig, check_symbols, encode, jam_streams, observation,
+                      sample_symbols, stream_counts)
 from .streams import substream
 
 __all__ = ["ErrorEstimate", "decoded_counts", "estimate_ser", "estimate_eve_u_error"]
@@ -77,8 +77,9 @@ def decode(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, lat: Receiv
     ``lat``, the ``receiver_lattice``: the nearest label's messages at the
     legitimate receiver; its jamming symbols at the eavesdropper, which first
     subtracts a * (message coefficients) . v, v its m messages per
-    observation. As ``nearest_index``, -inf decodes to the first label, +inf
-    and NaN to the last.
+    observation, integers in [-q, q] as ``encode`` takes them. As
+    ``nearest_index``, -inf decodes to the first label, +inf and NaN to the
+    last.
     """
     if lat.collision:
         raise DegenerateLatticeError("degenerate gains: distinct labels collide")
@@ -87,6 +88,7 @@ def decode(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, lat: Receiv
         v = np.asarray(v)
         if v.shape != y.shape + (cfg.m,):
             raise ValueError("v must hold one row of m messages per observation")
+        check_symbols(cfg, v)
         y = y - cfg.a * (v @ observation(cfg, ch, "eve")[0][:cfg.m])
     elif receiver != "legit":
         raise ValueError(f"unknown receiver {receiver!r}")

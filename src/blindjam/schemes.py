@@ -44,6 +44,7 @@ __all__ = [
     "jam_streams",
     "stream_counts",
     "observation",
+    "check_symbols",
     "encode",
     "sample_symbols",
 ]
@@ -235,6 +236,15 @@ def make_csi_scheme(p: float, delta: float, h, g) -> SchemeConfig:
     return SchemeConfig("CsiAligned", p, delta, h, alphas, c_bar)
 
 
+def check_symbols(cfg: SchemeConfig, *symbols: np.ndarray) -> None:
+    """Refuse symbol arrays that are not integers in [-q, q]; an integer
+    array passes the first test on its dtype alone."""
+    if not all(sym.dtype.kind in "iu" or np.all(np.rint(sym) == sym) for sym in symbols):
+        raise ValueError("symbols must be integers")  # NaN too: rint(NaN) != NaN
+    if any(sym.size and (sym.min() < -cfg.q or sym.max() > cfg.q) for sym in symbols):
+        raise ValueError(f"symbols out of range [-{cfg.q}, {cfg.q}]")
+
+
 def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> np.ndarray:
     """Channel inputs x, trailing dimension m+1, for message symbols v
     (..., m) and jamming symbols u (..., m+1); batch-capable.
@@ -254,10 +264,7 @@ def encode(cfg: SchemeConfig, v, u, rng: np.random.Generator | None = None) -> n
         raise ValueError("v must have trailing dimension m")
     if u.shape[-1:] != (cfg.m + 1,):
         raise ValueError("u must have trailing dimension m+1")
-    if not all(sym.dtype.kind in "iu" or np.all(np.rint(sym) == sym) for sym in (v, u)):
-        raise ValueError("symbols must be integers")  # NaN too: rint(NaN) != NaN
-    if any(sym.size and (sym.min() < -cfg.q or sym.max() > cfg.q) for sym in (v, u)):
-        raise ValueError(f"symbols out of range [-{cfg.q}, {cfg.q}]")
+    check_symbols(cfg, v, u)
     batch = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
     x = np.zeros(batch + (cfg.m + 1,), dtype=float)
     for j in jam_streams(cfg.kind, cfg.m):

@@ -14,7 +14,7 @@ from scipy import integrate, stats
 
 from blindjam import infometrics
 from blindjam.channel import default_budget, sample_channel
-from blindjam.constellation import LatticeSizeError
+from blindjam.constellation import POINT_CAP, LatticeSizeError
 from blindjam.experiments import _make_config
 from blindjam.infometrics import (
     CHUNK_TERMS,
@@ -237,6 +237,78 @@ def test_mc_draws_match_per_component_weights(monkeypatch):
     np.testing.assert_array_equal(seen[0], y)
 
 
+def _full_table_entropy_mc(spec, n_samples, seed):
+    """Monte Carlo entropy with the sampling CDF built whole, one entry per
+    component. The oracle of the blocked sampler's bits."""
+    rng = substream(seed, "entropy")
+    means, logw = spec.means, spec._logw
+    cum = np.full(means.shape, np.exp(logw)) if np.ndim(logw) == 0 else np.exp(logw)
+    np.cumsum(cum, out=cum)
+    cum[-1] = 1.0
+    comp = np.searchsorted(cum, rng.random(n_samples), side="right")
+    comp = np.minimum(comp, means.shape[0] - 1)
+    y = means[comp] + spec.sigma * rng.normal(size=n_samples)
+    bits = -infometrics.mixture_logpdf(y, spec) * math.log2(math.e)
+    return float(np.mean(bits)), float(np.std(bits, ddof=1) / math.sqrt(n_samples))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["equal", "random", "skewed"]),
+       st.sampled_from([64, 1024]))
+def test_blocked_sampler_equals_the_full_table(seed, weighting, chunk):
+    # the CDF block by block draws the components the whole table draws:
+    # equal bits, for 1 to 4 blocks and on their edges
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice([1, chunk - 1, chunk, chunk + 1, 4 * chunk, rng.integers(2, 4 * chunk)]))
+    w = None
+    if weighting == "random":
+        w = rng.uniform(0.01, 1.0, size=k)
+    elif weighting == "skewed":
+        w = np.exp(-rng.uniform(0.0, 40.0, size=k))
+    spec = MixtureSpec(means=rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=k),
+                       weights=None if w is None else w / w.sum(),
+                       sigma=float(rng.uniform(0.05, 3.0)))
+    n = int(rng.integers(2, 3000))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infometrics, "CHUNK_TERMS", chunk)
+        got = mixture_entropy(spec, "mc", n_samples=n, seed=seed)
+        want = _full_table_entropy_mc(spec, n, seed)
+    assert (got.value, got.stderr) == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mc_sampler_holds_one_block_of_its_cdf(weighted):
+    # 15 blocks of components, 7.5 MiB of means (16 would pass
+    # COMPONENT_CAP): a sampling CDF of the mixture's length would take as
+    # much again, its blocks take CHUNK_TERMS doubles, 512 KiB
+    n = 15 * CHUNK_TERMS
+    w = None
+    if weighted:
+        w = np.random.default_rng(2).uniform(0.5, 1.5, size=n)
+        w /= w.sum()
+    spec = MixtureSpec(means=np.arange(n, dtype=float), weights=w, sigma=1.0)
+    tracemalloc.start()
+    try:
+        mixture_entropy(spec, "mc", n_samples=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.means.nbytes
+
+
+def test_logpdf_query_count_is_checked_before_evaluating():
+    # a zero-stride view: POINT_CAP + 1 queries, none of them allocated
+    y = np.broadcast_to(0.0, (POINT_CAP + 1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeSizeError, match="log-density queries"):
+            mixture_logpdf(y, MixtureSpec(means=[0.0, 1.0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_chunk_boundaries_match_brute_force():
     rng = np.random.default_rng(6)
     # ~0.4 chunk of terms per row: rows straddle the chunk edges
@@ -423,9 +495,8 @@ def test_logpdf_holds_no_copy_of_the_means():
 
 def test_rate_bound_holds_each_mixture_once():
     # the eavesdropper's mixture of Blind M=2 at p=1e5: 13^5 = 371,293
-    # equal-weight components. Its means and its sampling CDF are the two
-    # arrays of that length alive at once; the log-density's chunks add
-    # well under 2 MiB.
+    # equal-weight components. Its means are the one array of that length;
+    # the sampling CDF's and the log-density's blocks add well under 2 MiB.
     ch = sample_channel(2, 7)
     cfg = make_blind_scheme(2, 1e5, 0.05, ch.h, default_budget(ch, 1e5).c_bar, 3)
     n = (2 * cfg.q + 1) ** len(observation(cfg, ch, "eve")[1])
@@ -436,7 +507,7 @@ def test_rate_bound_holds_each_mixture_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n + 2 * 2**20
+    assert peak < 8 * n + 2 * 2**20
 
 
 def test_zero_weight_components_are_dropped():

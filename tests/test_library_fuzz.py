@@ -128,6 +128,14 @@ FOUND = {
     "0-d-legit-input": ("legit_output", (CH, 1.0)),
     "0-d-eve-input": ("eve_output", (CH, 1.0)),
     "nan-m": ("sample_channel", (math.nan, 3)),
+    "huge-known-message": ("decode", (CFG, CH, "eve", RECEIVER_LATTICES[1], np.zeros(1),
+                                      np.array([[1e308]]))),
+    "fractional-known-message": ("decode", (CFG, CH, "eve", RECEIVER_LATTICES[1], np.zeros(1),
+                                            np.array([[0.5]]))),
+    "nan-known-message": ("decode", (CFG, CH, "eve", RECEIVER_LATTICES[1], np.zeros(1),
+                                     np.array([[math.nan]]))),
+    "overflowing-legit-sum": ("legit_output", (CH, [1e308, 1e308])),
+    "overflowing-eve-sum": ("eve_output", (CH, [1e308, 1e308])),
 }
 
 
