@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 GAIN_MAGNITUDES = (0.5, 2.0)  # interval of a drawn gain's magnitude
+NOISE_CAP = 1e150  # largest noise standard deviation of a channel
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,11 @@ class ChannelRealization:
     the helper count m = len(h) - 1 >= 1 derived from them.
 
     All gains are required to be finite and nonzero, and the noise levels
-    finite and nonnegative; draws come from continuous distributions so
-    degenerate (rationally dependent) gain combinations are detected
-    downstream via constellation collision checks rather than prevented here.
+    to lie in [0, NOISE_CAP]: a level near the double range overflows when a
+    Gaussian draw scales it or the GaussianJam observation squares it. Draws
+    come from continuous distributions, so degenerate (rationally dependent)
+    gain combinations are detected downstream via constellation collision
+    checks rather than prevented here.
     """
 
     h: np.ndarray
@@ -54,8 +57,8 @@ class ChannelRealization:
             raise ValueError("all channel gains must be finite")
         if np.any(h == 0.0) or np.any(g == 0.0):
             raise ValueError("all channel gains must be nonzero")
-        if not (0.0 <= self.sigma1 < np.inf and 0.0 <= self.sigma2 < np.inf):
-            raise ValueError("noise standard deviations must be finite and nonnegative")
+        if not (0.0 <= self.sigma1 <= NOISE_CAP and 0.0 <= self.sigma2 <= NOISE_CAP):
+            raise ValueError(f"noise standard deviations must lie in [0, {NOISE_CAP:g}]")
 
 
 @dataclass(frozen=True)
@@ -102,22 +105,22 @@ def _gain_sum(x, gains: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != gains.shape:
         raise ValueError(f"input vector must have length m+1 = {gains.shape[0]}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return x @ gains
-    except FloatingPointError:
-        raise ValueError("input whose gain-weighted sum overflows or is NaN") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # decided from the result below
+        y = x @ gains
+    if not np.isfinite(y).all() and (
+            np.any(~np.isfinite(y) & np.isfinite(x).all(axis=-1))
+            or np.any(np.isnan(y) & ~np.isnan(x).any(axis=-1))):
+        raise ValueError("input whose gain-weighted sum overflows or is NaN")
+    return y
 
 
 def legit_output(ch: ChannelRealization, x):
     """Noiseless legitimate receiver observation ``sum_i h[i] x[i]``.
 
     ``x`` may be a single input vector or a batch with trailing dimension
-    M+1. A finite input whose sum overflows the double range, or infinite
-    ones whose sum is NaN, is refused as numpy reports it in the calling
-    thread; a batch that BLAS splits over threads may instead return the
-    +-inf or NaN of its other rows, which the decoders take to the
-    outermost points.
+    M+1. A row of finite inputs whose sum overflows the double range, or
+    of infinite ones whose sum is NaN, is refused, in any row of a batch;
+    infinite inputs that sum to +-inf give it, and a NaN input gives NaN.
     """
     return _gain_sum(x, ch.h)
 

@@ -14,6 +14,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -314,21 +315,24 @@ def fit_dmin_exponent(
     ``sum_lattice_min_distance``, without enumerating the lattice, and a
     least-squares slope of log d_min against log q is fitted.  Draws whose
     lattice collides at any q are redrawn, up to MAX_REDRAWS times; the
-    count of redraws is reported. Before the first draw, more than
-    experiments.MAX_CELLS (draw, q) cells or a top-q difference box past
-    POINT_CAP is refused.
+    count of redraws is reported. Before the first draw, a q grid other than
+    integers >= 1, more than experiments.MAX_CELLS (draw, q) cells or a top-q
+    difference box past POINT_CAP is refused.
     """
     from .experiments import MAX_CELLS, ols  # experiments imports this module
 
-    # as --q and --config refuse them: JSON true is no integer, 2.7 none either
-    if any(isinstance(x, (bool, np.bool_)) or not float(x).is_integer() for x in q):
+    # as --q and --config refuse them: JSON true is no integer, 2.7 or "2" none either
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) or not float(x).is_integer()
+           for x in q):
         raise ValueError(f"q grid {list(q)} holds an entry that is not an integer")
     q_grid = tuple(int(x) for x in q)
     if len(q_grid) < 3:
         raise ValueError("q grid must contain at least 3 strictly increasing values")
     if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q grid must be strictly increasing")
-    if m < 1 or draws < 1:
+    if q_grid[0] < 1:
+        raise ValueError("q grid values must be >= 1")
+    if operator.index(m) < 1 or operator.index(draws) < 1:
         raise ValueError("m and draws must be >= 1")
     if draws * len(q_grid) > MAX_CELLS:
         raise ValueError(f"more than {MAX_CELLS} cells (draws x q values) exceed the cap")

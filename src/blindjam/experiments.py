@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -32,7 +34,6 @@ from .schemes import (
     jam_streams,
     make_blind_scheme,
     make_csi_scheme,
-    make_gaussian_jam_scheme,
     schedule_q,
     stream_counts,
 )
@@ -112,29 +113,32 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _make_config(kind: str, m: int, p: float, delta: float, ch: ChannelRealization,
-                 c_bar: float, alpha_seed: int) -> SchemeConfig:
-    if kind == "Blind":
-        return make_blind_scheme(m, p, delta, ch.h, c_bar, alpha_seed)
-    if kind == "GaussianJam":
-        return make_gaussian_jam_scheme(m, p, delta, ch.h, c_bar, alpha_seed)
+def _make_config(kind: str, p: float, delta: float, ch: ChannelRealization,
+                 alpha_seed: int) -> SchemeConfig:
+    """The ``kind`` scheme of one cell: CsiAligned from both gains; Blind and
+    GaussianJam, which keeps Blind's message streams, from h alone."""
+    # looked up as this module's global: perfbench starts a cell span here
+    c_bar = default_budget(ch, p).c_bar
     if kind == "CsiAligned":
         return make_csi_scheme(p, delta, ch.h, ch.g)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return replace(make_blind_scheme(ch.m, p, delta, ch.h, c_bar, alpha_seed), kind=kind)
 
 
 def _checked_grid(p_grid, kinds: int, draws: int, min_points: int, delta: float, m: int,
                   sums, cap: int, what: str) -> list[float]:
-    """The grid as floats, refused unless it is strictly increasing, makes at most
-    MAX_CELLS cells with ``kinds`` and ``draws``, and each of ``sums`` (``stream_counts``)
-    holds at most ``cap`` points at its top power: a grid is run whole, or refused before
-    a draw."""
+    """The grid as floats, refused unless it holds positive finite numbers (a bool
+    or a string is none), is strictly increasing, makes at most MAX_CELLS cells with
+    ``kinds`` and ``draws``, and each of ``sums`` (``stream_counts``) holds at most
+    ``cap`` points at its top power: a grid is run whole, or refused before a draw."""
+    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 < p < math.inf
+               for p in p_grid):  # NaN too
+        raise ValueError("power grid must hold positive, finite numbers")
     p_grid = [float(p) for p in p_grid]
     if len(p_grid) < min_points:
         raise ValueError(f"power grid needs at least {min_points} point(s)")
     if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("power grid must be strictly increasing")
-    if draws < 1:
+    if operator.index(draws) < 1:
         raise ValueError("draws must be >= 1")
     if kinds * draws * len(p_grid) > MAX_CELLS:
         raise ValueError(f"more than {MAX_CELLS} cells (kinds x draws x powers) exceed the cap")
@@ -154,17 +158,14 @@ def _run_cells(kinds, m: int, delta: float, p_grid, draws: int, seed: int,
     Each channel is drawn once, from (seed, draw index) alone, so every kind
     sees identical channels.
     """
-    if workers < 1:
+    if operator.index(workers) < 1:
         raise ValueError("workers must be >= 1")
     channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(draws)]
 
     def run(kind_d_i):
         kind, d, i = kind_d_i
-        ch = channels[d]
-        # looked up as this module's global: perfbench starts a cell span here
-        c_bar = default_budget(ch, p_grid[i]).c_bar
-        cfg = _make_config(kind, m, p_grid[i], delta, ch, c_bar, child_seed(seed, "alphas", d))
-        return cell(cfg, ch, d, i)
+        cfg = _make_config(kind, p_grid[i], delta, channels[d], child_seed(seed, "alphas", d))
+        return cell(cfg, channels[d], d, i)
 
     cells = [(kind, d, i) for kind in kinds for d in range(draws) for i in range(len(p_grid))]
     workers = min(workers, len(cells), os.cpu_count() or 1)  # a thread per cell and CPU at most

@@ -26,7 +26,7 @@ that keeps every transmitter inside the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "schedule_q",
     "make_blind_scheme",
     "make_csi_scheme",
-    "make_gaussian_jam_scheme",
     "jam_streams",
     "stream_counts",
     "observation",
@@ -201,15 +200,6 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
     if m < 1 or len(h) != m + 1:
         raise ValueError("h must have length m+1, m >= 1")
     return SchemeConfig("Blind", p, delta, h, _draw_alphas(m, seed), c_bar)
-
-
-def make_gaussian_jam_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int) -> SchemeConfig:
-    """Unstructured baseline: message streams as in the blind scheme, but
-    helpers will emit i.i.d. Gaussian noise at full power when encoding.
-
-    Also blind: never reads the eavesdropper gains.
-    """
-    return replace(make_blind_scheme(m, p, delta, h, c_bar, seed), kind="GaussianJam")
 
 
 def make_csi_scheme(p: float, delta: float, h, g) -> SchemeConfig:

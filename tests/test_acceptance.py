@@ -25,6 +25,7 @@ from blindjam.channel import ChannelRealization, sample_channel
 from blindjam.constellation import fit_dmin_exponent, min_distance
 from blindjam.experiments import (
     Series,
+    _make_config,
     compare_schemes,
     fit_slopes,
     sweep_power,
@@ -36,7 +37,6 @@ from blindjam.receiver import decode, receiver_lattice
 from blindjam.schemes import (
     encode,
     make_blind_scheme,
-    make_gaussian_jam_scheme,
     sample_symbols,
 )
 from blindjam.streams import substream
@@ -198,7 +198,7 @@ def test_criterion_9_blindness_and_determinism(tmp_path):
     blind_ok = blocks["a"] == blocks["b"]
     gj_blocks = []
     for ch in (ch_a, ch_b):
-        gj = make_gaussian_jam_scheme(1, 1e3, RATE_DELTA, ch.h, 5.0, 3)
+        gj = _make_config("GaussianJam", 1e3, RATE_DELTA, ch, 3)
         v, u = sample_symbols(gj, substream(4, "symbols"), n=64)
         gj_blocks.append(encode(gj, v, u, rng=substream(6, "n")).tobytes())
     gj_ok = gj_blocks[0] == gj_blocks[1]

@@ -101,6 +101,18 @@ def test_output_batching_and_noise(ch1):
         legit_output(ch1, np.ones(3))
 
 
+@pytest.mark.parametrize("row", [0, 500_000, 999_999])
+def test_overflowing_row_is_refused_wherever_blas_puts_it(ch1, row):
+    # a batch this long is split over BLAS threads, and numpy reads the
+    # floating-point status in the calling thread alone: an overflow in
+    # another thread's rows was returned as inf
+    x = np.zeros((1_000_000, 2))
+    x[row] = [1e308, 1e308]
+    for output in (legit_output, eve_output):
+        with pytest.raises(ValueError, match="overflows or is NaN"):
+            output(ch1, x)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         PowerBudget(p=0.0, c_bar=1.0)

@@ -458,6 +458,15 @@ def test_ser_noiseless_is_zero(tmp_path):
     assert all(line.split(",")[6] == "0.0" for line in rows)
 
 
+def test_ser_past_the_noise_cap_exits_1_with_one_error_line(tmp_path, capsys):
+    # sigma1 = 1e308 printed numpy's overflow warning from the noise draw and exited 0
+    rc = entrypoint(["ser", "--m", "1", "--p", "1e2", "--draws", "1", "--trials", "100",
+                     "--sigma1", "1e308", "--out", str(tmp_path / "ser.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: noise standard deviations must lie in [0, 1e+150]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ser_zero_draws_is_an_error(tmp_path, capsys):
     out = tmp_path / "ser.csv"
     with pytest.raises(SystemExit) as ei:

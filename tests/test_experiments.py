@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindjam import experiments
+from blindjam import constellation, experiments
 from blindjam.constellation import LatticeSizeError, fit_dmin_exponent
 from blindjam import cli
 from blindjam.experiments import (
@@ -292,6 +292,35 @@ def test_sweep_power_errors_when_nothing_feasible(monkeypatch):
     with pytest.raises(LatticeSizeError, match=MIXTURE_CAP):
         sweep_power("Blind", 2, 0.05, [1e6, 2e6, 4e6], 1, 5,
                     mi_samples=200, include_ser=False)
+
+
+# (p, keywords): each ran a cell or more before a later cell refused it, or ran whole
+BAD_REQUESTS = {
+    "nan-power": ([1e2, 1e3, math.nan, 1e4], {}),
+    "infinite-power": ([-math.inf, 1e2, 1e3], {}),
+    "zero-power": ([0.0, 1e2, 1e3], {}),
+    "bool-power": ([True, 2.0, 3.0], {}),
+    "string-power": ("248", {}),
+    "fractional-workers": ([1e2, 1e3, 1e4], {"workers": 1.5}),
+}
+
+
+@pytest.mark.parametrize("study", [sweep_power, sweep_ser])
+@pytest.mark.parametrize("p, kw", BAD_REQUESTS.values(), ids=list(BAD_REQUESTS))
+def test_a_bad_request_is_refused_before_a_channel_is_drawn(study, p, kw, monkeypatch):
+    _no_channel_drawn(monkeypatch)
+    with pytest.raises((ValueError, TypeError)):
+        study("Blind", 1, 0.05, p, 2, 0, **kw)
+
+
+@pytest.mark.parametrize("q", [[0, 1, 2], [-4, 1, 2], "248", [2.0, 4.5, 8]])
+def test_dmin_refuses_a_bad_q_grid_before_its_first_draw(q, monkeypatch):
+    def unreachable(*a, **k):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(constellation, "substream", unreachable)
+    with pytest.raises(ValueError, match="q grid"):
+        fit_dmin_exponent(1, q, 1, 0)
 
 
 def test_slope_stderr_shrinks_with_draws():

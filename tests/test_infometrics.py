@@ -34,7 +34,6 @@ from blindjam.schemes import (
     KINDS,
     make_blind_scheme,
     make_csi_scheme,
-    make_gaussian_jam_scheme,
     observation,
     schedule_q,
 )
@@ -797,7 +796,7 @@ def _drawn_cell(seed):
     sigma1, sigma2 = np.exp(rng.uniform(math.log(0.05), math.log(3.0), size=2))
     ch = replace(sample_channel(m, int(rng.integers(2**31))),
                  sigma1=float(sigma1), sigma2=float(sigma2))
-    cfg = _make_config(kind, m, p, delta, ch, default_budget(ch, p).c_bar, seed)
+    cfg = _make_config(kind, p, delta, ch, seed)
     assert cfg.q == schedule_q(p, delta, m) == q
     return cfg, ch
 
@@ -886,6 +885,57 @@ def test_grid_mi_between_zero_and_input_entropy(seed):
         assert -slack <= mi.value <= cfg.m * math.log2(2 * cfg.q + 1) + slack
 
 
+def _grid_rb(kind, cfg, ch, seed):
+    """The grid rule's rate bound of ``_drawn_cell(seed)``'s scheme kind and
+    schedule on channel ``ch``, the scheme rebuilt for ``ch``: c_bar follows g."""
+    return rate_lower_bound(_make_config(kind, cfg.p, cfg.delta, ch, seed), ch,
+                            method="quadrature")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 7))
+def test_flipping_eavesdropper_gain_signs_keeps_both_informations(seed, flips):
+    # the symbol sets are symmetric and (-c) x = -(c x) exactly: each mixture's
+    # means are the same multiset, so both terms are the same bits; CsiAligned
+    # is rebuilt from the flipped g
+    cfg, ch = _drawn_cell(seed)
+    signs = [-1.0 if flips >> j & 1 else 1.0 for j in range(cfg.m + 1)]
+    before = _grid_rb(cfg.kind, cfg, ch, seed)
+    after = _grid_rb(cfg.kind, cfg, replace(ch, g=np.asarray(signs) * ch.g), seed)
+    assert (after.i_v_y1.value, after.i_v_y2.value) == (before.i_v_y1.value, before.i_v_y2.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["Blind", "GaussianJam"]), st.integers(0, 10**6))
+def test_blind_legit_information_ignores_the_eavesdropper_gains(seed, kind, g_seed):
+    # blindness on the analysis side: a scheme built from h alone has the same
+    # I(V;Y1) bits under any other g (criterion 9 checks the transmit bytes)
+    cfg, ch = _drawn_cell(seed)
+    other = replace(ch, g=sample_channel(cfg.m, g_seed).g)
+    assert (_grid_rb(kind, cfg, other, seed).i_v_y1.value
+            == _grid_rb(kind, cfg, ch, seed).i_v_y1.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.3, 3.0))
+def test_scaling_eavesdropper_gains_and_noise_keeps_its_information(seed, c):
+    # Y2 scales by c as a whole, so I(V;Y2) moves by the grid errors alone
+    cfg, ch = _drawn_cell(seed)
+    before = _grid_rb(cfg.kind, cfg, ch, seed).i_v_y2
+    after = _grid_rb(cfg.kind, cfg, replace(ch, g=c * ch.g, sigma2=c * ch.sigma2), seed).i_v_y2
+    assert abs(after.value - before.value) <= after.stderr + before.stderr + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_more_eavesdropper_noise_never_raises_its_information(seed):
+    # data processing: Y2 plus independent noise tells no more about V
+    cfg, ch = _drawn_cell(seed)
+    before = _grid_rb(cfg.kind, cfg, ch, seed).i_v_y2
+    after = _grid_rb(cfg.kind, cfg, replace(ch, sigma2=1.5 * ch.sigma2), seed).i_v_y2
+    assert after.value <= before.value + after.stderr + before.stderr + 1e-9
+
+
 def _enumerated_mi(cfg, ch, receiver):
     """I(V;Y) at ``receiver`` from every symbol tuple of its single streams:
     h(Y) over all tuples, h(Y|V) over those whose message symbols are 0."""
@@ -905,7 +955,7 @@ def test_rate_bound_terms_equal_the_enumerated_mixtures(kind, m):
     for p in (1e2, 1e3):
         for draw in range(2):
             ch = replace(sample_channel(m, 40 + draw), sigma1=0.7, sigma2=1.3)
-            cfg = _make_config(kind, m, p, 0.05, ch, default_budget(ch, p).c_bar, draw)
+            cfg = _make_config(kind, p, 0.05, ch, draw)
             rb = rate_lower_bound(cfg, ch, method="quadrature")
             assert rb.i_v_y1.value == pytest.approx(_enumerated_mi(cfg, ch, "legit"), abs=1e-9)
             assert rb.i_v_y2.value == pytest.approx(_enumerated_mi(cfg, ch, "eve"), abs=1e-9)
@@ -924,7 +974,7 @@ def test_rate_lower_bound_all_kinds(ch1):
     budget = default_budget(ch1, 100.0)
     for cfg in (make_blind_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3),
                 make_csi_scheme(100.0, 0.1, ch1.h, ch1.g),
-                make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)):
+                _make_config("GaussianJam", 100.0, 0.1, ch1, 3)):
         rb = rate_lower_bound(cfg, ch1, n_samples=4000, seed=1)
         assert np.isfinite(rb.bound)
 
@@ -938,8 +988,7 @@ def test_eve_entropy_cap_trips_on_broken_accounting(ch1):
 
 
 def test_gaussian_jam_uses_exact_noise_folding(ch1):
-    budget = default_budget(ch1, 100.0)
-    cfg = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
+    cfg = _make_config("GaussianJam", 100.0, 0.1, ch1, 3)
     coeffs, counts, sigma = observation(cfg, ch1, "eve")
     assert sigma == pytest.approx(
         math.sqrt(ch1.sigma2**2 + 100.0 * float(np.sum(ch1.g[1:] ** 2))))

@@ -28,13 +28,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blindjam
-from blindjam.channel import eve_output, legit_output, sample_channel
-from blindjam.constellation import enumerate_sum_lattice, min_distance, nearest_index
-from blindjam.experiments import SweepRow, fit_slopes, ols
+from blindjam.channel import ChannelRealization, eve_output, legit_output, sample_channel
+from blindjam.constellation import (enumerate_sum_lattice, fit_dmin_exponent, min_distance,
+                                    nearest_index)
+from blindjam.experiments import SweepRow, _make_config, fit_slopes, ols, sweep_power, sweep_ser
 from blindjam.infometrics import MixtureSpec, mixture_entropy, rate_lower_bound, symbol_sum_pmf
 from blindjam.receiver import decode, estimate_eve_u_error, estimate_ser, receiver_lattice
-from blindjam.schemes import (encode, make_blind_scheme, make_csi_scheme,
-                              make_gaussian_jam_scheme, sample_symbols)
+from blindjam.schemes import encode, make_blind_scheme, make_csi_scheme, sample_symbols
 from blindjam.streams import substream
 
 PACKAGE = Path(blindjam.__file__).resolve().parent
@@ -69,6 +69,16 @@ def _enumerated_min_distance(coeffs, radii, a):
     return min_distance(enumerate_sum_lattice(coeffs, radii, a))
 
 
+def _sweep_power(kind, m, delta, p, draws, seed, mi_samples, ser_trials, min_errors, workers):
+    return sweep_power(kind, m, delta, p, draws, seed, mi_samples=mi_samples,
+                       ser_trials=ser_trials, min_errors=min_errors, workers=workers)
+
+
+def _sweep_ser(kind, m, delta, p, draws, seed, trials, min_errors, workers, sigma1, receiver):
+    return sweep_ser(kind, m, delta, p, draws, seed, trials=trials, min_errors=min_errors,
+                     workers=workers, sigma1=sigma1, receiver=receiver)
+
+
 def _rows(values):
     """A 3-power Blind series whose information estimates are ``values``."""
     return [SweepRow(kind="Blind", m=1, delta=0.05, draw_id=0, p=p, gamma=0.3, i_vy1=v,
@@ -82,8 +92,7 @@ METHOD = arg("mc", "quadrature")
 
 # each call: the function and a strategy for each argument
 CALLS = {
-    "encode": (encode, [st.sampled_from([CFG, make_gaussian_jam_scheme(1, 100.0, 0.1, CH.h,
-                                                                       4.0, 3)]),
+    "encode": (encode, [st.sampled_from([CFG, _make_config("GaussianJam", 100.0, 0.1, CH, 3)]),
                         arg(np.array([[1]]), [0]), arg(np.array([[1, -2]]), [0, 0])]),
     "ols": (ols, [arg(np.arange(3.0)), arg(np.array([1.0, 0.5, 4.0]))]),
     "symbol_sum_pmf": (symbol_sum_pmf, [arg(1, 2, 3), arg(1, 2)]),
@@ -108,8 +117,18 @@ CALLS = {
     "make_csi_scheme": (make_csi_scheme, [arg(100.0), arg(0.1), arg(np.array([1.0, -0.5])),
                                           arg(np.array([0.8, 1.2]))]),
     "sample_channel": (sample_channel, [arg(1, 2), arg(3)]),
+    "ChannelRealization": (ChannelRealization, [arg(np.array([1.0, -0.5])),
+                                                arg(np.array([0.8, 1.2])), arg(1.0, 0.0),
+                                                arg(1.0, 0.0)]),
     "legit_output": (legit_output, [st.just(CH), arg(np.array([[1.0, -2.0]]))]),
     "eve_output": (eve_output, [st.just(CH), arg(np.array([[1.0, -2.0]]))]),
+    "sweep_power": (_sweep_power, [arg("Blind", "CsiAligned", "GaussianJam"), arg(1),
+                                   arg(0.05), arg([1e2, 1e3, 1e4]), arg(1), arg(3),
+                                   trials(20), trials(50), arg(None, 10), arg(1, 2)]),
+    "sweep_ser": (_sweep_ser, [arg("Blind", "CsiAligned"), arg(1), arg(0.1), arg([1e2, 1e3]),
+                               arg(1), arg(3), trials(50), arg(None, 10), arg(1, 2),
+                               arg(None, 0.0, 0.5), arg("legit", "eve")]),
+    "fit_dmin_exponent": (fit_dmin_exponent, [arg(1), arg([2, 4, 8]), arg(1), arg(0)]),
 }
 
 # inputs that once hung, truncated, warned or failed in numpy: each is refused
@@ -136,6 +155,20 @@ FOUND = {
                                      np.array([[math.nan]]))),
     "overflowing-legit-sum": ("legit_output", (CH, [1e308, 1e308])),
     "overflowing-eve-sum": ("eve_output", (CH, [1e308, 1e308])),
+    "huge-noise": ("ChannelRealization", (CH.h, CH.g, 1e308, 1.0)),
+    "huge-sigma1": ("sweep_ser", ("Blind", 1, 0.1, [1e2], 1, 0, 100, None, 1, 1e308, "legit")),
+    "nan-power": ("sweep_power", ("Blind", 1, 0.05, [1e2, 1e3, math.nan, 1e4], 2, 0, 20, 50,
+                                  None, 1)),
+    "zero-power": ("sweep_power", ("Blind", 1, 0.05, [0.0, 1e2, 1e3], 1, 0, 20, 50, None, 1)),
+    "infinite-power": ("sweep_ser", ("Blind", 1, 0.1, [-math.inf, 1e2], 1, 0, 50, None, 1, None,
+                                     "legit")),
+    "bool-power": ("sweep_power", ("Blind", 1, 0.05, [True, 2.0, 3.0], 1, 0, 20, 50, None, 1)),
+    "string-power": ("sweep_ser", ("Blind", 1, 0.1, "248", 1, 0, 50, None, 1, None, "legit")),
+    "fractional-workers": ("sweep_ser", ("Blind", 1, 0.1, [1e2], 1, 0, 50, None, 1.5, None,
+                                         "legit")),
+    "string-q": ("fit_dmin_exponent", (1, "248", 1, 0)),
+    "zero-q": ("fit_dmin_exponent", (1, [0, 1, 2], 1, 0)),
+    "negative-q": ("fit_dmin_exponent", (1, [-4, 1, 2], 1, 0)),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blindjam import receiver
-from blindjam.channel import ChannelRealization, default_budget, sample_channel
+from blindjam.channel import NOISE_CAP, ChannelRealization, default_budget, sample_channel
 from blindjam.constellation import DegenerateLatticeError, enumerate_sum_lattice, nearest_index
 from blindjam.experiments import _make_config
 from blindjam.infometrics import rate_lower_bound
@@ -24,7 +24,6 @@ from blindjam.schemes import (
     jam_streams,
     make_blind_scheme,
     make_csi_scheme,
-    make_gaussian_jam_scheme,
     observation,
     sample_symbols,
     stream_counts,
@@ -64,7 +63,7 @@ def test_legit_lattice_sizes(ch1):
     # blind jams from all m+1 transmitters, the aligned baseline from m
     assert len(receiver_lattice(blind, ch1, "legit")) == (2 * q + 1) * (2 * 2 * q + 1)
     assert len(receiver_lattice(csi, ch1, "legit")) == (2 * q + 1) * (2 * q + 1)
-    gj = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, budget.c_bar, 3)
+    gj = _make_config("GaussianJam", 100.0, 0.1, ch1, 3)
     with pytest.raises(ValueError):
         receiver_lattice(gj, ch1, "legit")
 
@@ -77,8 +76,7 @@ def test_stream_counts_give_each_lattice_size_exactly(kind, m, p):
     # prod (2 n q + 1) over the receiver's stream counts n, the eavesdropper's
     # jamming coordinates alone for its decoder
     ch = sample_channel(m, 5)
-    cfg = (make_csi_scheme(p, 0.1, ch.h, ch.g) if kind == "CsiAligned"
-           else make_blind_scheme(m, p, 0.1, ch.h, 4.0, 3))
+    cfg = _make_config(kind, p, 0.1, ch, 3)
     legit, eve = stream_counts(kind, m, "legit"), stream_counts(kind, m, "eve")
     assert (legit, eve) == (observation(cfg, ch, "legit")[1], observation(cfg, ch, "eve")[1])
     assert (decoded_counts(kind, m, "legit"), decoded_counts(kind, m, "eve")) == (legit, eve[m:])
@@ -142,8 +140,20 @@ def test_estimate_ser_stop_is_prefix_of_full_run(ch1):
     assert (rerun.trials, rerun.errors) == (stopped.trials, stopped.errors)
 
 
+def test_error_counts_at_the_noise_cap_run_without_a_warning(ch1):
+    # a Gaussian draw times sigma = 1e308 overflowed in the error counter: the
+    # channel refuses that level, and at the cap every count runs clean
+    for field in ("sigma1", "sigma2"):
+        with pytest.raises(ValueError, match="noise standard deviations must lie in"):
+            replace(ch1, **{field: 1e308})
+    ch = replace(ch1, sigma1=NOISE_CAP, sigma2=NOISE_CAP)
+    cfg = _make_config("Blind", 100.0, 0.1, ch, 3)
+    assert estimate_ser(cfg, ch, 200, seed=1, min_errors=None).trials == 200
+    assert estimate_eve_u_error(cfg, ch, 200, seed=1, min_errors=None).trials == 200
+
+
 def test_estimate_ser_rejects_gaussian_jam(ch1):
-    cfg = make_gaussian_jam_scheme(1, 100.0, 0.1, ch1.h, 4.0, 3)
+    cfg = _make_config("GaussianJam", 100.0, 0.1, ch1, 3)
     with pytest.raises(ValueError):
         estimate_ser(cfg, ch1, 1000, seed=0)
 
@@ -212,10 +222,7 @@ def test_noiseless_decoders_invert_encode(kind, m, q, seed):
     ch = ChannelRealization(h=drawn.h, g=drawn.g, sigma1=0.0, sigma2=0.0)
     # the power at which the schedule gives this q
     p = (q + 0.5) ** (2.0 * (m + 1 + 0.1) / (1.0 - 0.1))
-    if kind == "Blind":
-        cfg = make_blind_scheme(m, p, 0.1, ch.h, 4.0, seed)
-    else:
-        cfg = make_csi_scheme(p, 0.1, ch.h, ch.g)
+    cfg = _make_config(kind, p, 0.1, ch, seed)
     assert cfg.q == q
     lat, eve_lat = receiver_lattice(cfg, ch, "legit"), receiver_lattice(cfg, ch, "eve")
     assume(not lat.collision and not eve_lat.collision)
@@ -277,10 +284,7 @@ GOLDEN_COUNTS = {
 @pytest.mark.parametrize("m, p, kind", list(GOLDEN_COUNTS))
 def test_error_counts_match_golden(m, p, kind):
     ch = sample_channel(m, 7)
-    if kind == "Blind":
-        cfg = make_blind_scheme(m, p, 0.25, ch.h, default_budget(ch, p).c_bar, 3)
-    else:
-        cfg = make_csi_scheme(p, 0.25, ch.h, ch.g)
+    cfg = _make_config(kind, p, 0.25, ch, 3)
     ser_errors, eve_errors = GOLDEN_COUNTS[(m, p, kind)]
     trials = 12_000  # chunks of 5,000, 5,000 and 2,000
     ser = estimate_ser(cfg, ch, trials, seed=5, min_errors=None)
@@ -293,7 +297,7 @@ def test_error_counts_match_golden(m, p, kind):
 def test_every_consumer_refuses_another_channels_gains(kind, ch1):
     # a scheme pairs only with the legitimate gains it was built for: one
     # ulp off in one helper gain is refused before anything is estimated
-    cfg = _make_config(kind, 1, 100.0, 0.1, ch1, default_budget(ch1, 100.0).c_bar, 3)
+    cfg = _make_config(kind, 100.0, 0.1, ch1, 3)
     h = ch1.h.copy()
     h[1] = np.nextafter(h[1], np.inf)
     other = replace(ch1, h=h)

@@ -13,7 +13,7 @@ from blindjam.channel import (
     sample_channel,
 )
 from blindjam.constellation import LatticeSizeError
-from blindjam.experiments import SweepRow
+from blindjam.experiments import SweepRow, _make_config
 from blindjam.schemes import (
     KINDS,
     SchemeConfig,
@@ -23,7 +23,6 @@ from blindjam.schemes import (
     jam_streams,
     make_blind_scheme,
     make_csi_scheme,
-    make_gaussian_jam_scheme,
     observation,
     sample_symbols,
     schedule_q,
@@ -107,7 +106,7 @@ def test_csi_validation():
 
 def test_gaussian_jam_shares_blind_schedule(ch1):
     b = make_blind_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
-    gj = make_gaussian_jam_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
+    gj = _make_config("GaussianJam", 1e3, 0.1, ch1, 3)
     assert gj.kind == "GaussianJam"
     assert (gj.q, gj.a, gj.gamma, gj.alphas) == (b.q, b.a, b.gamma, b.alphas)
 
@@ -118,11 +117,9 @@ def test_gaussian_jam_shares_blind_schedule(ch1):
 def test_analytic_power_within_budget(p, delta, m, seed):
     # the gamma rule keeps every transmitter inside the budget, analytically
     ch = sample_channel(m, seed)
-    for maker in (make_blind_scheme, make_gaussian_jam_scheme):
-        cfg = maker(m, p, delta, ch.h, 1.0, seed)
+    for kind in KINDS:
+        cfg = _make_config(kind, p, delta, ch, seed)
         assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
-    cfg = make_csi_scheme(p, delta, ch.h, ch.g)
-    assert np.all(analytic_power(cfg) <= p * (1 + 1e-12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,9 +130,8 @@ def test_analytic_power_within_budget_for_any_gains(p, delta, m, seed):
     rng = np.random.default_rng(seed)
     h, g = rng.choice([-1.0, 1.0], size=(2, m + 1)) * np.exp(
         rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
-    for cfg in (make_blind_scheme(m, p, delta, h, 1.0, seed),
-                make_gaussian_jam_scheme(m, p, delta, h, 1.0, seed),
-                make_csi_scheme(p, delta, h, g)):
+    ch = ChannelRealization(h=h, g=g)
+    for cfg in (_make_config(kind, p, delta, ch, seed) for kind in KINDS):
         power = analytic_power(cfg)
         assert np.all(power <= p * (1 + 1e-12))
         if cfg.kind == "GaussianJam":
@@ -154,10 +150,7 @@ def test_config_derives_its_schedule_from_its_gains(kind, m, log_p, log_p2, delt
         rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
 
     def build(p):
-        if kind == "CsiAligned":
-            return make_csi_scheme(p, delta, h, g)
-        maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
-        return maker(m, p, delta, h, 4.0, seed)
+        return _make_config(kind, p, delta, ChannelRealization(h=h, g=g), seed)
 
     p, p2 = 10.0 ** log_p, 10.0 ** log_p2
     cfg = build(p)
@@ -187,11 +180,7 @@ def test_observation_is_what_the_receiver_sums(kind, m, receiver, p, seed):
         rng.uniform(math.log(0.05), math.log(20.0), size=(2, m + 1)))
     ch = ChannelRealization(h=h, g=g, sigma1=float(rng.uniform(0.0, 2.0)),
                             sigma2=float(rng.uniform(0.0, 2.0)))
-    if kind == "CsiAligned":
-        cfg = make_csi_scheme(p, 0.1, h, g)
-    else:
-        maker = make_blind_scheme if kind == "Blind" else make_gaussian_jam_scheme
-        cfg = maker(m, p, 0.1, h, 4.0, seed)
+    cfg = _make_config(kind, p, 0.1, ch, seed)
     coeffs, counts, sigma = observation(cfg, ch, receiver)
     v, u = sample_symbols(cfg, substream(seed, "symbols"), n=50)
     x = encode(cfg, v, u, rng=substream(seed, "helpers"))
@@ -228,7 +217,7 @@ def test_analytic_power_structure(ch1):
     e = analytic_power(cfg)
     assert e[0] == pytest.approx(s2 * (1 / ch1.h[0] ** 2 + cfg.alphas[0] ** 2))
     assert e[1] == pytest.approx(s2 / ch1.h[1] ** 2)
-    gj = make_gaussian_jam_scheme(1, 400.0, 0.1, ch1.h, 10.0, 3)
+    gj = _make_config("GaussianJam", 400.0, 0.1, ch1, 3)
     assert analytic_power(gj)[1] == pytest.approx(400.0)
 
 
@@ -264,8 +253,7 @@ def test_encode_matches_the_broadcast_form(kind, m):
     # one column per jamming stream: the same bits as the divide over all
     # jamming columns at once
     ch = sample_channel(m, 5)
-    cfg = (make_blind_scheme(m, 1e4, 0.1, ch.h, 10.0, 3) if kind == "Blind"
-           else make_csi_scheme(1e4, 0.1, ch.h, ch.g))
+    cfg = _make_config(kind, 1e4, 0.1, ch, 3)
     v, u = sample_symbols(cfg, substream(2, "symbols"), n=500)
     jam = jam_streams(kind, m)
     want = np.zeros((500, m + 1))
@@ -295,7 +283,7 @@ def test_encode_validates_symbol_range(ch1, blind_cfg):
 
 
 def test_gaussian_jam_encode_needs_rng(ch1):
-    cfg = make_gaussian_jam_scheme(1, 1e3, 0.1, ch1.h, 10.0, 3)
+    cfg = _make_config("GaussianJam", 1e3, 0.1, ch1, 3)
     [v], [u] = sample_symbols(cfg, substream(1, "symbols"), n=1)
     with pytest.raises(ValueError):
         encode(cfg, v, u)
@@ -313,7 +301,7 @@ def test_blindness_byte_identity():
     cfg2 = make_blind_scheme(1, 1e3, 0.1, h, 4.0, 9)
     assert cfg2 == cfg
     assert encode(cfg2, v, u).tobytes() == x_bytes
-    gj = make_gaussian_jam_scheme(1, 1e3, 0.1, h, 4.0, 9)
+    gj = _make_config("GaussianJam", 1e3, 0.1, ChannelRealization(h=h, g=h), 9)
     a = encode(gj, v, u, rng=substream(5, "helpers")).tobytes()
     b = encode(gj, v, u, rng=substream(5, "helpers")).tobytes()
     assert a == b
@@ -340,9 +328,8 @@ def test_config_validation():
         SchemeConfig(kind="Blind", p=10.0, delta=0.1, h=(1.0, 1.0, 1.0),
                      alphas=(0.9,), c_bar=1.0)
     # 10^9 alphas would take 8 GB: the blind constructors check len(h) first
-    for make in (make_blind_scheme, make_gaussian_jam_scheme):
-        with pytest.raises(ValueError, match="h must have length m\\+1"):
-            make(10**9, 1e2, 0.1, [1.0, 1.0], 4.0, 0)
+    with pytest.raises(ValueError, match="h must have length m\\+1"):
+        make_blind_scheme(10**9, 1e2, 0.1, [1.0, 1.0], 4.0, 0)
     for c_bar in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="c_bar must be positive and finite"):
             SchemeConfig(kind="Blind", p=10.0, delta=0.1, h=(1.0, 1.0), alphas=(0.9,),
