@@ -6,7 +6,6 @@ for one channel use with input vector ``x`` of length M+1.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +88,9 @@ def sample_channel(m: int, seed: int) -> ChannelRealization:
     with independent random signs.  Identical seeds give identical draws.
     More than POINT_CAP gains are refused.
     """
-    from .constellation import POINT_CAP, check_size  # constellation imports this module
+    from .constellation import POINT_CAP, as_count, check_size  # constellation imports this module
 
-    if operator.index(m) < 1:
+    if as_count(m) < 1:
         raise ValueError("m must be >= 1")
     check_size((2, m + 1), POINT_CAP, "channel gains")
     rng = substream(seed, "channel", m)

@@ -9,7 +9,9 @@ from its bucket in constant time and falls back to binary search only where
 the bucket cannot settle it, with no need for sphere decoders at desk scale.
 The exact minimum distance needs no lattice at all: it is the smallest
 nonzero combination over the difference box, with the widest axis solved in
-closed form.
+closed form. The box is minimised in blocks and never held whole: its
+memory grows with q as the box less one axis does, 4q+1 doubles in place of
+(4q+1)^2 at M=2, and the size cap bounds the box's work.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 POINT_CAP = 10_000_000  # most points an enumeration or difference box may hold
+BLOCK_TERMS = 8192  # difference-box terms sum_lattice_min_distance holds at once
 COLLISION_REL_TOL = 1e-9  # times the symbol spacing a
 BUCKETS_PER_POINT = 4
 MAX_REDRAWS = 1000  # gain draws per fit_dmin_exponent draw before it gives up
@@ -50,14 +53,23 @@ class DegenerateLatticeError(ValueError):
     """Two distinct labels landed on (numerically) the same point."""
 
 
+def as_count(x) -> int:
+    """``operator.index(x)``, which refuses a non-integer with a TypeError,
+    but for a bool: True is no count of 1, and is refused as well."""
+    if isinstance(x, bool):
+        raise TypeError("a count must be an integer, not a bool")
+    return operator.index(x)
+
+
 def check_size(factors, cap: int, what: str,
                hint: str = "reduce q or the number of streams") -> None:
     """Refuse, naming ``cap``, a product of the integers ``factors`` above it;
     the product is not formed past the cap, however many factors. A factor
-    that is no integer is a TypeError, a negative one a ValueError."""
+    that is no integer (a bool included) is a TypeError, a negative one a
+    ValueError."""
     total = 1
     for f in factors:
-        if operator.index(f) < 0:
+        if as_count(f) < 0:
             raise ValueError(f"negative count of {what}")
         total *= f
         if total > cap:
@@ -146,7 +158,7 @@ def _sum_axes(coeffs, radii) -> tuple[np.ndarray, list[int]]:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be a non-empty 1-D array of finite numbers")
-    radii = [operator.index(r) for r in radii]
+    radii = [as_count(r) for r in radii]
     if len(radii) != coeffs.shape[0] or min(radii) < 0:
         raise ValueError("one radius >= 0 per coefficient required")
     return coeffs, radii
@@ -195,9 +207,12 @@ def sum_lattice_min_distance(coeffs, radii) -> float:
 
     Two distinct labels differ by a nonzero integer d with |d_i| <= 2 r_i, so
     d_min = min |coeffs . d| over that difference box. Every axis but the
-    widest is enumerated by outer sums (its size, prod 4 r_i + 1, is held to
-    POINT_CAP); on the widest one |x + c d| is convex in d, so the nearest
-    integer to -x / c, clipped to the box, is the exact minimizer.
+    widest spans the head box (its size, prod 4 r_i + 1, is held to
+    POINT_CAP, which bounds the work); on the widest one |x + c d| is convex
+    in d, so the nearest integer to -x / c, clipped to the box, is the exact
+    minimizer. The head box is minimised in blocks of at most BLOCK_TERMS
+    terms: all its axes but the last are summed once, and the last is added
+    to them a block at a time, so no array of the whole box is held.
     """
     coeffs, radii = _sum_axes(coeffs, radii)
     if max(radii) < 1:
@@ -205,17 +220,28 @@ def sum_lattice_min_distance(coeffs, radii) -> float:
     wide = int(np.argmax(radii))
     head = [i for i in range(len(radii)) if i != wide]
     check_size((4 * radii[i] + 1 for i in head), POINT_CAP, "difference-box terms")
-    x = np.zeros(1)
-    for i in head:
-        x = (x[:, None] + coeffs[i] * np.arange(-2 * radii[i], 2 * radii[i] + 1)).ravel()
     c, r = coeffs[wide], 2 * radii[wide]
     if c == 0.0:
         best = 0.0
     else:
-        x += c * np.clip(np.rint(-x / c), -r, r)
+        *axes, last = ([coeffs[i] * np.arange(-2 * radii[i], 2 * radii[i] + 1) for i in head]
+                       or [np.zeros(1)])
+        rows = np.zeros(1)
+        for axis in axes:
+            rows = (rows[:, None] + axis).ravel()
         # the head d' = 0 sits at the centre; its d_L must be nonzero: +-1
-        x[x.shape[0] // 2] = c
-        best = float(np.min(np.abs(x)))
+        centre = (rows.shape[0] // 2, last.shape[0] // 2)
+        # a block: up to BLOCK_TERMS // len(last) whole rows, or a part of one row
+        height = max(1, BLOCK_TERMS // last.shape[0])
+        step = min(last.shape[0], BLOCK_TERMS)
+        best = math.inf
+        for i in range(0, rows.shape[0], height):
+            for j in range(0, last.shape[0], step):
+                x = rows[i:i + height, None] + last[j:j + step]
+                x += c * np.clip(np.rint(-x / c), -r, r)
+                if i <= centre[0] < i + height and j <= centre[1] < j + step:
+                    x[centre[0] - i, centre[1] - j] = c
+                best = float(np.minimum(best, np.min(np.abs(x))))  # NaN, as np.min, is kept
     if best < COLLISION_REL_TOL:
         raise DegenerateLatticeError("degenerate gains: distinct labels collide")
     return best
@@ -332,7 +358,7 @@ def fit_dmin_exponent(
         raise ValueError("q grid must be strictly increasing")
     if q_grid[0] < 1:
         raise ValueError("q grid values must be >= 1")
-    if operator.index(m) < 1 or operator.index(draws) < 1:
+    if as_count(m) < 1 or as_count(draws) < 1:
         raise ValueError("m and draws must be >= 1")
     if draws * len(q_grid) > MAX_CELLS:
         raise ValueError(f"more than {MAX_CELLS} cells (draws x q values) exceed the cap")

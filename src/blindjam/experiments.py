@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelRealization, default_budget, sample_channel
-from .constellation import POINT_CAP, check_size
+from .constellation import POINT_CAP, as_count, check_size
 from .infometrics import COMPONENT_CAP, MiEstimate, RateBound, rate_lower_bound
 from .receiver import ErrorEstimate, decoded_counts, estimate_eve_u_error, estimate_ser
 from .schemes import (
@@ -138,13 +137,13 @@ def _checked_grid(p_grid, kinds: int, draws: int, min_points: int, delta: float,
         raise ValueError(f"power grid needs at least {min_points} point(s)")
     if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("power grid must be strictly increasing")
-    if operator.index(draws) < 1:
+    if as_count(draws) < 1:
         raise ValueError("draws must be >= 1")
     if kinds * draws * len(p_grid) > MAX_CELLS:
         raise ValueError(f"more than {MAX_CELLS} cells (kinds x draws x powers) exceed the cap")
     q = schedule_q(p_grid[-1], delta, m)
     # each sum has m coordinates or more, of 2q+1 >= 3 values: a huge m is refused unlisted
-    check_size((3 for _ in range(m)), cap, what)
+    check_size((3 for _ in range(as_count(m))), cap, what)
     for counts in sums:
         check_size((2 * n * q + 1 for n in counts), cap, what)
     return p_grid
@@ -158,7 +157,7 @@ def _run_cells(kinds, m: int, delta: float, p_grid, draws: int, seed: int,
     Each channel is drawn once, from (seed, draw index) alone, so every kind
     sees identical channels.
     """
-    if operator.index(workers) < 1:
+    if as_count(workers) < 1:
         raise ValueError("workers must be >= 1")
     channels = [sample_channel(m, child_seed(seed, "channel", d)) for d in range(draws)]
 

@@ -28,13 +28,12 @@ All values are in bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .constellation import POINT_CAP, check_size
+from .constellation import POINT_CAP, as_count, check_size
 from .schemes import SchemeConfig, observation
 from .streams import child_seed, substream
 
@@ -365,9 +364,9 @@ def symbol_sum_pmf(n_streams: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     More than COMPONENT_CAP values, or multiply-adds over the n - 1
     convolutions, are refused before the first.
     """
-    if operator.index(n_streams) < 1:
+    if as_count(n_streams) < 1:
         raise ValueError("need at least one stream")
-    if operator.index(q) < 0:
+    if as_count(q) < 0:
         raise ValueError("q must be >= 0")
     check_size((2 * n_streams * q + 1,), COMPONENT_CAP, "pmf values")
     # convolution k takes (2kq + 1)(2q + 1) multiply-adds, k = 1 .. n - 1

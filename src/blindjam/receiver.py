@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, eve_output, legit_output
-from .constellation import (DegenerateLatticeError, ReceiverLattice, enumerate_sum_lattice,
-                            nearest_index)
+from .constellation import (DegenerateLatticeError, ReceiverLattice, as_count,
+                            enumerate_sum_lattice, nearest_index)
 from .schemes import (SchemeConfig, check_symbols, encode, jam_streams, observation,
                       sample_symbols, stream_counts)
 from .streams import substream
@@ -108,9 +108,9 @@ def _count_errors(cfg: SchemeConfig, ch: ChannelRealization, receiver: str, n_tr
     reaches ``min_errors`` (or after ``n_trials``): a prefix of a fixed
     stream order, however callers schedule the work.
     """
-    if operator.index(n_trials) <= 0:
+    if as_count(n_trials) <= 0:
         raise ValueError("n_trials must be positive")
-    if min_errors is not None and operator.index(min_errors) < 0:
+    if min_errors is not None and as_count(min_errors) < 0:
         raise ValueError("min_errors must be >= 0")
     lat = receiver_lattice(cfg, ch, receiver)
     # outputs by this module's names: perfbench wraps them

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .constellation import POINT_CAP, check_size
+from .constellation import POINT_CAP, as_count, check_size
 from .streams import substream
 
 __all__ = [
@@ -197,7 +197,7 @@ def make_blind_scheme(m: int, p: float, delta: float, h, c_bar: float, seed: int
     only for later analysis, never for construction. h must hold m+1 gains,
     checked before the m alphas are drawn.
     """
-    if m < 1 or len(h) != m + 1:
+    if as_count(m) < 1 or len(h) != m + 1:
         raise ValueError("h must have length m+1, m >= 1")
     return SchemeConfig("Blind", p, delta, h, _draw_alphas(m, seed), c_bar)
 

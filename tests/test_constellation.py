@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 from blindjam import constellation
 from blindjam.constellation import (
     COLLISION_REL_TOL,
+    POINT_CAP,
     DegenerateLatticeError,
     LatticeSizeError,
     MAX_REDRAWS,
     ReceiverLattice,
+    _sum_axes,
+    check_size,
     enumerate_sum_lattice,
     fit_dmin_exponent,
     min_distance,
@@ -287,6 +291,70 @@ def test_sum_lattice_min_distance_cap_and_validation(monkeypatch):
     with pytest.raises(ValueError):
         sum_lattice_min_distance([1.0], [1, 1])
     assert 2.0 * sum_lattice_min_distance([-0.3], [4]) == pytest.approx(0.6)
+
+
+def _one_array_min_distance(coeffs, radii):
+    """sum_lattice_min_distance with its whole head box in one array: the
+    oracle of the blocked minimum's bits."""
+    coeffs, radii = _sum_axes(coeffs, radii)
+    if max(radii) < 1:
+        raise ValueError("minimum distance needs at least 2 points")
+    wide = int(np.argmax(radii))
+    head = [i for i in range(len(radii)) if i != wide]
+    check_size((4 * radii[i] + 1 for i in head), POINT_CAP, "difference-box terms")
+    x = np.zeros(1)
+    for i in head:
+        x = (x[:, None] + coeffs[i] * np.arange(-2 * radii[i], 2 * radii[i] + 1)).ravel()
+    c, r = coeffs[wide], 2 * radii[wide]
+    if c == 0.0:
+        best = 0.0
+    else:
+        x += c * np.clip(np.rint(-x / c), -r, r)
+        x[x.shape[0] // 2] = c
+        best = float(np.min(np.abs(x)))
+    if best < COLLISION_REL_TOL:
+        raise DegenerateLatticeError("degenerate gains: distinct labels collide")
+    return best
+
+
+def _min_distance_or_error(f, coeffs, radii):
+    try:
+        return f(coeffs, radii).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 3), block=st.sampled_from([1, 7, 64]),
+       dependent=st.booleans())
+def test_blocked_min_distance_equals_the_one_array_box(seed, m, block, dependent):
+    # blocks of 1, 7 and 64 terms split the head box's rows and put its
+    # centre on a block's edge as well as inside one; dependent coefficients
+    # make some boxes collide
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.1, 3.0, size=m + 1) * rng.choice([-1, 1], size=m + 1)
+    if dependent:
+        coeffs[rng.integers(0, m + 1)] = coeffs[-1] * int(rng.choice([-2, -1, 0, 1, 2]))
+    radii = [int(r) for r in rng.integers(0, 6 if m < 3 else 3, size=m + 1)]
+    radii[int(rng.integers(0, m + 1))] = int(rng.integers(1, 9))
+    want = _min_distance_or_error(_one_array_min_distance, coeffs, radii)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constellation, "BLOCK_TERMS", block)
+        assert _min_distance_or_error(sum_lattice_min_distance, coeffs, radii) == want
+
+
+def test_min_distance_holds_blocks_not_the_difference_box():
+    # M=2 at q=256: a head box of 1025**2 terms, 8 MiB as one array, and
+    # three times that with its temporaries
+    coeffs, radii = [2 ** 0.5 / 2, -0.77 * 3 ** 0.5, 1.0], [256, 256, 768]
+    tracemalloc.start()
+    try:
+        got = sum_lattice_min_distance(coeffs, radii)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == _one_array_min_distance(coeffs, radii)
 
 
 def _enumerated_dmin_study(m, q_grid, n_draws, seed):

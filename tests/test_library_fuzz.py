@@ -4,8 +4,10 @@ arguments: each comes from one pool (NaN, the infinities, -1, 0, 2**63,
 1e308, empty and short arrays) or is a value the call runs with. Trial
 counts come from the pool without 2**63, a count that runs for hours. The
 typed arguments (a config, a channel, a mixture, a lattice, a generator,
-sweep rows) are valid ones. The inputs in FOUND once ran past a check: each
-is refused.
+sweep rows) are valid ones. A study (a sweep or a d_min fit) is called with
+a configuration that runs, at most one of its arguments replaced from the
+pool, so that the fuzz reaches its end as well as its checks. The inputs in
+FOUND once ran past a check: each is refused.
 
 "Its own" means the innermost frame of the traceback is in the package: a
 check there, not one of numpy's. The fuzz runs as this file's ``__main__``
@@ -14,6 +16,7 @@ call to CALL_SECONDS by an alarm, and turns every warning into an error. So
 an allocation or a loop that no check bounds fails the test, not the
 machine.
 """
+import json
 import math
 import resource
 import signal
@@ -53,9 +56,24 @@ def arg(*runs_with):
     return st.sampled_from(POOL + list(runs_with))
 
 
+TRIAL_POOL = [x for x in POOL if x is not HUGE]
+
+
 def trials(*runs_with):
     """A pool value but HUGE, or a trial count the call runs with."""
-    return st.sampled_from([x for x in POOL if x is not HUGE] + list(runs_with))
+    return st.sampled_from(TRIAL_POOL + list(runs_with))
+
+
+def study(name, *params):
+    """The arguments of a configuration of ``name`` that runs, with at most
+    one replaced from its pool: each of ``params`` is (pool, *values the call
+    runs with), and one draw shared by the arguments picks the replaced one,
+    or, about a third of the time, none."""
+    n = len(params)
+    replaced = st.shared(st.sampled_from([None] * (n // 2) + list(range(n))), key=name)
+    return [replaced.flatmap(lambda j, i=i, pool=pool, runs=runs:
+                             st.sampled_from(pool if i == j else runs))
+            for i, (pool, *runs) in enumerate(params)]
 
 
 CH = sample_channel(1, 7)
@@ -122,14 +140,21 @@ CALLS = {
                                                 arg(1.0, 0.0)]),
     "legit_output": (legit_output, [st.just(CH), arg(np.array([[1.0, -2.0]]))]),
     "eve_output": (eve_output, [st.just(CH), arg(np.array([[1.0, -2.0]]))]),
-    "sweep_power": (_sweep_power, [arg("Blind", "CsiAligned", "GaussianJam"), arg(1),
-                                   arg(0.05), arg([1e2, 1e3, 1e4]), arg(1), arg(3),
-                                   trials(20), trials(50), arg(None, 10), arg(1, 2)]),
-    "sweep_ser": (_sweep_ser, [arg("Blind", "CsiAligned"), arg(1), arg(0.1), arg([1e2, 1e3]),
-                               arg(1), arg(3), trials(50), arg(None, 10), arg(1, 2),
-                               arg(None, 0.0, 0.5), arg("legit", "eve")]),
-    "fit_dmin_exponent": (fit_dmin_exponent, [arg(1), arg([2, 4, 8]), arg(1), arg(0)]),
+    "sweep_power": (_sweep_power, study("sweep_power",
+                                        (POOL, "Blind", "CsiAligned", "GaussianJam"), (POOL, 1),
+                                        (POOL, 0.05), (POOL, [1e2, 1e3, 1e4]), (POOL, 1),
+                                        (POOL, 3), (TRIAL_POOL, 20), (TRIAL_POOL, 50),
+                                        (POOL, None, 10), (POOL, 1, 2))),
+    # an eavesdropper sweep takes no sigma1
+    "sweep_ser": (_sweep_ser, study("sweep_ser", (POOL, "Blind", "CsiAligned"), (POOL, 1),
+                                    (POOL, 0.1), (POOL, [1e2, 1e3]), (POOL, 1), (POOL, 3),
+                                    (TRIAL_POOL, 50), (POOL, None, 10), (POOL, 1, 2),
+                                    (POOL, None), (POOL, "legit", "eve"))),
+    "fit_dmin_exponent": (fit_dmin_exponent, study("fit_dmin_exponent", (POOL, 1, 2),
+                                                   (POOL, [2, 4, 8], [1, 2, 3], [3, 5, 9, 17]),
+                                                   (POOL, 1, 2), (POOL, 0, 3))),
 }
+STUDIES = ("sweep_power", "sweep_ser", "fit_dmin_exponent")
 
 # inputs that once hung, truncated, warned or failed in numpy: each is refused
 FOUND = {
@@ -169,6 +194,16 @@ FOUND = {
     "string-q": ("fit_dmin_exponent", (1, "248", 1, 0)),
     "zero-q": ("fit_dmin_exponent", (1, [0, 1, 2], 1, 0)),
     "negative-q": ("fit_dmin_exponent", (1, [-4, 1, 2], 1, 0)),
+    "bool-counts-sweep": ("sweep_ser", ("Blind", True, 0.1, [1e2], True, 0, 10, 100, True, None,
+                                        "legit")),
+    "bool-draws": ("sweep_power", ("Blind", 1, 0.05, [1e2, 1e3, 1e4], True, 0, 20, 50, None, 1)),
+    "bool-m": ("sample_channel", (True, 0)),
+    "bool-m-blind": ("make_blind_scheme", (True, 100.0, 0.1, CH.h, 4.0, 3)),
+    "bool-trials": ("estimate_ser", (CFG, CH, True, 0, None)),
+    "bool-min_errors": ("estimate_ser", (CFG, CH, 2000, 0, True)),
+    "bool-streams": ("symbol_sum_pmf", (True, 2)),
+    "bool-dmin-counts": ("fit_dmin_exponent", (True, [2, 4, 8], True, 0)),
+    "bool-symbols": ("sample_symbols", (CFG, substream(0), True)),
 }
 
 
@@ -197,13 +232,18 @@ def _returns_or_refuses(name, args) -> bool:
     return False
 
 
+# per callable: [examples, returns]
+COUNTS = {name: [0, 0] for name in CALLS}
+
+
 @settings(max_examples=EXAMPLES, deadline=None, database=None)
 @given(data=st.data())
 def fuzz(data):
     name = data.draw(st.sampled_from(sorted(CALLS)), label="call")
     args = [data.draw(strategy, label=f"argument {i}")
             for i, strategy in enumerate(CALLS[name][1])]
-    _returns_or_refuses(name, args)
+    COUNTS[name][0] += 1
+    COUNTS[name][1] += not _returns_or_refuses(name, args)
 
 
 def test_every_fuzzed_call_returns_or_refuses(src_env, tmp_path):
@@ -211,6 +251,11 @@ def test_every_fuzzed_call_returns_or_refuses(src_env, tmp_path):
                          timeout=120, cwd=tmp_path,
                          env={**src_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     assert out.returncode == 0, out.stdout + out.stderr
+    counts = json.loads(out.stdout.splitlines()[-1])
+    # each study ran to its end, not only into its checks
+    for name in STUDIES:
+        examples, returns = counts[name]
+        assert returns >= examples / 10 > 0, f"{name} returned in {returns} of {examples}"
 
 
 @pytest.mark.parametrize("name, args", FOUND.values(), ids=list(FOUND))
@@ -229,3 +274,4 @@ if __name__ == "__main__":
     signal.signal(signal.SIGALRM, _overtime)
     warnings.simplefilter("error")
     fuzz()
+    print(json.dumps(COUNTS))
